@@ -24,8 +24,9 @@
 //	exegpt tables  [flags]   regenerate paper tables (1-7, cost)
 //	exegpt bench   [flags]   measure the Estimate/FindBest hot paths
 //
-// Every subcommand accepts -seed, -workers, -requests, -quick and
-// -profile-cache; run `exegpt <command> -h` for the full flag list.
+// Every subcommand accepts -seed, -workers, -requests, -quick,
+// -profile-cache, -cpuprofile and -memprofile; run `exegpt <command> -h`
+// for the full flag list.
 package main
 
 import (
@@ -72,6 +73,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "exegpt: unknown command %q\n\n", cmd)
 		usage()
 		os.Exit(2)
+	}
+	if perr := prof.stop(); err == nil {
+		err = perr
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "exegpt %s: %v\n", cmd, err)
@@ -121,6 +125,7 @@ func commonFlags(fs *flag.FlagSet) func() *experiments.Context {
 	quick := fs.Bool("quick", false, "shrink sweeps for fast runs")
 	profileCache := fs.String("profile-cache", "",
 		"directory for the on-disk profile.Table JSON cache, keyed by (model, GPU); empty disables")
+	prof.register(fs)
 	return func() *experiments.Context {
 		c := experiments.NewContext()
 		if *quick {

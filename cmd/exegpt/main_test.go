@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"exegpt/internal/sched"
@@ -17,6 +19,31 @@ func TestCommonFlagsPlumbContext(t *testing.T) {
 	c := newCtx()
 	if c.ProfileCacheDir != "/tmp/pc" || !c.Quick || c.Seed != 7 || c.Workers != 3 {
 		t.Fatalf("context not plumbed: %+v", c)
+	}
+}
+
+// -cpuprofile and -memprofile write profiles once the command stops;
+// without them nothing is started.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	err := cmdSweep([]string{"-quick", "-models", "OPT-13B", "-tasks", "S", "-cpuprofile", cpu, "-memprofile", mem})
+	if perr := prof.stop(); err == nil {
+		err = perr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty: %v", path, err)
+		}
+	}
+	if prof != (profiler{}) {
+		t.Fatalf("profiler not reset after stop: %+v", prof)
+	}
+	if err := prof.stop(); err != nil {
+		t.Fatalf("stop with no profile requested: %v", err)
 	}
 }
 

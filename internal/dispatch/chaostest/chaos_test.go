@@ -180,15 +180,32 @@ func startCoord(ct dispatch.Transport, cfg dispatch.Config) chan runResult {
 	return out
 }
 
-func startWorker(id, fp string, n int, wt dispatch.WorkerTransport) {
+// startWorker runs an honest worker for the rest of the test. Its
+// cleanup drains the worker and waits for it, so a worker that outlives
+// its coordinator stops writing into the test's temporary directories
+// before they are removed.
+func startWorker(t *testing.T, id, fp string, n int, wt dispatch.WorkerTransport) {
+	drain, done := make(chan struct{}), make(chan struct{})
 	w := &dispatch.Worker{
 		ID: id, Fingerprint: fp, Cells: n,
 		Heartbeat: 30 * time.Millisecond,
 		Poll:      10 * time.Millisecond,
 		Idle:      30 * time.Second,
+		Drain:     drain,
 		Eval:      func(c int) (experiments.CellResult, error) { return fakeCellResult(c), nil },
 	}
-	go w.Run(wt)
+	go func() {
+		defer close(done)
+		w.Run(wt)
+	}()
+	t.Cleanup(func() {
+		close(drain)
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Logf("worker %s still running after drain", id)
+		}
+	})
 }
 
 // takeLease requests one lease by hand, re-sending through injected
@@ -307,7 +324,7 @@ func testKillResume(t *testing.T, newPhase func(t *testing.T) *phase,
 	if l := takeLease(t, chaostest.Worker(dead, inj), "deadbeat"); len(l.Cells) == 0 {
 		t.Fatal("deadbeat got no cells to abandon")
 	}
-	startWorker("w1", fp, n, chaostest.Worker(p1.attach(t, "w1"), inj))
+	startWorker(t, "w1", fp, n, chaostest.Worker(p1.attach(t, "w1"), inj))
 
 	r1 := <-res1
 	if !errors.Is(r1.err, chaostest.ErrCrash) {
@@ -352,7 +369,7 @@ func testKillResume(t *testing.T, newPhase func(t *testing.T) *phase,
 	cfg2.Completed = j2.Cells()
 	cfg2.Exclusions = j2.Exclusions()
 	res2 := startCoord(chaostest.Coordinator(p2.coord, inj), cfg2)
-	startWorker("w2", fp, n, chaostest.Worker(p2.attach(t, "w2"), inj))
+	startWorker(t, "w2", fp, n, chaostest.Worker(p2.attach(t, "w2"), inj))
 
 	r2 := <-res2
 	if r2.err != nil {

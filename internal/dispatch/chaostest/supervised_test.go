@@ -736,7 +736,7 @@ func TestStatusSurvivesCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	startWorker("w2", fp, n, w2)
+	startWorker(t, "w2", fp, n, w2)
 	r2 := <-res2
 	if r2.err != nil {
 		t.Fatalf("phase 2: %v", r2.err)

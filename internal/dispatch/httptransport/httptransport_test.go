@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -397,6 +398,18 @@ func TestStatusUnderChurn(t *testing.T) {
 		},
 	}
 	go crasher.Run(dialWorker(t, hs.URL, "crasher"))
+
+	// The crasher fails its way to exclusion before the honest workers
+	// start; otherwise they can drain the grid before it takes a lease.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st := getStatus(t, hs.URL)
+		if i := slices.IndexFunc(st.Workers, func(w dispatch.WorkerStatus) bool { return w.Worker == "crasher" }); i >= 0 && st.Workers[i].Excluded {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("crasher never excluded: %+v", st.Workers)
+		}
+	}
 
 	// Honest workers drain the grid through the churn.
 	for _, id := range []string{"w1", "w2"} {

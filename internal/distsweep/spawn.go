@@ -17,11 +17,19 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"time"
 )
 
 // stderrTailLimit bounds how much of a worker's stderr is retained for
 // error reporting.
 const stderrTailLimit = 4096
+
+// workerWaitDelay bounds how long a worker's exit waits for its output
+// pipes to close. A worker's descendants inherit those pipes (a shell
+// that forks its command, an ssh-launched worker's remote session), so
+// without a bound the exit of a killed worker is not observed until its
+// orphans exit too.
+const workerWaitDelay = 250 * time.Millisecond
 
 // tailWriter retains the last tail of everything written through it.
 // Safe for concurrent Write/String: the worker process streams into it
@@ -119,6 +127,7 @@ func (f *Fleet) Start(name string, argv []string) error {
 	cmd := exec.Command(f.bin, argv...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = io.MultiWriter(os.Stderr, tail)
+	cmd.WaitDelay = workerWaitDelay
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("distsweep: start worker %s: %w", name, err)
 	}
@@ -127,6 +136,10 @@ func (f *Fleet) Start(name string, argv []string) error {
 	f.order = append(f.order, name)
 	go func() {
 		p.err = cmd.Wait()
+		if errors.Is(p.err, exec.ErrWaitDelay) {
+			// The worker itself exited cleanly; only orphans held its pipes.
+			p.err = nil
+		}
 		close(p.done)
 	}()
 	return nil

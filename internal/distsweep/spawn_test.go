@@ -129,10 +129,12 @@ func TestFleetDynamicMembership(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// A killed worker is observed as exited with an error.
+	// A killed worker is observed as exited with an error, promptly even
+	// though the shell's forked sleep still holds the stderr pipe.
 	if err := fleet.Kill("s0r0"); err != nil {
 		t.Fatal(err)
 	}
+	deadline = time.Now().Add(3 * time.Second)
 	for {
 		if exited, err := fleet.Exited("s0r0"); exited {
 			if err == nil {

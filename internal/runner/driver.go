@@ -15,10 +15,10 @@ import (
 
 // driver executes schedules for one capability class of families. Both
 // engines route through it: runBatch drains a pre-drawn request slice
-// (Engine.Run); openInit/openWake bind the incremental OpenRun's
-// pipeline state and admission restart.
+// (Engine.Run) over the allocation's decode stages; openInit/openWake
+// bind the incremental OpenRun's pipeline state and admission restart.
 type driver interface {
-	runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error)
+	runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request, states []*stageState) (Result, error)
 	openInit(o *OpenRun) error
 	openWake(o *OpenRun)
 }
@@ -43,8 +43,8 @@ func driverFor(p sched.Policy) (driver, error) {
 // (one encoding phase then ND decoding iterations, Figure 4(a)).
 type syncDriver struct{}
 
-func (syncDriver) runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
-	return e.runRRA(cfg, alloc, reqs)
+func (syncDriver) runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request, states []*stageState) (Result, error) {
+	return e.runRRA(cfg, alloc, reqs, states)
 }
 
 func (syncDriver) openInit(o *OpenRun) error { return nil }
@@ -55,8 +55,8 @@ func (syncDriver) openWake(o *OpenRun) { o.rraCycle() }
 // decoder pipelines on the discrete-event simulator (Figure 4(b)).
 type pooledDriver struct{}
 
-func (pooledDriver) runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
-	return e.runWAA(cfg, alloc, reqs)
+func (pooledDriver) runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request, states []*stageState) (Result, error) {
+	return e.runWAA(cfg, alloc, reqs, states)
 }
 
 func (pooledDriver) openInit(o *OpenRun) error {

@@ -36,15 +36,14 @@ type Arrival struct {
 // OpenRun is one schedule's live execution. It is not safe for
 // concurrent use; the serving loop drives it from one goroutine.
 type OpenRun struct {
-	eng    *Engine
-	cfg    sched.Config
-	alloc  sched.Allocation
-	sim    *eventsim.Sim
-	states []*stageState
+	eng   *Engine
+	cfg   sched.Config
+	alloc sched.Allocation
+	sim   *eventsim.Sim
+	dec   decoder // query.start is the arrival time
 
 	queue     reqFIFO
 	arrivedAt map[int]float64 // request ID -> arrival time
-	active    []*query        // query.start is the arrival time
 	totalIn   int64
 	arrivals  int64
 
@@ -98,7 +97,7 @@ func (e *Engine) Open(cfg sched.Config, alloc sched.Allocation, startAt float64)
 	o := &OpenRun{
 		eng: e, cfg: cfg, alloc: alloc,
 		sim:       eventsim.New(),
-		states:    states,
+		dec:       decoder{model: e.Model, states: states},
 		arrivedAt: map[int]float64{},
 		rec:       metrics.NewRecorder(),
 		res:       Result{EncStage: metrics.NewRecorder(), DecStage: metrics.NewRecorder()},
@@ -136,12 +135,12 @@ func (o *OpenRun) Queued() int { return o.queue.Len() }
 // QueueDepth returns all requests in the system: queued, encoded
 // in-flight (WAA handover), and actively decoding.
 func (o *OpenRun) QueueDepth() int {
-	return o.queue.Len() + o.inflightReqs + len(o.active)
+	return o.queue.Len() + o.inflightReqs + len(o.dec.active)
 }
 
 // Done reports whether no work remains anywhere in the engine.
 func (o *OpenRun) Done() bool {
-	return o.queue.Len() == 0 && o.inflightReqs == 0 && len(o.active) == 0
+	return o.queue.Len() == 0 && o.inflightReqs == 0 && len(o.dec.active) == 0
 }
 
 // Records returns the completions so far (Start is the arrival time).
@@ -151,7 +150,7 @@ func (o *OpenRun) Records() []QueryRecord { return o.res.Records }
 func (o *OpenRun) Result() Result {
 	res := o.res
 	res.Stats = metrics.Summarize(o.rec, o.sim.Now()-o.startAt, completionTimes(o.res.Records))
-	res.PeakDecMemPerGPU = peakMem(o.states)
+	res.PeakDecMemPerGPU = peakMem(o.dec.states)
 	return res
 }
 
@@ -236,37 +235,22 @@ func (o *OpenRun) hasEncodeWork() bool {
 // engine's batch-formation policy — the single admission call site both
 // drivers share (previously duplicated in rraCycle and startEncode).
 func (o *OpenRun) takeBatch() []workload.Request {
-	return o.eng.formation().Take(&o.queue, o.cfg.BE, o.meanIn(), len(o.active), o.cfg.BD)
+	return o.eng.formation().Take(&o.queue, o.cfg.BE, o.meanIn(), len(o.dec.active), o.cfg.BD)
 }
 
 // complete applies one decode iteration's survivors/completions at the
 // current virtual time.
 func (o *OpenRun) complete() {
-	now := o.sim.Now()
-	survivors := o.active[:0]
-	for _, q := range o.active {
-		q.pos++
-		if q.pos >= q.req.OutLen {
-			release(o.states, q.req.ID)
-			o.rec.Add(now - q.start)
-			rec := QueryRecord{
-				ID: q.req.ID, Start: q.start, End: now,
-				InLen: q.req.InLen, OutLen: q.req.OutLen,
-			}
-			o.res.Records = append(o.res.Records, rec)
-			delete(o.arrivedAt, q.req.ID)
-			if o.OnComplete != nil {
-				o.OnComplete(rec)
-			}
-		} else {
-			if err := appendToken(o.states, q.req.ID); err != nil {
-				o.err = fmt.Errorf("runner: open decode OOM: %w", err)
-				return
-			}
-			survivors = append(survivors, q)
+	n, err := o.dec.step(o.sim.Now(), o.rec, &o.res.Records)
+	for _, rec := range o.res.Records[len(o.res.Records)-n:] {
+		delete(o.arrivedAt, rec.ID)
+		if o.OnComplete != nil {
+			o.OnComplete(rec)
 		}
 	}
-	o.active = survivors
+	if err != nil {
+		o.err = fmt.Errorf("runner: open decode OOM: %w", err)
+	}
 }
 
 // rraCycle runs one RRA cycle: an encoding phase over whatever has
@@ -276,21 +260,21 @@ func (o *OpenRun) rraCycle() {
 	if o.err != nil {
 		return
 	}
-	if !o.hasEncodeWork() && len(o.active) == 0 {
+	if !o.hasEncodeWork() && len(o.dec.active) == 0 {
 		o.parked = true
 		return
 	}
 	var encDur float64
 	if o.hasEncodeWork() {
 		batch := o.takeBatch()
-		admitted, tokens, deferred := o.eng.admitBatch(o.states, batch)
+		admitted, tokens, deferred := o.eng.admitBatch(o.dec.states, batch)
 		if deferred > 0 {
 			o.queue.Rewind(deferred)
 		}
 		for _, r := range admitted {
-			o.active = append(o.active, &query{req: r, start: o.arrivedAt[r.ID]})
+			o.dec.add(r, o.arrivedAt[r.ID])
 		}
-		if len(admitted) == 0 && len(o.active) == 0 {
+		if len(admitted) == 0 && len(o.dec.active) == 0 {
 			o.err = fmt.Errorf("runner: open RRA query %d does not fit in KV memory even on an idle system", batch[0].ID)
 			return
 		}
@@ -318,12 +302,12 @@ func (o *OpenRun) rraDecode(u int) {
 	if o.err != nil {
 		return
 	}
-	if u >= o.cfg.ND || len(o.active) == 0 {
+	if u >= o.cfg.ND || len(o.dec.active) == 0 {
 		o.rraCycle()
 		return
 	}
-	ctx := meanCtxOf(o.eng.Model, o.active)
-	micro := len(o.active) / rraMicroBatches
+	ctx := o.dec.meanCtx()
+	micro := len(o.dec.active) / rraMicroBatches
 	if micro < 1 {
 		micro = 1
 	}
@@ -341,7 +325,7 @@ func (o *OpenRun) rraDecode(u int) {
 		if o.err != nil {
 			return
 		}
-		if cost, ran := o.eng.maybeCompact(o.states); ran {
+		if cost, ran := o.eng.maybeCompact(o.dec.states); ran {
 			o.res.Compactions++
 			o.res.CompactionSeconds += cost
 			o.sim.After(cost, func() { o.rraDecode(u + 1) })
@@ -409,18 +393,18 @@ func (o *OpenRun) iterate() {
 	merged := false
 	sel := o.eng.victims()
 	tryAdmit := func(r workload.Request) error {
-		return admit(o.states, r.ID, o.eng.promptTokens(r))
+		return admit(o.dec.states, r.ID, o.eng.promptTokens(r))
 	}
 	for _, a := range o.inbox {
 		admitted, deferred := sel.Admit(a.batch, tryAdmit)
 		for _, r := range admitted {
-			o.active = append(o.active, &query{req: r, start: o.arrivedAt[r.ID]})
+			o.dec.add(r, o.arrivedAt[r.ID])
 			o.inflightReqs--
 			merged = true
 		}
 		if deferred > 0 {
 			i := len(a.batch) - deferred
-			if len(o.active) == 0 {
+			if len(o.dec.active) == 0 {
 				o.err = fmt.Errorf("runner: open WAA query %d does not fit in KV memory even on an idle decoder", a.batch[i].ID)
 				return
 			}
@@ -440,17 +424,17 @@ func (o *OpenRun) iterate() {
 	if o.err != nil {
 		return
 	}
-	if len(o.active) == 0 {
+	if len(o.dec.active) == 0 {
 		o.decoding = false
 		return // park the decoder; the next merge restarts it
 	}
 	o.decoding = true
 
-	micro := len(o.active) / o.bm
+	micro := len(o.dec.active) / o.bm
 	if micro < 1 {
 		micro = 1
 	}
-	ctx := meanCtxOf(o.eng.Model, o.active)
+	ctx := o.dec.meanCtx()
 	times, terr := o.eng.decStageTimes(o.decStages, micro, ctx)
 	if terr != nil {
 		o.err = terr
@@ -460,7 +444,7 @@ func (o *OpenRun) iterate() {
 		o.res.DecStage.Add(t)
 	}
 	dur := pipelinePeriod(times, o.bm)
-	if cost, ran := o.eng.maybeCompact(o.states); ran {
+	if cost, ran := o.eng.maybeCompact(o.dec.states); ran {
 		dur += cost
 		o.res.Compactions++
 		o.res.CompactionSeconds += cost

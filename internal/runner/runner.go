@@ -110,7 +110,65 @@ type query struct {
 	pos   int // generated tokens so far
 }
 
-func (q *query) ctxLen(m model.Model) int { return m.ContextLen(q.req.InLen, q.pos) }
+// decoder is the decode side the three engines share: the active
+// queries, the running sum of their context lengths, and the per-stage
+// KV caches they occupy.
+type decoder struct {
+	model  model.Model
+	states []*stageState
+	active []query
+	ctxSum int
+}
+
+// add makes an admitted request active, its latency counted from start.
+func (d *decoder) add(r workload.Request, start float64) {
+	d.ctxSum += d.model.ContextLen(r.InLen, 0)
+	d.active = append(d.active, query{req: r, start: start})
+}
+
+// meanCtx returns the mean context length over the active queries.
+func (d *decoder) meanCtx() float64 {
+	if len(d.active) == 0 {
+		return 1
+	}
+	return float64(d.ctxSum) / float64(len(d.active))
+}
+
+// step applies one finished decode iteration at virtual time now: every
+// active query generates a token; queries that reach their output length
+// are released on every stage and appended to rec and records; the
+// survivors' contexts and caches then grow by that token, with one
+// AppendAll per stage. It returns the number of records appended.
+// Release never returns bytes to a stage's tracker, so the bulk charge
+// fails exactly when one of the per-query charges it replaces would have.
+func (d *decoder) step(now float64, rec *metrics.Recorder, records *[]QueryRecord) (int, error) {
+	kept := 0
+	for i := range d.active {
+		q := &d.active[i]
+		q.pos++
+		if q.pos < q.req.OutLen {
+			d.active[kept] = *q
+			kept++
+			continue
+		}
+		d.ctxSum -= d.model.ContextLen(q.req.InLen, q.pos-1)
+		release(d.states, q.req.ID)
+		rec.Add(now - q.start)
+		*records = append(*records, QueryRecord{
+			ID: q.req.ID, Start: q.start, End: now,
+			InLen: q.req.InLen, OutLen: q.req.OutLen,
+		})
+	}
+	done := len(d.active) - kept
+	d.active = d.active[:kept]
+	d.ctxSum += kept // ContextLen grows by one per generated token
+	for _, st := range d.states {
+		if err := st.kv.AppendAll(); err != nil {
+			return done, err
+		}
+	}
+	return done, nil
+}
 
 // stageState holds the per-decode-stage memory bookkeeping.
 type stageState struct {
@@ -153,16 +211,6 @@ func admit(states []*stageState, id, promptTokens int) error {
 				_ = prev.kv.Release(id)
 				prev.kv.Compact()
 			}
-			return err
-		}
-	}
-	return nil
-}
-
-// appendToken extends a query's cache on every stage.
-func appendToken(states []*stageState, id int) error {
-	for _, st := range states {
-		if err := st.kv.Append(id); err != nil {
 			return err
 		}
 	}
@@ -290,17 +338,6 @@ func pipelinePeriod(stageTimes []float64, m int) float64 {
 	return sum
 }
 
-func meanCtxOf(m model.Model, active []*query) float64 {
-	if len(active) == 0 {
-		return 1
-	}
-	total := 0
-	for _, q := range active {
-		total += q.ctxLen(m)
-	}
-	return float64(total) / float64(len(active))
-}
-
 // Run dispatches on the schedule's policy through the execution-driver
 // registry (driver.go).
 func (e *Engine) Run(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
@@ -314,7 +351,11 @@ func (e *Engine) Run(cfg sched.Config, alloc sched.Allocation, reqs []workload.R
 	if err != nil {
 		return Result{}, err
 	}
-	return d.runBatch(e, cfg, alloc, reqs)
+	states, err := e.newStageStates(alloc)
+	if err != nil {
+		return Result{}, err
+	}
+	return d.runBatch(e, cfg, alloc, reqs, states)
 }
 
 // rraMicroBatches matches Figure 4(a)'s two interleaved mini-batches.
@@ -371,16 +412,12 @@ func (q *reqFIFO) push(r workload.Request) {
 }
 
 // runRRA executes the synchronized encode/decode phase loop.
-func (e *Engine) runRRA(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
-	states, err := e.newStageStates(alloc)
-	if err != nil {
-		return Result{}, err
-	}
+func (e *Engine) runRRA(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request, states []*stageState) (Result, error) {
 	res := Result{EncStage: metrics.NewRecorder(), DecStage: metrics.NewRecorder()}
 	rec := metrics.NewRecorder()
 
 	pending := newReqFIFO(reqs)
-	var active []*query
+	dec := decoder{model: e.Model, states: states}
 	meanIn := meanInLen(reqs)
 	now := 0.0
 
@@ -393,17 +430,17 @@ func (e *Engine) runRRA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 	}
 	var decSamples []decSample
 
-	for pending.Len() > 0 || len(active) > 0 {
+	for pending.Len() > 0 || len(dec.active) > 0 {
 		// Encoding phase (skipped while draining).
 		if pending.Len() > 0 {
-			batch := e.formation().Take(&pending, cfg.BE, meanIn, len(active), cfg.BD)
+			batch := e.formation().Take(&pending, cfg.BE, meanIn, len(dec.active), cfg.BD)
 			admitted, tokens, deferred := e.admitBatch(states, batch)
 			if deferred > 0 {
 				// Out of memory: rewind the deferred victims onto the
 				// queue front and proceed with what fits.
 				pending.Rewind(deferred)
 			}
-			if len(admitted) == 0 && len(active) == 0 {
+			if len(admitted) == 0 && len(dec.active) == 0 {
 				return Result{}, fmt.Errorf("runner: query %d does not fit in KV memory even on an idle system", batch[0].ID)
 			}
 			if len(admitted) > 0 {
@@ -426,15 +463,15 @@ func (e *Engine) runRRA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 				}
 				now += pipelinePeriod(times, rraMicroBatches)
 				for _, r := range admitted {
-					active = append(active, &query{req: r, start: now})
+					dec.add(r, now)
 				}
 			}
 		}
 
 		// ND decoding iterations.
-		for u := 0; u < cfg.ND && len(active) > 0; u++ {
-			ctx := meanCtxOf(e.Model, active)
-			micro := len(active) / rraMicroBatches
+		for u := 0; u < cfg.ND && len(dec.active) > 0; u++ {
+			ctx := dec.meanCtx()
+			micro := len(dec.active) / rraMicroBatches
 			if micro < 1 {
 				micro = 1
 			}
@@ -447,31 +484,16 @@ func (e *Engine) runRRA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 			// below (the achieved steady batch is only known at the end).
 			if pending.Len() > 0 {
 				decSamples = append(decSamples, decSample{
-					active: len(active),
+					active: len(dec.active),
 					times:  append([]float64(nil), times...),
 				})
 			}
 			now += pipelinePeriod(times, rraMicroBatches)
 			res.Iterations++
 
-			survivors := active[:0]
-			for _, q := range active {
-				q.pos++
-				if q.pos >= q.req.OutLen {
-					release(states, q.req.ID)
-					rec.Add(now - q.start)
-					res.Records = append(res.Records, QueryRecord{
-						ID: q.req.ID, Start: q.start, End: now,
-						InLen: q.req.InLen, OutLen: q.req.OutLen,
-					})
-				} else {
-					if err := appendToken(states, q.req.ID); err != nil {
-						return Result{}, fmt.Errorf("runner: decode OOM: %w", err)
-					}
-					survivors = append(survivors, q)
-				}
+			if _, err := dec.step(now, rec, &res.Records); err != nil {
+				return Result{}, fmt.Errorf("runner: decode OOM: %w", err)
 			}
-			active = survivors
 			if cost, ran := e.maybeCompact(states); ran {
 				now += cost
 				res.Compactions++
@@ -512,11 +534,7 @@ func completionTimes(records []QueryRecord) []float64 {
 
 // runWAA executes the asynchronous encoder/decoder pipelines on the
 // discrete-event simulator.
-func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
-	states, err := e.newStageStates(alloc)
-	if err != nil {
-		return Result{}, err
-	}
+func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request, states []*stageState) (Result, error) {
 	encStages := alloc.EncStages()
 	decStages := alloc.DecStages()
 	if len(encStages) == 0 || len(decStages) == 0 {
@@ -534,7 +552,7 @@ func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 
 	pending := newReqFIFO(reqs)
 	meanIn := meanInLen(reqs)
-	var active []*query
+	dec := decoder{model: e.Model, states: states}
 	type arrival struct {
 		batch []workload.Request
 		start float64
@@ -552,6 +570,14 @@ func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 	var startEncode func()
 	var iterate func()
 	decoding := false
+	decodeDone := func() {
+		res.Iterations++
+		if _, err := dec.step(sim.Now(), rec, &res.Records); err != nil {
+			runErr = fmt.Errorf("runner: WAA decode OOM: %w", err)
+			return
+		}
+		iterate()
+	}
 
 	startEncode = func() {
 		if runErr != nil {
@@ -569,7 +595,7 @@ func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 			// decoder restarts it.
 			return
 		}
-		batch := e.formation().Take(&pending, cfg.BE, meanIn, len(active), cfg.BD)
+		batch := e.formation().Take(&pending, cfg.BE, meanIn, len(dec.active), cfg.BD)
 		tokens := 0
 		for _, r := range batch {
 			tokens += r.InLen
@@ -623,12 +649,12 @@ func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 		for _, a := range inbox {
 			admitted, deferred := sel.Admit(a.batch, tryAdmit)
 			for _, r := range admitted {
-				active = append(active, &query{req: r, start: a.start})
+				dec.add(r, a.start)
 				merged = true
 			}
 			if deferred > 0 {
 				i := len(a.batch) - deferred
-				if len(active) == 0 {
+				if len(dec.active) == 0 {
 					runErr = fmt.Errorf("runner: WAA query %d does not fit in KV memory even on an idle decoder", a.batch[i].ID)
 					return
 				}
@@ -642,7 +668,7 @@ func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 		if restartEnc && !encDone {
 			startEncode()
 		}
-		if len(active) == 0 {
+		if len(dec.active) == 0 {
 			decoding = false
 			if encDone && inflight == 0 {
 				return // finished
@@ -651,11 +677,11 @@ func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 		}
 		decoding = true
 
-		micro := len(active) / bm
+		micro := len(dec.active) / bm
 		if micro < 1 {
 			micro = 1
 		}
-		ctx := meanCtxOf(e.Model, active)
+		ctx := dec.meanCtx()
 		times, terr := e.decStageTimes(decStages, micro, ctx)
 		if terr != nil {
 			runErr = terr
@@ -672,29 +698,7 @@ func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 			res.Compactions++
 			res.CompactionSeconds += cost
 		}
-		sim.After(dur, func() {
-			res.Iterations++
-			survivors := active[:0]
-			for _, q := range active {
-				q.pos++
-				if q.pos >= q.req.OutLen {
-					release(states, q.req.ID)
-					rec.Add(sim.Now() - q.start)
-					res.Records = append(res.Records, QueryRecord{
-						ID: q.req.ID, Start: q.start, End: sim.Now(),
-						InLen: q.req.InLen, OutLen: q.req.OutLen,
-					})
-				} else {
-					if err := appendToken(states, q.req.ID); err != nil {
-						runErr = fmt.Errorf("runner: WAA decode OOM: %w", err)
-						return
-					}
-					survivors = append(survivors, q)
-				}
-			}
-			active = survivors
-			iterate()
-		})
+		sim.After(dur, decodeDone)
 	}
 
 	startEncode()

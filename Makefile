@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-report sweep-dispatch sweep-resume sweep-heal serve-smoke serve-golden policy-conformance clean
+.PHONY: all build test race lint bench bench-report sweep-smoke sweep-golden sweep-dispatch sweep-resume sweep-heal serve-smoke serve-golden policy-conformance clean
 
 all: build
 
@@ -117,6 +117,22 @@ sweep-heal: build
 	cmp $(HEAL_DIR)/single.json $(HEAL_DIR)/healed.json
 	@echo "self-healing sweep == single-process sweep (byte-identical)"
 
+# Sweep smoke: run a small deterministic sweep (one deployment, two
+# tasks) and require its JSON artifact (rows, schedule-eval count,
+# per-deployment frontiers) to be byte-identical to the committed
+# golden. A deliberate behavior change regenerates the golden with
+# `make sweep-golden`.
+SWEEP_DIR := .sweep-demo
+SWEEP_FLAGS := -quick -models OPT-13B -tasks S,T
+sweep-smoke: build
+	rm -rf $(SWEEP_DIR) && mkdir -p $(SWEEP_DIR)
+	./exegpt sweep $(SWEEP_FLAGS) -json $(SWEEP_DIR)/sweep.json > /dev/null
+	cmp GOLDEN_sweep.json $(SWEEP_DIR)/sweep.json
+	@echo "sweep artifact == committed golden (byte-identical)"
+
+sweep-golden: build
+	./exegpt sweep $(SWEEP_FLAGS) -json GOLDEN_sweep.json > /dev/null
+
 # Online-serving smoke: run a deterministic serving scenario — a rate
 # step that fires one schedule switch — and require the JSON artifact
 # to be byte-identical to the committed golden. A deliberate behavior
@@ -159,4 +175,4 @@ bench-report: build
 
 clean:
 	rm -f exegpt
-	rm -rf $(DISPATCH_DIR) $(RESUME_DIR) $(HEAL_DIR) $(SERVE_DIR)
+	rm -rf $(DISPATCH_DIR) $(RESUME_DIR) $(HEAL_DIR) $(SWEEP_DIR) $(SERVE_DIR)

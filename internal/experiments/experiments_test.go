@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -15,8 +16,9 @@ import (
 func quick() *Context { return NewQuickContext() }
 
 // TestSweepDeterministicAcrossWorkers runs the same small grid with one
-// and four deployment workers (the four-worker run also exercising the
-// shared profile memo concurrently) and requires identical rows.
+// and four cell workers (the four-worker run also exercising the shared
+// profile memo concurrently) and requires identical rows and
+// byte-identical encoded folds.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	grid := SweepGrid{
 		Deployments: []sched.Deployment{
@@ -30,16 +32,27 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid.Workers = 4
-	par, err := quick().Sweep(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(seq) == 0 {
 		t.Fatal("no rows")
 	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("sweep diverged across worker counts:\n seq %+v\n par %+v", seq, par)
+	var encoded [][]byte
+	for _, workers := range []int{1, 4} {
+		grid.Workers = workers
+		m, err := quick().SweepMerged(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, m.Rows) {
+			t.Fatalf("sweep diverged at %d workers:\n seq %+v\n got %+v", workers, seq, m.Rows)
+		}
+		data, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded = append(encoded, data)
+	}
+	if !bytes.Equal(encoded[0], encoded[1]) {
+		t.Fatal("encoded fold diverged across worker counts")
 	}
 
 	// Shape: every cell reports FT plus both ExeGPT policy groups, and

@@ -83,7 +83,7 @@ func TestProfileCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProfileCacheIgnoresCorruptAndMismatched: garbage or
+// TestProfileCacheIgnoresCorruptAndMismatched: garbage, malformed or
 // wrong-model cache files are treated as misses and overwritten.
 func TestProfileCacheIgnoresCorruptAndMismatched(t *testing.T) {
 	dir := t.TempDir()
@@ -116,6 +116,30 @@ func TestProfileCacheIgnoresCorruptAndMismatched(t *testing.T) {
 		t.Fatalf("repaired cache holds %q", back.ModelName)
 	}
 
+	// A well-formed JSON table with empty dec_attn rows is a miss too,
+	// not a panic on the first decode-attention lookup.
+	bad := *back
+	bad.DecAttn = [][][]float64{}
+	for range back.TPDegrees {
+		bad.DecAttn = append(bad.DecAttn, make([][]float64, len(back.BatchGrid)))
+	}
+	data, err := bad.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c1 := NewQuickContext()
+	c1.ProfileCacheDir = dir
+	tab1, err := c1.profileFor(model.OPT13B, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab1.DecodeAttn(16, 300, 4); err != nil {
+		t.Fatal(err)
+	}
+
 	// A valid table for a different model is also a miss.
 	other := NewQuickContext()
 	sub8, err := hw.A40Cluster.Sub(8)
@@ -126,7 +150,7 @@ func TestProfileCacheIgnoresCorruptAndMismatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := otherTab.Encode()
+	data, err = otherTab.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

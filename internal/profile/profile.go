@@ -493,27 +493,114 @@ func Decode(data []byte) (*Table, error) {
 	return &t, nil
 }
 
-// Validate checks structural consistency.
+// Validate checks everything a lookup relies on, so that a table that
+// passes (from Run, or from Decode of any bytes) answers every lookup
+// at every profiled TP degree without panicking:
+//   - TPDegrees and every sweep grid are non-empty, positive and
+//     strictly ascending (a repeated grid point would divide by zero
+//     in interp1);
+//   - every kernel-time slice has its grid's shape at every TP degree,
+//     and the communication fits cover every link class;
+//   - every value is finite and non-negative.
 func (t *Table) Validate() error {
-	if len(t.TPDegrees) == 0 {
-		return fmt.Errorf("profile: no TP degrees")
+	if err := checkGrid("TP degrees", t.TPDegrees); err != nil {
+		return err
 	}
-	if len(t.EncRest) != len(t.TPDegrees) || len(t.EncAttn) != len(t.TPDegrees) ||
-		len(t.DecRest) != len(t.TPDegrees) || len(t.DecAttn) != len(t.TPDegrees) ||
-		len(t.AllReduce) != len(t.TPDegrees) {
+	for _, g := range []struct {
+		name string
+		grid []int
+	}{{"token grid", t.TokenGrid}, {"seq grid", t.SeqGrid}, {"batch grid", t.BatchGrid}, {"ctx grid", t.CtxGrid}} {
+		if err := checkGrid(g.name, g.grid); err != nil {
+			return err
+		}
+	}
+	n := len(t.TPDegrees)
+	if len(t.EncRest) != n || len(t.EncAttn) != n ||
+		len(t.DecRest) != n || len(t.DecAttn) != n ||
+		len(t.AllReduce) != n {
 		return fmt.Errorf("profile: table rows do not match TP degrees")
 	}
 	for i := range t.TPDegrees {
-		if len(t.EncRest[i]) != len(t.TokenGrid) || len(t.DecRest[i]) != len(t.BatchGrid) {
-			return fmt.Errorf("profile: grid size mismatch at tp index %d", i)
+		if err := checkKernel("encode", t.EncRest[i], t.EncAttn[i], len(t.TokenGrid), len(t.SeqGrid)); err != nil {
+			return fmt.Errorf("%w at tp index %d", err, i)
+		}
+		if err := checkKernel("decode", t.DecRest[i], t.DecAttn[i], len(t.BatchGrid), len(t.CtxGrid)); err != nil {
+			return fmt.Errorf("%w at tp index %d", err, i)
+		}
+		if err := checkFits("all-reduce", t.AllReduce[i], int(numLinkClasses)); err != nil {
+			return fmt.Errorf("%w at tp index %d", err, i)
 		}
 	}
-	for _, row := range t.EncRest {
-		for _, v := range row {
-			if v < 0 || math.IsNaN(v) {
-				return fmt.Errorf("profile: invalid encode time %v", v)
-			}
+	if err := checkFits("p2p", t.P2P, int(numLinkClasses)); err != nil {
+		return err
+	}
+	if err := checkFits("host DMA", []AlphaBeta{t.HostDMA}, 1); err != nil {
+		return err
+	}
+	if t.ActTokenBytes < 0 || t.KVTokenBytes < 0 || t.EncSyncsPerLayer < 0 || t.DecSyncsPerLayer < 0 {
+		return fmt.Errorf("profile: negative token size or sync count")
+	}
+	return nil
+}
+
+// checkGrid requires a non-empty, positive, strictly ascending grid.
+func checkGrid(name string, grid []int) error {
+	if len(grid) == 0 {
+		return fmt.Errorf("profile: empty %s", name)
+	}
+	prev := 0
+	for _, v := range grid {
+		if v <= prev {
+			return fmt.Errorf("profile: %s %v is not positive and strictly ascending", name, grid)
+		}
+		prev = v
+	}
+	return nil
+}
+
+// checkKernel requires one rest time per outer grid point and one
+// attention row of inner points per outer grid point, every time valid.
+func checkKernel(name string, rest []float64, attn [][]float64, outer, inner int) error {
+	if len(rest) != outer || len(attn) != outer {
+		return fmt.Errorf("profile: %s has %d rest points and %d attention rows, want %d of each", name, len(rest), len(attn), outer)
+	}
+	if err := checkTimes(name, rest); err != nil {
+		return err
+	}
+	for _, row := range attn {
+		if len(row) != inner {
+			return fmt.Errorf("profile: %s attention row has %d points, want %d", name, len(row), inner)
+		}
+		if err := checkTimes(name, row); err != nil {
+			return err
 		}
 	}
 	return nil
 }
+
+// checkTimes requires every value to be a valid time.
+func checkTimes(name string, vals []float64) error {
+	for _, v := range vals {
+		if !validTime(v) {
+			return fmt.Errorf("profile: invalid %s time %v", name, v)
+		}
+	}
+	return nil
+}
+
+// checkFits requires want finite, non-negative communication fits.
+func checkFits(name string, fits []AlphaBeta, want int) error {
+	if len(fits) != want {
+		return fmt.Errorf("profile: %s has %d fits, want %d", name, len(fits), want)
+	}
+	for _, f := range fits {
+		if !validTime(f.Alpha) || !validTime(f.Beta) {
+			return fmt.Errorf("profile: invalid %s fit %+v", name, f)
+		}
+	}
+	return nil
+}
+
+// validTime reports whether v is finite and non-negative (NaN fails
+// both comparisons).
+func validTime(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }

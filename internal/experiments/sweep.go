@@ -102,7 +102,6 @@ type GroupFrontier struct {
 	Model    string
 	Cluster  string
 	GPUs     int
-	Task     string
 	Group    string
 	Frontier core.Frontier
 }
@@ -391,7 +390,7 @@ func (c *Context) sweepCell(idx int, cl SweepCell, groups [][]sched.Policy, sche
 		cr.Evals += d.Sch.Evals
 		cr.Frontiers = append(cr.Frontiers, GroupFrontier{
 			Model: dep.Model.Name, Cluster: dep.Cluster.Name, GPUs: dep.GPUs,
-			Task: task.ID, Group: policyGroupName(group), Frontier: d.Sch.Frontier,
+			Group: policyGroupName(group), Frontier: d.Sch.Frontier,
 		})
 	}
 	base := SweepRow{

@@ -131,19 +131,18 @@ func frontierEst(lat, tput float64, bd int) *core.Estimate {
 // (deployment, group) fold into one cross-task frontier, whatever order
 // the cells arrive in.
 func TestMergeFoldsDeploymentFrontiers(t *testing.T) {
-	gf := func(task string, ests ...*core.Estimate) GroupFrontier {
-		g := GroupFrontier{
-			Model: "OPT-13B", Cluster: "A40", GPUs: 4, Task: task, Group: "ExeGPT-RRA",
-		}
+	gf := func(ests ...*core.Estimate) GroupFrontier {
+		g := GroupFrontier{Model: "OPT-13B", Cluster: "A40", GPUs: 4, Group: "ExeGPT-RRA"}
 		for _, e := range ests {
 			g.Frontier.Add(e)
 		}
 		return g
 	}
+	// Two cells (two tasks) of the same deployment and group.
 	c0 := fakeCell(0)
-	c0.Frontiers = []GroupFrontier{gf("S", frontierEst(1, 2, 1), frontierEst(3, 6, 3))}
+	c0.Frontiers = []GroupFrontier{gf(frontierEst(1, 2, 1), frontierEst(3, 6, 3))}
 	c1 := fakeCell(1)
-	c1.Frontiers = []GroupFrontier{gf("T", frontierEst(2, 4, 2), frontierEst(4, 5, 4))}
+	c1.Frontiers = []GroupFrontier{gf(frontierEst(2, 4, 2), frontierEst(4, 5, 4))}
 
 	var want core.Frontier
 	for _, e := range []*core.Estimate{

@@ -7,51 +7,110 @@ import (
 	"strconv"
 	"strings"
 
+	"exegpt/internal/distsweep"
 	"exegpt/internal/experiments"
 	"exegpt/internal/sched"
 )
 
-// cmdSweep grid-evaluates deployments x tasks in one process, parallel
-// across cells, and prints the table; -json also writes the folded
-// sweep (rows, schedule-eval count, per-deployment frontiers).
+// cmdSweep grid-evaluates deployments x tasks, parallel across
+// deployments, in one of three modes selected with -mode:
+//
+//	-mode single (default)   one process, print the table
+//	-mode dispatch           work-stealing coordinator serving an HTTP
+//	                         API (-http; default a free loopback port)
+//	                         plus its fleet: -dispatch-workers supervised
+//	                         local pull workers, or one ssh worker per
+//	                         -hosts entry
+//	-mode pull -connect URL  pull worker: lease cells from the
+//	                         coordinator until it says Stop; attachable
+//	                         at any time
+//
+// Workers sharing a -profile-cache directory profile each (model,
+// sub-cluster) once between them. Every mode goes through the same
+// internal/distsweep fold, so a dispatched sweep prints and writes
+// output byte-identical to the single-process one.
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	newCtx := commonFlags(fs)
-	models := fs.String("models", "", "comma-separated model names (default: every Table 2 model)")
-	gpus := fs.String("gpus", "", "comma-separated cluster sizes overriding Table 2 (e.g. 4,8,16)")
-	taskList := fs.String("tasks", "", "comma-separated task IDs (default: S,T,G,C1,C2)")
-	policies := fs.String("policies", "all", "policy set: rra, waa, disagg or all")
+	g := gridFlags(fs)
+	mode := fs.String("mode", "single", "distribution mode: single, dispatch or pull")
 	jsonOut := fs.String("json", "", "write the merged sweep (rows, evals, frontiers) as JSON to this file")
+	httpAddr := fs.String("http", "", "dispatch mode: serve the coordinator's HTTP API on this host:port (default: a free loopback port)")
+	journalDir := fs.String("journal", "", "dispatch mode: journal every accepted result in this directory; rerunning with the same directory resumes an interrupted sweep")
+	hosts := fs.String("hosts", "", "dispatch mode: comma-separated ssh hosts to launch one pull worker on each (needs a routable -http address)")
+	remoteBin := fs.String("remote-bin", "exegpt", "with -hosts: the exegpt binary path on the remote hosts")
+	connect := fs.String("connect", "", "pull mode: attach to the coordinator's HTTP API at this URL (e.g. http://gpu1:8080)")
+	workerID := fs.String("worker-id", "", "pull mode: this worker's name in leases and logs (default: host-pid)")
+	d := dispatchFlags(fs)
+	ff := fleetFlags(fs, 2)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	tasks, err := tasksByIDs(*taskList)
-	if err != nil {
-		return err
-	}
-	groups, err := parsePolicies(*policies)
-	if err != nil {
-		return err
-	}
-	deps, err := sweepDeployments(*models, *gpus)
-	if err != nil {
-		return err
-	}
 	ctx := newCtx()
-	grid := experiments.SweepGrid{Deployments: deps, Tasks: tasks, Policies: groups, Workers: ctx.Workers}
-	m, err := ctx.SweepMerged(grid)
+	grid, err := g.build(ctx)
 	if err != nil {
 		return err
 	}
+	fp, err := ctx.GridFingerprint(grid)
+	if err != nil {
+		return err
+	}
+	opts, err := d.options()
+	if err != nil {
+		return err
+	}
+	if err := ff.validate(); err != nil {
+		return err
+	}
+	m, err := resolveSweepMode(*mode)
+	if err != nil {
+		return err
+	}
+	if err := validateSweepMode(m, sweepModeFlags{
+		hosts: *hosts, http: *httpAddr, connect: *connect, workerID: *workerID,
+		journal: *journalDir,
+	}); err != nil {
+		return err
+	}
+
+	switch m {
+	case modePull:
+		return runPullWorker(ctx, grid, fp, *connect, *workerID, opts)
+	case modeDispatch:
+		return runDispatch(ctx, grid, g, fp, dispatchParams{
+			httpAddr: *httpAddr, journalDir: *journalDir, opts: opts,
+			hosts: *hosts, remoteBin: *remoteBin,
+			workers: *ff.workers, restartMax: *ff.restartMax,
+			jsonOut: *jsonOut,
+		})
+	}
+	indices := make([]int, len(grid.Cells()))
+	for i := range indices {
+		indices[i] = i
+	}
+	cells, err := ctx.SweepCells(grid, indices)
+	if err != nil {
+		return err
+	}
+	merged, err := distsweep.Fold(fp, cells)
+	if err != nil {
+		return err
+	}
+	return printMerged(merged, grid, *jsonOut)
+}
+
+// printMerged prints the sweep header + table and optionally writes the
+// merged JSON artifact.
+func printMerged(m *distsweep.Merged, grid experiments.SweepGrid, jsonOut string) error {
 	fmt.Printf("sweep: %d cells (%d deployments), %d schedule evals, grid %.12s\n",
 		m.Cells, len(grid.Deployments), m.Evals, m.Fingerprint)
 	fmt.Print(experiments.FormatSweep(m.Rows))
-	if *jsonOut != "" {
-		if err := m.WriteFile(*jsonOut); err != nil {
+	if jsonOut != "" {
+		if err := m.WriteFile(jsonOut); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "sweep: merged JSON -> %s\n", *jsonOut)
+		fmt.Fprintf(os.Stderr, "sweep: merged JSON -> %s\n", jsonOut)
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 // Package atomicfile writes files atomically via a same-directory temp
 // file and rename, so concurrent readers only ever observe complete
-// files — the contract the profile cache relies on when several exegpt
-// processes share one -profile-cache directory. The sweep and serve
-// JSON artifacts are written the same way.
+// files — the contract the shared profile cache relies on when multiple
+// sweep worker processes touch one directory. The sweep and serve JSON
+// artifacts are written the same way.
 package atomicfile
 
 import (

@@ -75,7 +75,7 @@ func TestWriteConcurrentReadersNeverSeeTornFiles(t *testing.T) {
 // TestWriteRenameFailureLeavesNoTempFile: when the final rename fails —
 // here the target name is blocked by a non-empty directory — Write must
 // report the error AND remove its temp file, not leak it into a
-// directory other processes scan.
+// directory other workers scan.
 func TestWriteRenameFailureLeavesNoTempFile(t *testing.T) {
 	dir := t.TempDir()
 	target := filepath.Join(dir, "f.json")

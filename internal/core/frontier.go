@@ -8,8 +8,8 @@
 // the explored region with a single lookup, which is what lets
 // FindBestMany reuse one branch enumeration across a whole ascending
 // bound sweep. The frontier is also a compact, JSON-serializable
-// summary of a search: `exegpt sweep -json` writes one per deployment
-// and policy group.
+// summary of a search, suitable as the per-shard result of a future
+// multi-process sweep (see ROADMAP).
 package core
 
 import (
@@ -121,7 +121,7 @@ func (f *Frontier) BestUnder(lbound float64) (Estimate, bool) {
 }
 
 // Merge folds every point of other into f. Merging per-branch (or
-// per-cell) frontiers in canonical order yields the same frontier
+// per-shard) frontiers in canonical order yields the same frontier
 // regardless of which worker discovered which point.
 func (f *Frontier) Merge(other *Frontier) {
 	for i := range other.Points {

@@ -1,8 +1,8 @@
-// Property tests for Frontier.Merge and its JSON round trip: the sweep
-// fold (experiments.Fold) merges per-cell frontiers into one frontier
-// per deployment and `exegpt sweep -json` writes the result, so merge
-// must behave as a set union — commutative, associative, idempotent —
-// and serialization must not change any BestUnder answer.
+// Property tests for Frontier.Merge and its JSON round trip: the shard
+// coordinator (internal/distsweep) folds per-shard frontiers in
+// whatever order the envelopes arrive, after a marshal-unmarshal cycle,
+// so merge must behave as a set union — commutative, associative,
+// idempotent — and serialization must not change any BestUnder answer.
 package core
 
 import (

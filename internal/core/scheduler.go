@@ -119,8 +119,9 @@ type Scheduler struct {
 	DisableMemo bool
 	// Frontier is the merged latency→throughput Pareto frontier
 	// discovered by the last FindBestMany call (canonical branch merge
-	// order, so it is deterministic across worker counts). The sweep
-	// folds it per deployment into its -json artifact.
+	// order, so it is deterministic across worker counts). It is
+	// JSON-serializable, which makes it a natural per-shard result for
+	// future multi-process sweep sharding.
 	Frontier Frontier
 
 	// evs are the per-worker Evaluators, sized by ensureEvals at the

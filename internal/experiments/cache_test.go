@@ -181,10 +181,10 @@ func TestProfileCacheOffByDefault(t *testing.T) {
 }
 
 // TestProfileCacheConcurrentSharedDir: independent contexts — the
-// in-process analog of exegpt processes sharing one -profile-cache
-// directory — profiling the same key into that directory concurrently
-// must be race-free (run under -race), produce identical tables, and
-// leave exactly one complete cache file behind (saveProfile writes via
+// in-process analog of sweep worker processes on one box — profiling the
+// same key into one shared cache directory concurrently must be
+// race-free (run under -race), produce identical tables, and leave
+// exactly one complete cache file behind (saveProfile writes via
 // temp-file + rename, so a racing reader never sees a torn file).
 func TestProfileCacheConcurrentSharedDir(t *testing.T) {
 	dir := t.TempDir()

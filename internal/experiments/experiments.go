@@ -166,7 +166,7 @@ func (c *Context) profileFor(m model.Model, sub hw.Cluster) (*profile.Table, err
 }
 
 // saveProfile writes a freshly profiled table to the cache atomically:
-// the cache directory may be shared by concurrent exegpt processes,
+// the cache directory is shared by concurrent sweep worker processes,
 // and a reader racing a plain truncate-then-write could observe a torn
 // file. With atomicfile.Write, a concurrent loadCachedProfile sees
 // either the old complete table or the new one, never a partial write.

@@ -1,15 +1,17 @@
 // Sweep: a grid evaluation over deployments (model × cluster size) and
-// tasks, parallel across cells. The grid flattens into an enumerable
-// cell list in canonical (deployment, task) order; each cell gets its
-// own Simulator, Scheduler and runner Engine, so cells are
+// tasks, parallel across deployments. The grid flattens into an
+// enumerable cell list in canonical (deployment, task) order; each cell
+// gets its own Simulator, Scheduler and runner Engine, so cells are
 // independent; only the memoized profile Table is shared, and that is
 // immutable once built. Results are reduced in grid order, so the
 // output is deterministic regardless of which worker finishes first.
 //
-// Sweep returns the rows alone. SweepMerged also folds every cell's
-// per-policy-group Pareto frontier into one frontier per deployment
-// and stamps the result with GridFingerprint: that is what
-// `exegpt sweep -json` writes.
+// The same cell list is the unit of distributed sweeps: SweepCells
+// evaluates any subset of cells, a work-stealing dispatcher leases
+// cells to worker processes (internal/dispatch), and internal/distsweep
+// folds the per-cell results back into exactly the rows a
+// single-process Sweep produces (GridFingerprint guards against mixing
+// cells from different grids or contexts).
 package experiments
 
 import (
@@ -18,10 +20,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 
-	"exegpt/internal/atomicfile"
 	"exegpt/internal/baselines"
 	"exegpt/internal/core"
 	"exegpt/internal/par"
@@ -57,8 +57,8 @@ type SweepGrid struct {
 }
 
 // resolved returns the grid with every defaulted field filled in, so
-// that enumeration and fingerprinting both see the same grid whether
-// it was spelled out or left to the defaults.
+// that enumeration, leasing and fingerprinting all see the same grid
+// whether it was spelled out or left to the defaults.
 func (g SweepGrid) resolved() ([]sched.Deployment, []workload.Task, [][]sched.Policy) {
 	deps := g.Deployments
 	if len(deps) == 0 {
@@ -75,20 +75,22 @@ func (g SweepGrid) resolved() ([]sched.Deployment, []workload.Task, [][]sched.Po
 	return deps, tasks, groups
 }
 
-// SweepCell is one enumerable (deployment, task) cell of a grid.
+// SweepCell is one enumerable (deployment, task) cell of a grid. Index
+// is the cell's position in canonical (deployment, task) order; cell
+// leasing and result merging are both keyed on it.
 type SweepCell struct {
-	Dep  sched.Deployment
-	Task workload.Task
+	Index int
+	Dep   sched.Deployment
+	Task  workload.Task
 }
 
-// Cells flattens the grid into its canonical (deployment, task) cell
-// list.
+// Cells flattens the grid into its canonical cell list.
 func (g SweepGrid) Cells() []SweepCell {
 	deps, tasks, _ := g.resolved()
 	cells := make([]SweepCell, 0, len(deps)*len(tasks))
 	for _, dep := range deps {
 		for _, task := range tasks {
-			cells = append(cells, SweepCell{Dep: dep, Task: task})
+			cells = append(cells, SweepCell{Index: len(cells), Dep: dep, Task: task})
 		}
 	}
 	return cells
@@ -99,134 +101,32 @@ func (g SweepGrid) Cells() []SweepCell {
 // same (deployment, group) merge order-independently across cells via
 // core.Frontier.Merge.
 type GroupFrontier struct {
-	Model    string
-	Cluster  string
-	GPUs     int
-	Group    string
-	Frontier core.Frontier
-}
-
-// CellResult is everything one evaluated cell contributes to a sweep:
-// its canonical grid index, its rows in bound-major order, the
-// schedule-search evaluation count (the §7.7 cost metric, which is
-// deterministic) and the per-group frontiers.
-type CellResult struct {
-	Cell      int
-	Rows      []SweepRow
-	Evals     int
-	Frontiers []GroupFrontier
-}
-
-// DeploymentFrontier is the merged cross-task Pareto frontier of one
-// (deployment, policy group): every feasible (latency, throughput)
-// point any task's schedule search discovered on that hardware with
-// that policy family, Pareto-reduced.
-type DeploymentFrontier struct {
 	Model    string        `json:"model"`
 	Cluster  string        `json:"cluster"`
 	GPUs     int           `json:"gpus"`
+	Task     string        `json:"task"`
 	Group    string        `json:"group"`
 	Frontier core.Frontier `json:"frontier"`
 }
 
-// Merged is a folded sweep: rows in grid order, the total
-// schedule-search evaluation count, and the per-deployment frontiers
-// sorted by (model, cluster, GPUs, group). Nothing in it depends on the
-// worker count.
-type Merged struct {
-	Fingerprint string               `json:"fingerprint"`
-	Cells       int                  `json:"cells"`
-	Evals       int                  `json:"evals"`
-	Rows        []SweepRow           `json:"rows"`
-	Frontiers   []DeploymentFrontier `json:"frontiers"`
-}
-
-// Encode renders the merged sweep as indented JSON with a trailing
-// newline. The encoding is deterministic: no maps, and every float
-// round-trips bit-exactly.
-func (m *Merged) Encode() ([]byte, error) {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// WriteFile atomically writes the merged sweep to path.
-func (m *Merged) WriteFile(path string) error {
-	data, err := m.Encode()
-	if err != nil {
-		return err
-	}
-	return atomicfile.Write(path, data, 0o644)
-}
-
-// Fold reduces a complete cell set into the Merged output. The rows
-// come back by concatenating cells in grid order; the frontiers by
-// folding every cell's per-group frontier into one core.Frontier per
-// (model, cluster, GPUs, policy group), which is well-defined because
-// Frontier.Merge is order-independent. The cells may arrive in any
-// order but must cover the grid 0..len-1 exactly once; Fold sorts them
-// in place.
-func Fold(fingerprint string, cells []CellResult) (*Merged, error) {
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Cell < cells[j].Cell })
-	for i, c := range cells {
-		if c.Cell != i {
-			return nil, fmt.Errorf("experiments: cell coverage broken at grid index %d (found cell %d): the cells do not cover the grid exactly once", i, c.Cell)
-		}
-	}
-
-	m := &Merged{Fingerprint: fingerprint, Cells: len(cells)}
-	type key struct {
-		model, cluster string
-		gpus           int
-		group          string
-	}
-	frontiers := map[key]*core.Frontier{}
-	var order []key
-	for _, c := range cells {
-		m.Evals += c.Evals
-		m.Rows = append(m.Rows, c.Rows...)
-		for i := range c.Frontiers {
-			gf := &c.Frontiers[i]
-			k := key{model: gf.Model, cluster: gf.Cluster, gpus: gf.GPUs, group: gf.Group}
-			f, ok := frontiers[k]
-			if !ok {
-				f = &core.Frontier{}
-				frontiers[k] = f
-				order = append(order, k)
-			}
-			f.Merge(&gf.Frontier)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.model != b.model {
-			return a.model < b.model
-		}
-		if a.cluster != b.cluster {
-			return a.cluster < b.cluster
-		}
-		if a.gpus != b.gpus {
-			return a.gpus < b.gpus
-		}
-		return a.group < b.group
-	})
-	for _, k := range order {
-		m.Frontiers = append(m.Frontiers, DeploymentFrontier{
-			Model: k.model, Cluster: k.cluster, GPUs: k.gpus, Group: k.group,
-			Frontier: *frontiers[k],
-		})
-	}
-	return m, nil
+// CellResult is everything one evaluated cell contributes to a sweep:
+// its rows in bound-major order, the schedule-search evaluation count
+// (the §7.7 cost metric — deterministic, so distributed merges can be
+// checked bit-identical against a single-process run), and the per-group
+// frontiers.
+type CellResult struct {
+	Cell      int             `json:"cell"`
+	Rows      []SweepRow      `json:"rows"`
+	Evals     int             `json:"evals"`
+	Frontiers []GroupFrontier `json:"frontiers"`
 }
 
 // GridFingerprint hashes everything that determines a sweep's output:
 // the resolved grid (deployments, tasks, policy groups) and the
-// context's sampling/search settings. Two sweeps agree on the
-// fingerprint iff they evaluate the same cells the same way. Worker
-// counts and cache paths are deliberately excluded: they change only
-// wall time, never results.
+// context's sampling/search settings. Two runs agree on the fingerprint
+// iff their cell results can be merged into one coherent sweep.
+// Worker counts and cache paths are deliberately excluded: they change
+// only wall time, never results.
 func (c *Context) GridFingerprint(grid SweepGrid) (string, error) {
 	deps, tasks, groups := grid.resolved()
 	type depKey struct {
@@ -285,10 +185,15 @@ func defaultPolicyGroups() [][]sched.Policy {
 }
 
 // Sweep evaluates FT plus every requested ExeGPT policy group on every
-// (deployment, task) cell under the FT-derived latency bounds and
-// returns the rows in grid order.
+// (deployment, task) cell under the FT-derived latency bounds: SweepCells
+// over the whole grid with the per-cell metadata flattened away.
 func (c *Context) Sweep(grid SweepGrid) ([]SweepRow, error) {
-	cells, err := c.sweepCells(grid)
+	all := grid.Cells()
+	indices := make([]int, len(all))
+	for i := range all {
+		indices[i] = i
+	}
+	cells, err := c.SweepCells(grid, indices)
 	if err != nil {
 		return nil, err
 	}
@@ -299,28 +204,29 @@ func (c *Context) Sweep(grid SweepGrid) ([]SweepRow, error) {
 	return rows, nil
 }
 
-// SweepMerged is Sweep plus the per-deployment frontier fold, stamped
-// with the grid fingerprint.
-func (c *Context) SweepMerged(grid SweepGrid) (*Merged, error) {
-	fp, err := c.GridFingerprint(grid)
-	if err != nil {
-		return nil, err
-	}
-	cells, err := c.sweepCells(grid)
-	if err != nil {
-		return nil, err
-	}
-	return Fold(fp, cells)
-}
-
-// sweepCells evaluates every cell of the grid and returns their
-// CellResults in grid order. Results are deterministic across worker
-// counts. Cells run concurrently on a bounded worker pool: each cell
-// writes only to its own slot.
-func (c *Context) sweepCells(grid SweepGrid) ([]CellResult, error) {
+// SweepCells evaluates an explicit set of grid cells, named by their
+// canonical index, and returns their CellResults in the given order.
+// It is the unit the work-stealing dispatcher leases: every cell is
+// evaluated exactly as a single-process Sweep would (results are
+// deterministic across worker counts and across any partition of the
+// grid into SweepCells calls). Cells run concurrently on a bounded
+// worker pool: each cell writes only to its own slot.
+func (c *Context) SweepCells(grid SweepGrid, indices []int) ([]CellResult, error) {
 	_, _, groups := grid.resolved()
-	cells := grid.Cells()
-	if len(cells) == 0 {
+	all := grid.Cells()
+	mine := make([]SweepCell, 0, len(indices))
+	seen := make(map[int]bool, len(indices))
+	for _, i := range indices {
+		if i < 0 || i >= len(all) {
+			return nil, fmt.Errorf("experiments: cell index %d out of range 0..%d", i, len(all)-1)
+		}
+		if seen[i] {
+			return nil, fmt.Errorf("experiments: duplicate cell index %d", i)
+		}
+		seen[i] = true
+		mine = append(mine, all[i])
+	}
+	if len(mine) == 0 {
 		return nil, nil
 	}
 
@@ -328,34 +234,39 @@ func (c *Context) sweepCells(grid SweepGrid) ([]CellResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cells) {
-		workers = len(cells)
+	if workers > len(mine) {
+		workers = len(mine)
 	}
 	// Split the worker budget across the two parallelism levels instead
 	// of multiplying them: `workers` cells run concurrently, and each
 	// cell's scheduler gets the remaining share of the budget, so the
 	// total stays at ~GOMAXPROCS runnable goroutines.
-	schedWorkers := max(1, runtime.GOMAXPROCS(0)/workers)
+	schedWorkers := 1
+	if workers > 0 {
+		if schedWorkers = runtime.GOMAXPROCS(0) / workers; schedWorkers < 1 {
+			schedWorkers = 1
+		}
+	}
 
-	results := make([]CellResult, len(cells))
-	errs := make([]error, len(cells))
-	par.ForEach(len(cells), workers, func(i int) {
-		results[i], errs[i] = c.sweepCell(i, cells[i], groups, schedWorkers)
+	results := make([]CellResult, len(mine))
+	errs := make([]error, len(mine))
+	par.ForEach(len(mine), workers, func(i int) {
+		results[i], errs[i] = c.sweepCell(mine[i], groups, schedWorkers)
 	})
-	for i, cl := range cells {
+	for i := range mine {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("experiments: sweep %s/%s on %d GPUs: %w",
-				cl.Dep.Model.Name, cl.Task.ID, cl.Dep.GPUs, errs[i])
+				mine[i].Dep.Model.Name, mine[i].Task.ID, mine[i].Dep.GPUs, errs[i])
 		}
 	}
 	return results, nil
 }
 
-// sweepCell measures one (deployment, task) cell, grid index idx,
-// across its bounds. schedWorkers overrides the cell scheduler's pool
-// size so the sweep controls the total parallelism budget.
-func (c *Context) sweepCell(idx int, cl SweepCell, groups [][]sched.Policy, schedWorkers int) (CellResult, error) {
-	cr := CellResult{Cell: idx}
+// sweepCell measures one (deployment, task) cell across its bounds.
+// schedWorkers overrides the cell scheduler's pool size so the sweep
+// controls the total parallelism budget.
+func (c *Context) sweepCell(cl SweepCell, groups [][]sched.Policy, schedWorkers int) (CellResult, error) {
+	cr := CellResult{Cell: cl.Index}
 	dep, task := cl.Dep, cl.Task
 	d, err := c.Deploy(dep.Model, dep.Cluster, dep.GPUs, task)
 	if err != nil {
@@ -376,7 +287,8 @@ func (c *Context) sweepCell(idx int, cl SweepCell, groups [][]sched.Policy, sche
 	// Schedule each policy group across every bound in one amortized
 	// multi-bound search before assembling rows in per-bound order.
 	// Each search leaves its eval count and merged Pareto frontier on
-	// the scheduler; the cell carries both for the sweep's fold.
+	// the scheduler; the cell carries both so distributed merges can be
+	// verified against (and aggregated like) a single-process run.
 	outsByGroup := make([][]RunOutcome, len(groups))
 	for gi, group := range groups {
 		// WAA needs a dedicated decode side; groups that cannot apply
@@ -390,7 +302,7 @@ func (c *Context) sweepCell(idx int, cl SweepCell, groups [][]sched.Policy, sche
 		cr.Evals += d.Sch.Evals
 		cr.Frontiers = append(cr.Frontiers, GroupFrontier{
 			Model: dep.Model.Name, Cluster: dep.Cluster.Name, GPUs: dep.GPUs,
-			Group: policyGroupName(group), Frontier: d.Sch.Frontier,
+			Task: task.ID, Group: policyGroupName(group), Frontier: d.Sch.Frontier,
 		})
 	}
 	base := SweepRow{
@@ -415,10 +327,10 @@ func (c *Context) sweepCell(idx int, cl SweepCell, groups [][]sched.Policy, sche
 	return cr, nil
 }
 
-// sweepRowWire mirrors SweepRow in JSON with the latency bound carried
-// as a string: JSON has no ±Inf, and the relaxed bound is
-// math.Inf(1). strconv's shortest 'g' format keeps every float64
-// bit-exact.
+// sweepRowWire mirrors SweepRow on the wire with the latency bound
+// carried as a string: JSON has no ±Inf, and the relaxed bound is
+// math.Inf(1). strconv's shortest 'g' format round-trips every float64
+// bit-exactly, which the distributed-sweep equivalence relies on.
 type sweepRowWire struct {
 	Model    string  `json:"model"`
 	Cluster  string  `json:"cluster"`
@@ -437,6 +349,23 @@ func (r SweepRow) MarshalJSON() ([]byte, error) {
 		Bound:  strconv.FormatFloat(r.Bound, 'g', -1, 64),
 		System: r.System, Tput: r.Tput, Feasible: r.Feasible,
 	})
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (r *SweepRow) UnmarshalJSON(data []byte) error {
+	var w sweepRowWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	bound, err := strconv.ParseFloat(w.Bound, 64)
+	if err != nil {
+		return fmt.Errorf("experiments: bad sweep-row bound %q: %w", w.Bound, err)
+	}
+	*r = SweepRow{
+		Model: w.Model, Cluster: w.Cluster, GPUs: w.GPUs, Task: w.Task,
+		Bound: bound, System: w.System, Tput: w.Tput, Feasible: w.Feasible,
+	}
+	return nil
 }
 
 // FormatSweep renders sweep rows as a fixed-width table.

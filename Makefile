@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-report sweep-smoke sweep-golden sweep-dispatch sweep-resume sweep-heal serve-smoke serve-golden policy-conformance clean
+.PHONY: all build test race lint bench bench-report sweep-smoke sweep-golden sweep-dispatch serve-smoke serve-golden policy-conformance clean
 
 all: build
 
@@ -15,25 +15,23 @@ test:
 
 # Race-detect the concurrency-critical packages: the parallel scheduler
 # search, the runner engines, the parallel experiment sweep, the
-# distributed-sweep fold and fleet (concurrent workers sharing one
-# profile cache), and the work-stealing dispatcher.
+# distributed-sweep fold (concurrent workers sharing one profile
+# cache), and the work-stealing dispatcher.
 race:
 	$(GO) test -race ./internal/core/... ./internal/runner/... ./internal/experiments/... ./internal/par/... ./internal/distsweep/... ./internal/atomicfile/... ./internal/dispatch/... ./internal/serve/...
 
-# End-to-end dispatched sweep on one box: a standalone HTTP
-# coordinator plus two pull workers attaching over TCP, one killed
+# End-to-end dispatched sweep on one box: an HTTP coordinator (`sweep
+# -mode dispatch`) plus two pull workers attaching over TCP, one killed
 # right after launch so its leases requeue (a late-attaching worker
-# takes over); then the forked-fleet form, where `sweep -mode dispatch`
-# launches its own supervised local workers. Both merged artifacts and
-# the printed table must be byte-identical to the single-process
-# sweep's.
+# takes over). The merged artifact and the printed table must be
+# byte-identical to the single-process sweep's.
 DISPATCH_DIR := .dispatch-demo
 DISPATCH_ADDR := 127.0.0.1:18080
 sweep-dispatch: build
 	rm -rf $(DISPATCH_DIR) && mkdir -p $(DISPATCH_DIR)/profiles
 	./exegpt sweep -quick -models OPT-13B -tasks S,T \
 		-profile-cache $(DISPATCH_DIR)/profiles -json $(DISPATCH_DIR)/single.json > $(DISPATCH_DIR)/single.txt
-	./exegpt dispatch -quick -models OPT-13B -tasks S,T \
+	./exegpt sweep -quick -models OPT-13B -tasks S,T -mode dispatch \
 		-profile-cache $(DISPATCH_DIR)/profiles -http $(DISPATCH_ADDR) \
 		-lease-timeout 3s -dispatch-idle 60s -json $(DISPATCH_DIR)/dispatched.json > $(DISPATCH_DIR)/dispatched.txt & \
 	./exegpt sweep -quick -models OPT-13B -tasks S,T \
@@ -44,78 +42,7 @@ sweep-dispatch: build
 	wait
 	cmp $(DISPATCH_DIR)/single.json $(DISPATCH_DIR)/dispatched.json
 	diff $(DISPATCH_DIR)/single.txt $(DISPATCH_DIR)/dispatched.txt
-	./exegpt sweep -quick -models OPT-13B -tasks S,T \
-		-profile-cache $(DISPATCH_DIR)/profiles -mode dispatch -dispatch-workers 2 \
-		-json $(DISPATCH_DIR)/forked.json > /dev/null
-	cmp $(DISPATCH_DIR)/single.json $(DISPATCH_DIR)/forked.json
 	@echo "dispatched sweep == single-process sweep (byte-identical)"
-
-# Crash-and-resume HTTP sweep: a journaled HTTP coordinator is
-# SIGKILLed mid-run (one of its workers is too), then a fresh
-# coordinator replays the journal on the same address and finishes the
-# remaining cells; the resumed artifact must be byte-identical to the
-# single-process sweep's. -requests 20000 slows each cell to ~1s so the
-# kill reliably lands while cells are still outstanding (a kill landing
-# after completion still resumes and compares clean — just less
-# interestingly).
-RESUME_DIR := .resume-demo
-RESUME_ADDR := 127.0.0.1:18091
-RESUME_GRID := -quick -requests 20000 -models OPT-13B -tasks S,T,G
-sweep-resume: build
-	rm -rf $(RESUME_DIR) && mkdir -p $(RESUME_DIR)/profiles
-	./exegpt sweep $(RESUME_GRID) \
-		-profile-cache $(RESUME_DIR)/profiles -json $(RESUME_DIR)/single.json > /dev/null
-	./exegpt dispatch $(RESUME_GRID) \
-		-profile-cache $(RESUME_DIR)/profiles -http $(RESUME_ADDR) \
-		-journal $(RESUME_DIR)/journal \
-		-lease-timeout 3s -dispatch-idle 60s > /dev/null & \
-	C1=$$!; \
-	./exegpt sweep $(RESUME_GRID) \
-		-profile-cache $(RESUME_DIR)/profiles -mode pull -connect http://$(RESUME_ADDR) -worker-id w1 & \
-	W1=$$!; \
-	./exegpt sweep $(RESUME_GRID) -dispatch-idle 30s \
-		-profile-cache $(RESUME_DIR)/profiles -mode pull -connect http://$(RESUME_ADDR) -worker-id w2 || true & \
-	sleep 0.3; kill -9 $$W1 2>/dev/null; \
-	sleep 1.0; kill -9 $$C1 2>/dev/null; \
-	./exegpt sweep $(RESUME_GRID) \
-		-profile-cache $(RESUME_DIR)/profiles -mode dispatch -http $(RESUME_ADDR) \
-		-dispatch-workers 1 -journal $(RESUME_DIR)/journal \
-		-lease-timeout 3s -dispatch-idle 60s -json $(RESUME_DIR)/resumed.json > /dev/null; \
-	wait
-	cmp $(RESUME_DIR)/single.json $(RESUME_DIR)/resumed.json
-	@echo "journal-resumed sweep == single-process sweep (byte-identical)"
-
-# Self-healing supervised sweep: one HTTP coordinator owns a fleet of
-# two local pull workers (-dispatch-workers 2); when one is SIGKILLed
-# mid-lease the supervisor replaces it with the slot's next incarnation
-# after a backoff. The coordinator's stderr must show the replacement,
-# and the final artifact must be byte-identical to the single-process
-# sweep's. With three cells for two workers, the first worker always
-# holds a lease; the kill lands 0.1 s after it announces itself, while
-# it evaluates its first cell (~0.5 s at -requests 60000), and the lost
-# lease then holds the sweep open for -lease-timeout, long enough for
-# the replacement's backoff to elapse.
-HEAL_DIR := .heal-demo
-HEAL_ADDR := 127.0.0.1:18095
-HEAL_GRID := -quick -requests 60000 -models OPT-13B -tasks S,T,G
-sweep-heal: build
-	rm -rf $(HEAL_DIR) && mkdir -p $(HEAL_DIR)/profiles
-	./exegpt sweep $(HEAL_GRID) \
-		-profile-cache $(HEAL_DIR)/profiles -json $(HEAL_DIR)/single.json > /dev/null
-	./exegpt sweep $(HEAL_GRID) -mode dispatch -http $(HEAL_ADDR) \
-		-profile-cache $(HEAL_DIR)/profiles -dispatch-workers 2 \
-		-lease-timeout 3s -dispatch-idle 120s \
-		-json $(HEAL_DIR)/healed.json > /dev/null 2> $(HEAL_DIR)/coord.log & \
-	C1=$$!; \
-	for i in $$(seq 200); do \
-		grep -q 'pull worker s0r0' $(HEAL_DIR)/coord.log 2>/dev/null && break; sleep 0.05; \
-	done; \
-	sleep 0.1; pkill -9 -f 'worker-id [s]0r0' 2>/dev/null || true; \
-	wait $$C1
-	grep -q 'supervisor: started worker s1r0' $(HEAL_DIR)/coord.log
-	grep -q 'supervisor: started worker s0r1' $(HEAL_DIR)/coord.log
-	cmp $(HEAL_DIR)/single.json $(HEAL_DIR)/healed.json
-	@echo "self-healing sweep == single-process sweep (byte-identical)"
 
 # Sweep smoke: run a small deterministic sweep (one deployment, two
 # tasks) and require its JSON artifact (rows, schedule-eval count,
@@ -175,4 +102,4 @@ bench-report: build
 
 clean:
 	rm -f exegpt
-	rm -rf $(DISPATCH_DIR) $(RESUME_DIR) $(HEAL_DIR) $(SWEEP_DIR) $(SERVE_DIR)
+	rm -rf $(DISPATCH_DIR) $(SWEEP_DIR) $(SERVE_DIR)

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -19,9 +18,9 @@ import (
 	"exegpt/internal/experiments"
 )
 
-// gridFlagSet bundles the grid-selection flags shared by `sweep` and
-// `dispatch`, so coordinator and worker processes resolve — and
-// fingerprint — the same grid from the same spellings.
+// gridFlagSet bundles the grid-selection flags of `sweep`, so
+// coordinator and worker processes resolve — and fingerprint — the same
+// grid from the same spellings.
 type gridFlagSet struct {
 	models   *string
 	gpus     *string
@@ -60,38 +59,9 @@ func (g *gridFlagSet) build(ctx *experiments.Context) (experiments.SweepGrid, er
 	}, nil
 }
 
-// workerArgs reproduces the context and grid flags for a forked worker
-// process, with the scheduler/sweep worker budget overridden.
-// Empty-valued flags are omitted rather than passed as "": the two are
-// equivalent to the flag parser (empty is every grid flag's default),
-// and the ssh launch path joins arguments with spaces, where an empty
-// string would vanish and corrupt the remote worker's flag parse.
-func (g *gridFlagSet) workerArgs(ctx *experiments.Context, workers int) []string {
-	args := []string{"sweep",
-		"-seed", strconv.FormatInt(ctx.Seed, 10),
-		"-workers", strconv.Itoa(workers),
-		"-requests", strconv.Itoa(ctx.Requests),
-	}
-	for _, f := range []struct{ name, value string }{
-		{"-profile-cache", ctx.ProfileCacheDir},
-		{"-models", *g.models},
-		{"-gpus", *g.gpus},
-		{"-tasks", *g.tasks},
-		{"-policies", *g.policies},
-	} {
-		if f.value != "" {
-			args = append(args, f.name, f.value)
-		}
-	}
-	if ctx.Quick {
-		args = append(args, "-quick")
-	}
-	return args
-}
-
 // dispatchFlagSet maps the dispatch.Options knobs onto flags, shared by
-// `sweep -mode dispatch/pull` and `exegpt dispatch` so every entry
-// point tunes the same struct the same way.
+// `sweep -mode dispatch` and `sweep -mode pull` so both sides tune the
+// same struct the same way.
 type dispatchFlagSet struct {
 	leaseTimeout   *time.Duration
 	leaseCells     *int
@@ -139,34 +109,6 @@ func (d *dispatchFlagSet) options() (dispatch.Options, error) {
 	return o, nil
 }
 
-// fleetFlagSet carries the local-fleet knobs shared by `sweep -mode
-// dispatch` and `exegpt dispatch`: how many local pull workers to run,
-// and how often the supervisor may replace one slot's crashed workers.
-type fleetFlagSet struct {
-	workers    *int
-	restartMax *int
-}
-
-func fleetFlags(fs *flag.FlagSet, defaultWorkers int) *fleetFlagSet {
-	return &fleetFlagSet{
-		workers: fs.Int("dispatch-workers", defaultWorkers,
-			"local pull workers to run under a supervisor that replaces crashed ones (ignored with -hosts); 0 runs none and waits for -mode pull workers to attach"),
-		restartMax: fs.Int("restart-max", 3,
-			"replacements per local worker slot before it is declared poisoned and left down"),
-	}
-}
-
-// validate rejects out-of-range fleet flags.
-func (f *fleetFlagSet) validate() error {
-	if *f.workers < 0 {
-		return fmt.Errorf("-dispatch-workers %d < 0", *f.workers)
-	}
-	if *f.restartMax < 1 {
-		return fmt.Errorf("-restart-max %d < 1", *f.restartMax)
-	}
-	return nil
-}
-
 // coordConfig assembles a coordinator Config logging to stderr.
 func coordConfig(fp string, cells int, opts dispatch.Options) dispatch.Config {
 	return dispatch.Config{
@@ -179,8 +121,7 @@ func coordConfig(fp string, cells int, opts dispatch.Options) dispatch.Config {
 	}
 }
 
-// sanitizeWorkerID maps an arbitrary string (a hostname, an ssh target)
-// onto a worker id that is safe in logs, process listings and shell
+// sanitizeWorkerID maps an arbitrary string (a hostname) onto a worker id that is safe in logs, process listings and shell
 // patterns: letters, digits, '.', '-' and '_'; everything else becomes
 // '-'.
 func sanitizeWorkerID(id string) string {
@@ -201,22 +142,6 @@ func defaultWorkerID() string {
 		host = "worker"
 	}
 	return fmt.Sprintf("%s-%d", sanitizeWorkerID(host), os.Getpid())
-}
-
-// perWorkerBudget splits this box's scheduler/sweep worker budget
-// across n local worker processes instead of multiplying the two
-// parallelism levels, mirroring what the in-process sweep does for its
-// cell/scheduler levels. (Worker counts never change results, only
-// wall time.)
-func perWorkerBudget(ctx *experiments.Context, n int) int {
-	budget := ctx.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	if per := budget / n; per > 1 {
-		return per
-	}
-	return 1
 }
 
 // httpCoord is a listening HTTP coordinator endpoint: the transport
@@ -248,17 +173,6 @@ func (h *httpCoord) localURL() string {
 		host = "127.0.0.1"
 	}
 	return fmt.Sprintf("http://%s", net.JoinHostPort(host, strconv.Itoa(addr.Port)))
-}
-
-// remoteURL is the coordinator URL as reachable from other hosts; it
-// needs the operator to have bound an explicit, routable host.
-func (h *httpCoord) remoteURL(flagAddr string) (string, error) {
-	host, _, err := net.SplitHostPort(flagAddr)
-	if err != nil || host == "" || host == "0.0.0.0" || host == "::" {
-		return "", fmt.Errorf("-hosts workers must reach the coordinator: give -http an explicit routable address (e.g. -http $(hostname):8080), not %q", flagAddr)
-	}
-	port := h.ln.Addr().(*net.TCPAddr).Port
-	return fmt.Sprintf("http://%s", net.JoinHostPort(host, strconv.Itoa(port))), nil
 }
 
 // run drives the coordinator over the HTTP transport, lingers briefly
@@ -328,202 +242,26 @@ func runPullWorker(ctx *experiments.Context, grid experiments.SweepGrid, fp, con
 	return w.Run(c)
 }
 
-// dispatchParams configures one coordinator run and the worker fleet
-// it launches.
-type dispatchParams struct {
-	// httpAddr is the HTTP API's listen address; empty picks a free
-	// loopback port.
-	httpAddr   string
-	journalDir string
-	opts       dispatch.Options
-	// The fleet: with hosts, one ssh-launched worker per
-	// comma-separated entry; otherwise workers supervised local pull
-	// workers (0: none — workers attach on their own), each slot
-	// replaced at most restartMax times.
-	hosts      string
-	remoteBin  string
-	workers    int
-	restartMax int
-	jsonOut    string
-}
-
-// runDispatch is the one coordinator path, behind both `exegpt sweep
-// -mode dispatch` and `exegpt dispatch`: a work-stealing coordinator
-// serving the HTTP API, optionally journaled, plus its worker fleet —
-// ssh-launched, supervised local, or none.
-func runDispatch(ctx *experiments.Context, grid experiments.SweepGrid, g *gridFlagSet,
-	fp string, p dispatchParams) error {
-
-	// Open (and replay) the journal before spending anything on the
-	// listener or workers: a resume that recovered every cell skips the
-	// fleet launch entirely.
+// runDispatch is `exegpt sweep -mode dispatch`: a work-stealing
+// coordinator serving the HTTP API on httpAddr (empty picks a free
+// loopback port) until `-mode pull` workers, attached from any
+// reachable host at any time, have covered every cell. It evaluates
+// nothing itself.
+func runDispatch(grid experiments.SweepGrid, fp, httpAddr string, opts dispatch.Options, jsonOut string) error {
 	cells := len(grid.Cells())
-	cfg := coordConfig(fp, cells, p.opts)
-	j, err := openJournal(p.journalDir, fp, cells, p.opts, &cfg)
+	if httpAddr == "" {
+		httpAddr = "127.0.0.1:0"
+	}
+	hc, err := listenHTTP(httpAddr)
 	if err != nil {
 		return err
 	}
-	if j != nil {
-		defer j.Close()
-	}
-	allRecovered := len(cfg.Completed) == cells
-
-	addr := p.httpAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	hc, err := listenHTTP(addr)
-	if err != nil {
-		return err
-	}
-	defer hc.hs.Close() // error paths; run closes it on success
 	connectURL := hc.localURL()
-	if p.hosts != "" {
-		if connectURL, err = hc.remoteURL(p.httpAddr); err != nil {
-			return err
-		}
-	}
 	fmt.Fprintf(os.Stderr, "dispatch: coordinating %d cells on %s (grid %.12s; status: %s/v1/status)\n",
 		cells, connectURL, fp, connectURL)
-	if p.hosts == "" && p.workers > 0 && ctx.ProfileCacheDir == "" {
-		// Local fleets without a shared cache still profile each
-		// (model, sub-cluster) once between them.
-		tmp, err := os.MkdirTemp("", "exegpt-profiles-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		ctx.ProfileCacheDir = tmp
-	}
-
-	// workerArgv is how a worker reaches this coordinator. The
-	// coordinator's idle budget doubles as the worker's: a worker that
-	// attaches after the run already finished (a journal resume with
-	// nothing left) gives up within it instead of retrying for the
-	// 10-minute default.
-	workerArgv := func(id string, workers int) []string {
-		return append(g.workerArgs(ctx, workers),
-			"-mode", "pull", "-connect", connectURL,
-			"-worker-id", id,
-			"-lease-cells", strconv.Itoa(p.opts.LeaseCells),
-			"-dispatch-idle", p.opts.Idle.String(),
-			"-retry-base", p.opts.RetryBase.String(),
-			"-retry-max", p.opts.RetryMax.String())
-	}
-
-	intr := installInterrupt(&cfg)
-	defer intr.Stop()
-
-	// Launch the fleet. Worker failures are tolerated by design — the
-	// coordinator requeues their leases — so spawn errors become
-	// warnings unless the coordinator itself fails.
-	var fleet *distsweep.Fleet
-	var sf *supervisedFleet
-	switch {
-	case allRecovered:
-		// Every cell came back from the journal: the coordinator
-		// completes without evaluating anything, so a fleet would only
-		// attach to a finished run.
-		fmt.Fprintf(os.Stderr, "dispatch: journal already covers all %d cells; skipping worker launch\n", cells)
-	case p.hosts != "":
-		var argvs [][]string
-		var names []string
-		for i, h := range strings.Split(p.hosts, ",") {
-			h = strings.TrimSpace(h)
-			if h == "" {
-				continue
-			}
-			id := fmt.Sprintf("host%d-%s", i, sanitizeWorkerID(h))
-			argvs = append(argvs, append([]string{h, p.remoteBin}, workerArgv(id, 0)...))
-			names = append(names, id)
-		}
-		if len(argvs) == 0 {
-			return fmt.Errorf("-hosts %q names no hosts", p.hosts)
-		}
-		fmt.Fprintf(os.Stderr, "dispatch: launching %d ssh workers\n", len(argvs))
-		if fleet, err = distsweep.StartFleet("ssh", argvs, names); err != nil {
-			return err
-		}
-	case p.workers > 0:
-		bin, err := os.Executable()
-		if err != nil {
-			return err
-		}
-		per := perWorkerBudget(ctx, p.workers)
-		fmt.Fprintf(os.Stderr, "dispatch: supervised fleet of %d local pull workers (restart cap %d)\n",
-			p.workers, p.restartMax)
-		argv := func(id string) []string { return workerArgv(id, per) }
-		if sf, err = startSupervisedFleet(&cfg, bin, argv, p.workers, p.restartMax, ctx.Seed, intr); err != nil {
-			return err
-		}
-	}
-
-	if fleet != nil {
-		cfg.StderrTail = fleet.StderrTail
-	}
-	if cfg.Controller != nil {
-		// Expose the supervisor's drain hook on the HTTP API, so an
-		// operator can POST /v1/drain to retire a worker by hand.
-		hc.srv.AttachControl(cfg.Controller)
-	}
-	merged, err := hc.run(cfg)
-	// The stop signal is down (the coordinator finished the transport),
-	// so the fleet drains; surface its exit status.
-	var werr error
-	if sf != nil {
-		werr = sf.Shutdown()
-	} else if fleet != nil {
-		werr = fleet.Wait()
-	}
-	if err != nil {
-		resumeHint(err, p.journalDir)
-		return err
-	}
-	if werr != nil {
-		fmt.Fprintf(os.Stderr, "dispatch: note: worker failures tolerated by work stealing: %v\n", werr)
-	}
-	return printMerged(merged, grid, p.jsonOut)
-}
-
-// cmdDispatch is the standalone coordinator: the same coordinator as
-// `exegpt sweep -mode dispatch`, by default with no fleet of its own —
-// operators attach `exegpt sweep -mode pull -connect URL` workers from
-// any reachable host, at any time during the sweep. With
-// -dispatch-workers it also runs a supervised local fleet alongside
-// them. It evaluates nothing itself.
-func cmdDispatch(args []string) error {
-	fs := flag.NewFlagSet("dispatch", flag.ExitOnError)
-	newCtx := commonFlags(fs)
-	g := gridFlags(fs)
-	d := dispatchFlags(fs)
-	ff := fleetFlags(fs, 0)
-	httpAddr := fs.String("http", "", "serve the coordinator's HTTP API on this address (host:port; workers attach with sweep -mode pull -connect); optional with -dispatch-workers")
-	journalDir := fs.String("journal", "", "journal every accepted result in this directory; rerunning with the same directory resumes an interrupted sweep")
-	jsonOut := fs.String("json", "", "write the merged sweep (rows, evals, frontiers) as JSON to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opts, err := d.options()
+	merged, err := hc.run(coordConfig(fp, cells, opts))
 	if err != nil {
 		return err
 	}
-	if err := ff.validate(); err != nil {
-		return err
-	}
-	if *httpAddr == "" && *ff.workers == 0 {
-		return fmt.Errorf("dispatch needs -http ADDR for workers to attach to (or -dispatch-workers N to run its own fleet)")
-	}
-	ctx := newCtx()
-	grid, err := g.build(ctx)
-	if err != nil {
-		return err
-	}
-	fp, err := ctx.GridFingerprint(grid)
-	if err != nil {
-		return err
-	}
-	return runDispatch(ctx, grid, g, fp, dispatchParams{
-		httpAddr: *httpAddr, journalDir: *journalDir, opts: opts,
-		workers: *ff.workers, restartMax: *ff.restartMax, jsonOut: *jsonOut,
-	})
+	return printMerged(merged, grid, jsonOut)
 }

@@ -13,10 +13,7 @@
 //	exegpt sweep   [flags]   grid-evaluate deployments x tasks; -mode
 //	                         selects the distribution role: single,
 //	                         dispatch (work-stealing coordinator over
-//	                         HTTP plus its worker fleet) or pull (worker)
-//	exegpt dispatch [flags]  serve a standalone work-stealing sweep
-//	                         coordinator on a -http address (workers:
-//	                         sweep -mode pull)
+//	                         HTTP) or pull (worker)
 //	exegpt figures [flags]   regenerate paper figures (6-11)
 //	exegpt tables  [flags]   regenerate paper tables (1-7, cost)
 //	exegpt bench   [flags]   measure the Estimate/FindBest hot paths
@@ -53,8 +50,6 @@ func main() {
 		err = cmdServe(args)
 	case "sweep":
 		err = cmdSweep(args)
-	case "dispatch":
-		err = cmdDispatch(args)
 	case "figures":
 		err = cmdFigures(args)
 	case "tables":
@@ -91,14 +86,9 @@ Commands:
             seed and flags produce a byte-identical -json artifact
   sweep     grid-evaluate deployments x tasks, parallel across deployments;
             -mode picks the distribution role: single (default), dispatch
-            (work-stealing coordinator on an -http API plus a fleet of local,
-            ssh or supervised pull workers) or pull (worker attaching via
-            -connect URL); -journal DIR makes a dispatch sweep crash-safe
-            and resumable (rerun with the same flags to pick it back up)
-  dispatch  serve a standalone work-stealing coordinator on an -http
-            address; operators attach "exegpt sweep -mode pull" workers at
-            any time, from any reachable host; -journal DIR journals
-            accepted results for kill -9-safe resume
+            (work-stealing coordinator on an -http API) or pull (worker
+            attaching via -connect URL, from any reachable host, at any
+            time)
   figures   regenerate the paper's figures (6, 7, 8, 9, 10, 11)
   tables    regenerate the paper's tables (1-7) and the scheduling-cost study
   bench     measure Estimate/s and FindBest wall time, write BENCH_estimate.json

@@ -18,9 +18,7 @@ import (
 //	-mode single (default)   one process, print the table
 //	-mode dispatch           work-stealing coordinator serving an HTTP
 //	                         API (-http; default a free loopback port)
-//	                         plus its fleet: -dispatch-workers supervised
-//	                         local pull workers, or one ssh worker per
-//	                         -hosts entry
+//	                         to the pull workers that attach to it
 //	-mode pull -connect URL  pull worker: lease cells from the
 //	                         coordinator until it says Stop; attachable
 //	                         at any time
@@ -36,13 +34,9 @@ func cmdSweep(args []string) error {
 	mode := fs.String("mode", "single", "distribution mode: single, dispatch or pull")
 	jsonOut := fs.String("json", "", "write the merged sweep (rows, evals, frontiers) as JSON to this file")
 	httpAddr := fs.String("http", "", "dispatch mode: serve the coordinator's HTTP API on this host:port (default: a free loopback port)")
-	journalDir := fs.String("journal", "", "dispatch mode: journal every accepted result in this directory; rerunning with the same directory resumes an interrupted sweep")
-	hosts := fs.String("hosts", "", "dispatch mode: comma-separated ssh hosts to launch one pull worker on each (needs a routable -http address)")
-	remoteBin := fs.String("remote-bin", "exegpt", "with -hosts: the exegpt binary path on the remote hosts")
 	connect := fs.String("connect", "", "pull mode: attach to the coordinator's HTTP API at this URL (e.g. http://gpu1:8080)")
 	workerID := fs.String("worker-id", "", "pull mode: this worker's name in leases and logs (default: host-pid)")
 	d := dispatchFlags(fs)
-	ff := fleetFlags(fs, 2)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -60,16 +54,12 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := ff.validate(); err != nil {
-		return err
-	}
 	m, err := resolveSweepMode(*mode)
 	if err != nil {
 		return err
 	}
 	if err := validateSweepMode(m, sweepModeFlags{
-		hosts: *hosts, http: *httpAddr, connect: *connect, workerID: *workerID,
-		journal: *journalDir,
+		http: *httpAddr, connect: *connect, workerID: *workerID,
 	}); err != nil {
 		return err
 	}
@@ -78,12 +68,7 @@ func cmdSweep(args []string) error {
 	case modePull:
 		return runPullWorker(ctx, grid, fp, *connect, *workerID, opts)
 	case modeDispatch:
-		return runDispatch(ctx, grid, g, fp, dispatchParams{
-			httpAddr: *httpAddr, journalDir: *journalDir, opts: opts,
-			hosts: *hosts, remoteBin: *remoteBin,
-			workers: *ff.workers, restartMax: *ff.restartMax,
-			jsonOut: *jsonOut,
-		})
+		return runDispatch(grid, fp, *httpAddr, opts, *jsonOut)
 	}
 	indices := make([]int, len(grid.Cells()))
 	for i := range indices {

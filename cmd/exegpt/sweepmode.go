@@ -26,11 +26,9 @@ func resolveSweepMode(explicit string) (sweepMode, error) {
 // sweepModeFlags carries the distribution flags that only some modes
 // accept, for per-mode validation.
 type sweepModeFlags struct {
-	hosts    string
 	http     string
 	connect  string
 	workerID string
-	journal  string
 }
 
 // validateSweepMode rejects flag combinations the selected mode cannot
@@ -47,17 +45,15 @@ func validateSweepMode(m sweepMode, f sweepModeFlags) error {
 	}
 	switch m {
 	case modeSingle:
-		return reject([2]string{"-hosts", f.hosts}, [2]string{"-http", f.http},
-			[2]string{"-connect", f.connect}, [2]string{"-worker-id", f.workerID},
-			[2]string{"-journal", f.journal})
+		return reject([2]string{"-http", f.http},
+			[2]string{"-connect", f.connect}, [2]string{"-worker-id", f.workerID})
 	case modeDispatch:
 		return reject([2]string{"-connect", f.connect})
 	case modePull:
 		if f.connect == "" {
 			return fmt.Errorf("-mode pull attaches to a coordinator: give -connect URL")
 		}
-		return reject([2]string{"-hosts", f.hosts}, [2]string{"-http", f.http},
-			[2]string{"-journal", f.journal})
+		return reject([2]string{"-http", f.http})
 	}
 	return nil
 }

@@ -45,13 +45,11 @@ func TestValidateSweepMode(t *testing.T) {
 	}{
 		{name: "single plain", m: modeSingle},
 		{name: "single with connect", m: modeSingle, f: sweepModeFlags{connect: "http://x"}, wantErr: "does not use -connect"},
-		{name: "single with journal", m: modeSingle, f: sweepModeFlags{journal: "/j"}, wantErr: "does not use -journal"},
 		{name: "dispatch plain", m: modeDispatch},
-		{name: "dispatch http", m: modeDispatch, f: sweepModeFlags{http: ":8080", hosts: "a,b"}},
+		{name: "dispatch http", m: modeDispatch, f: sweepModeFlags{http: ":8080"}},
 		{name: "dispatch with connect", m: modeDispatch, f: sweepModeFlags{connect: "http://x"}, wantErr: "does not use -connect"},
 		{name: "pull connect", m: modePull, f: sweepModeFlags{connect: "http://x", workerID: "w1"}},
 		{name: "pull neither", m: modePull, wantErr: "-connect"},
-		{name: "pull with hosts", m: modePull, f: sweepModeFlags{connect: "http://x", hosts: "a"}, wantErr: "does not use -hosts"},
 		{name: "pull with http", m: modePull, f: sweepModeFlags{connect: "http://x", http: ":8080"}, wantErr: "does not use -http"},
 	}
 	for _, c := range cases {

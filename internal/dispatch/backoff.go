@@ -1,7 +1,7 @@
-// Deterministic exponential backoff with jitter, shared by worker
-// retry loops and the fleet supervisor's restart schedule. Jitter is
-// drawn from a seeded generator, not the global one, so tests (and the
-// chaos suite) can pin the exact delay schedule a seed produces.
+// Deterministic exponential backoff with jitter for the worker and HTTP
+// client retry loops. Jitter is drawn from a seeded generator, not the
+// global one, so tests (and the chaos suite) can pin the exact delay
+// schedule a seed produces.
 package dispatch
 
 import (

@@ -1,20 +1,10 @@
-// Package chaostest wraps dispatch transports and journals with
-// deterministic, seed-driven fault injection, so the recovery paths —
-// lease requeue, duplicate dedup, journal replay — are exercised
-// systematically instead of waiting for production to find them.
-//
-// Three fault surfaces are covered:
-//
-//   - Coordinator → worker lease replies and worker → coordinator
-//     messages (requests, heartbeats, results) can be dropped,
-//     duplicated, or delayed out of order (Coordinator / Worker
-//     wrappers around an Injector).
-//   - The coordinator can be killed at the exact kill-points around a
-//     journal append — before the record is durable, or after the
-//     record is durable but before the result is acknowledged
-//     (CrashJournal).
-//   - A journal file can lose its tail to a torn write (simply
-//     truncate the file; the journal package recovers).
+// Package chaostest wraps dispatch transports with deterministic,
+// seed-driven fault injection, so the recovery paths — lease requeue,
+// duplicate dedup — are exercised systematically instead of waiting for
+// production to find them: coordinator → worker lease replies and
+// worker → coordinator messages (requests, heartbeats, results) can be
+// dropped, duplicated, or delayed out of order (Coordinator / Worker
+// wrappers around an Injector).
 //
 // The injector burns its random rolls at every send whether or not a
 // fault fires, so a fixed Seed produces the same fault schedule run
@@ -22,13 +12,11 @@
 package chaostest
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"time"
 
 	"exegpt/internal/dispatch"
-	"exegpt/internal/distsweep"
 )
 
 // Faults parameterizes an Injector: independent probabilities per send
@@ -155,82 +143,4 @@ func (t *workerTransport) Send(m *dispatch.Msg) error {
 
 func (t *workerTransport) RecvLease(seq int, timeout time.Duration) (*dispatch.Lease, error) {
 	return t.inner.RecvLease(seq, timeout)
-}
-
-// ErrCrash is the injected coordinator death; a run killed by a
-// CrashJournal returns an error wrapping it.
-var ErrCrash = errors.New("chaostest: injected coordinator crash")
-
-// CrashJournal wraps a dispatch.Journal and kills the run at the exact
-// window a real SIGKILL lands in: after Appends successful cell
-// appends, the next Append fails with ErrCrash — before the record is
-// written when BeforeWrite is set (the result is lost and must be
-// re-evaluated), after the record is durable otherwise (the result is
-// on disk but never acknowledged, and must dedup on replay). Both
-// sides of the append/ack window must recover to the same
-// byte-identical merge.
-type CrashJournal struct {
-	Inner dispatch.Journal
-	// Appends is how many cell appends succeed before the crash.
-	Appends int
-	// BeforeWrite crashes before the fatal append reaches the inner
-	// journal instead of after.
-	BeforeWrite bool
-
-	mu   sync.Mutex
-	done int
-}
-
-func (c *CrashJournal) Append(env *distsweep.CellEnvelope) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.done >= c.Appends {
-		if c.BeforeWrite {
-			return ErrCrash
-		}
-		if err := c.Inner.Append(env); err != nil {
-			return err
-		}
-		return ErrCrash
-	}
-	c.done++
-	return c.Inner.Append(env)
-}
-
-func (c *CrashJournal) AppendExclusion(x dispatch.WorkerExclusion) error {
-	return c.Inner.AppendExclusion(x)
-}
-
-func (c *CrashJournal) AppendRestart(r dispatch.WorkerRestart) error {
-	return c.Inner.AppendRestart(r)
-}
-
-var _ dispatch.Journal = (*CrashJournal)(nil)
-
-// KillSchedule draws, from a seed, how many cells each successive
-// worker incarnation completes before it is killed mid-lease. The
-// draws depend only on call order, so a fixed seed gives the same kill
-// schedule run after run — supervised-churn chaos tests reproduce
-// instead of flaking. Safe for concurrent use.
-type KillSchedule struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-	max int
-}
-
-// NewKillSchedule returns a schedule drawing kill points uniformly
-// from [1, maxCells] completed cells; maxCells < 1 is raised to 1.
-func NewKillSchedule(seed int64, maxCells int) *KillSchedule {
-	if maxCells < 1 {
-		maxCells = 1
-	}
-	return &KillSchedule{rng: rand.New(rand.NewSource(seed)), max: maxCells}
-}
-
-// Draw returns the next incarnation's kill point: it dies after
-// completing that many cells, mid-lease on the one after.
-func (k *KillSchedule) Draw() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return 1 + k.rng.Intn(k.max)
 }

@@ -25,20 +25,11 @@
 // one box or across hosts, no shared filesystem, workers joinable and
 // killable at any time — and an in-process channel hub (NewHub) for
 // tests and embedded use. The transporttest subpackage is the
-// conformance suite both pass.
-//
-// The coordinator itself can be made crash-safe: Config.Journal
-// threads every accepted result and exclusion through a durable log
-// before acknowledging it (internal/dispatch/journal is the fsync'd
-// on-disk implementation), Config.Completed/Exclusions replay that log
-// so a killed coordinator resumes instead of restarting, and
-// Config.Interrupt turns SIGINT-style shutdown into a graceful drain.
-// The chaostest subpackage proves all of it under seed-deterministic
-// fault injection.
+// conformance suite both pass, and the chaostest subpackage reruns it
+// under seed-deterministic fault injection.
 package dispatch
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -46,13 +37,6 @@ import (
 
 	"exegpt/internal/distsweep"
 )
-
-// ErrInterrupted is wrapped into Run's error when Config.Interrupt
-// fires: the coordinator stopped granting leases, drained or reclaimed
-// the outstanding ones, and finished the transport so workers exit.
-// Everything accepted before the interrupt went through the Journal
-// (when one is configured), so the run is resumable.
-var ErrInterrupted = errors.New("dispatch: run interrupted")
 
 // WireVersion is the dispatch message format version; the wire codec
 // stamps and checks it so mixed-build fleets fail loudly.
@@ -245,28 +229,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Journal is the coordinator's durability hook: Run threads every
-// accepted cell result and every worker exclusion through it *before*
-// acting on the event, so a coordinator killed at any instant restarts
-// from the journal with nothing accepted lost. An Append error aborts
-// the run — an un-journalable result must not be acked.
-// internal/dispatch/journal is the on-disk implementation.
-type Journal interface {
-	Append(env *distsweep.CellEnvelope) error
-	AppendExclusion(x WorkerExclusion) error
-	AppendRestart(r WorkerRestart) error
-}
-
-// WorkerExclusion records that a worker spent its failure budget and
-// was excluded from further leases — journaled so a restarted
-// coordinator keeps the worker excluded and keeps the reason (with any
-// captured stderr tail) visible on the status endpoint.
-type WorkerExclusion struct {
-	Worker   string `json:"worker"`
-	Failures int    `json:"failures"`
-	Reason   string `json:"reason,omitempty"`
-}
-
 // Config parameterizes a coordinator run.
 type Config struct {
 	// Fingerprint is the grid fingerprint every result must carry
@@ -281,38 +243,9 @@ type Config struct {
 	// Logf, when non-nil, receives progress and failure-handling notes.
 	Logf func(format string, args ...any)
 	// StderrTail, when non-nil, maps a worker id to the tail of its
-	// captured stderr (a locally forked or ssh-launched process). It is
-	// attached to exclusion events so status reports say *why* a host
-	// was excluded, not just that it was.
+	// captured stderr. It is attached to exclusion events so status
+	// reports say *why* a host was excluded, not just that it was.
 	StderrTail func(worker string) string
-	// Journal, when non-nil, receives every accepted result and every
-	// worker exclusion before the coordinator acts on it.
-	Journal Journal
-	// Completed seeds cells a previous run of the same grid already
-	// evaluated (a journal replay): they start done, never enter the
-	// lease queue, and late duplicates dedup exactly as stolen-lease
-	// duplicates do. Envelopes must carry this run's Fingerprint.
-	Completed []*distsweep.CellEnvelope
-	// Exclusions seeds worker-exclusion state from a journal replay, so
-	// a worker excluded before the coordinator died stays excluded — and
-	// the status endpoint still says why.
-	Exclusions []WorkerExclusion
-	// Restarts seeds the fleet supervisor's per-slot restart ledger from
-	// a journal replay, so restart counts and poisoned verdicts survive
-	// a coordinator restart on the status feed.
-	Restarts []WorkerRestart
-	// Controller, when non-nil, connects an in-process fleet supervisor:
-	// Run publishes every status snapshot to it, honors its drain
-	// requests (the drained worker's next lease request is answered
-	// Stop and its cells requeue without charging budgets), and journals
-	// its restart records.
-	Controller *Controller
-	// Interrupt, when non-nil, switches Run into a graceful drain once
-	// it fires: no new leases are granted (requesters get Stop),
-	// in-flight results are still accepted and journaled, and once no
-	// lease is outstanding Run finishes the transport and returns an
-	// ErrInterrupted-wrapped error instead of a merge.
-	Interrupt <-chan struct{}
 }
 
 // Status is a point-in-time snapshot of a coordinator run, published to
@@ -325,17 +258,11 @@ type Status struct {
 	Total  int `json:"total"`
 	Done   int `json:"done"`
 	Queued int `json:"queued"`
-	// UptimeMS is how long this coordinator process has been running;
-	// a supervisor uses it to tell a long-lived coordinator from one
-	// that just replayed its journal.
+	// UptimeMS is how long this coordinator process has been running.
 	UptimeMS int64 `json:"uptime_ms,omitempty"`
 	// Workers lists every worker the coordinator has heard from, in
 	// worker-id order.
 	Workers []WorkerStatus `json:"workers,omitempty"`
-	// Restarts is the fleet supervisor's per-slot replacement ledger
-	// (latest record per slot, in slot order), populated when a
-	// supervisor is attached or replayed from the journal.
-	Restarts []WorkerRestart `json:"restarts,omitempty"`
 }
 
 // WorkerStatus is one worker's lease state inside a Status snapshot.
@@ -349,12 +276,8 @@ type WorkerStatus struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// LeaseAgeMS is how long the outstanding lease has been held since
 	// it was first granted (re-grants and heartbeats extend the
-	// deadline, not the age); 0 without a lease. A supervisor reads it
-	// as the "is this worker actually making progress" signal.
+	// deadline, not the age); 0 without a lease.
 	LeaseAgeMS int64 `json:"lease_age_ms,omitempty"`
-	// Draining is set once a drain was requested for this worker: it
-	// keeps its current lease but its next request is answered Stop.
-	Draining bool `json:"draining,omitempty"`
 	// Failures counts the worker's failed leases against the
 	// WorkerFailures budget; Excluded is set once the budget is spent.
 	Failures int  `json:"failures,omitempty"`
@@ -427,65 +350,12 @@ func Run(t Transport, cfg Config) (*distsweep.Merged, error) {
 	excluded := map[string]bool{}
 	lastErr := map[string]string{}
 	seen := map[string]bool{}
-	drainReq := map[string]bool{}
-	restarts := map[string]WorkerRestart{}
 	started := time.Now()
 	lastActivity := started
 
-	// Replay a previous run's journaled state: completed cells start
-	// done, excluded workers stay excluded.
-	for _, env := range cfg.Completed {
-		if env == nil {
-			continue
-		}
-		if env.Fingerprint != cfg.Fingerprint {
-			return nil, fmt.Errorf("dispatch: recovered cell %d is from a different grid: fingerprint %.12s… vs %.12s…",
-				env.Result.Cell, env.Fingerprint, cfg.Fingerprint)
-		}
-		if env.Total != cfg.Cells {
-			return nil, fmt.Errorf("dispatch: recovered cell %d is from a %d-cell grid, this run has %d",
-				env.Result.Cell, env.Total, cfg.Cells)
-		}
-		c := env.Result.Cell
-		if c < 0 || c >= cfg.Cells {
-			return nil, fmt.Errorf("dispatch: recovered cell %d out of range 0..%d", c, cfg.Cells-1)
-		}
-		if _, dup := done[c]; !dup {
-			done[c] = env
-		}
-	}
-	if len(done) > 0 {
-		kept := pending[:0]
-		for _, c := range pending {
-			if _, ok := done[c]; !ok {
-				kept = append(kept, c)
-			}
-		}
-		pending = kept
-		cfg.logf("dispatch: resuming with %d/%d cells recovered", len(done), cfg.Cells)
-	}
-	for _, x := range cfg.Exclusions {
-		if x.Worker == "" {
-			continue
-		}
-		seen[x.Worker] = true
-		excluded[x.Worker] = true
-		if failures[x.Worker] < x.Failures {
-			failures[x.Worker] = x.Failures
-		}
-		if x.Reason != "" {
-			lastErr[x.Worker] = x.Reason
-		}
-	}
-	for _, r := range cfg.Restarts {
-		if r.Slot != "" {
-			restarts[r.Slot] = r
-		}
-	}
-
 	sink, _ := t.(StatusSink)
 	publish := func() {
-		if sink == nil && cfg.Controller == nil {
+		if sink == nil {
 			return
 		}
 		s := Status{Total: cfg.Cells, Done: len(done), Queued: len(pending),
@@ -501,7 +371,6 @@ func Run(t Transport, cfg Config) (*distsweep.Merged, error) {
 				Worker:    w,
 				Failures:  failures[w],
 				Excluded:  excluded[w],
-				Draining:  drainReq[w],
 				LastError: lastErr[w],
 			}
 			if ls, ok := leases[w]; ok {
@@ -516,53 +385,7 @@ func Run(t Transport, cfg Config) (*distsweep.Merged, error) {
 			}
 			s.Workers = append(s.Workers, ws)
 		}
-		if len(restarts) > 0 {
-			slots := make([]string, 0, len(restarts))
-			for slot := range restarts {
-				slots = append(slots, slot)
-			}
-			sort.Strings(slots)
-			for _, slot := range slots {
-				s.Restarts = append(s.Restarts, restarts[slot])
-			}
-		}
-		if sink != nil {
-			sink.PublishStatus(s)
-		}
-		if cfg.Controller != nil {
-			cfg.Controller.publish(s)
-		}
-	}
-	// pollController folds the supervisor's pending drain requests and
-	// restart records into coordinator state: drains make the worker's
-	// next request a Stop, restart records go through the journal (like
-	// exclusions) before landing in the status ledger.
-	pollController := func() error {
-		if cfg.Controller == nil {
-			return nil
-		}
-		drains, reports := cfg.Controller.take()
-		for _, w := range drains {
-			if !drainReq[w] {
-				drainReq[w] = true
-				cfg.logf("dispatch: drain requested for worker %s", w)
-			}
-		}
-		for _, r := range reports {
-			if cfg.Journal != nil {
-				if err := cfg.Journal.AppendRestart(r); err != nil {
-					return fmt.Errorf("dispatch: journal restart of slot %s: %w", r.Slot, err)
-				}
-			}
-			restarts[r.Slot] = r
-			if r.Poisoned {
-				cfg.logf("dispatch: slot %s declared poisoned after %d restarts: %s", r.Slot, r.Restarts, r.Reason)
-			}
-		}
-		if len(drains)+len(reports) > 0 {
-			publish()
-		}
-		return nil
+		sink.PublishStatus(s)
 	}
 
 	inPending := func(c int) bool {
@@ -584,9 +407,8 @@ func Run(t Transport, cfg Config) (*distsweep.Merged, error) {
 	// markFailure charges one failed lease to a worker, records why, and
 	// excludes the worker once over budget — attaching its captured
 	// stderr tail (when a spawner provides one) so the exclusion event
-	// explains itself. Exclusions go through the journal before taking
-	// effect, so a restarted coordinator keeps the worker out.
-	markFailure := func(w, why string) error {
+	// explains itself.
+	markFailure := func(w, why string) {
 		failures[w]++
 		if cfg.StderrTail != nil {
 			if tail := cfg.StderrTail(w); tail != "" {
@@ -595,17 +417,9 @@ func Run(t Transport, cfg Config) (*distsweep.Merged, error) {
 		}
 		lastErr[w] = why
 		if failures[w] >= opts.WorkerFailures && !excluded[w] {
-			if cfg.Journal != nil {
-				if err := cfg.Journal.AppendExclusion(WorkerExclusion{
-					Worker: w, Failures: failures[w], Reason: why,
-				}); err != nil {
-					return fmt.Errorf("dispatch: journal exclusion of worker %s: %w", w, err)
-				}
-			}
 			excluded[w] = true
 			cfg.logf("dispatch: excluding worker %s after %d failed leases, last: %s", w, failures[w], why)
 		}
-		return nil
 	}
 	// requeueCell puts one unfinished cell back on the queue, enforcing
 	// the retry budget. A cell another worker already completed (a
@@ -632,9 +446,7 @@ func Run(t Transport, cfg Config) (*distsweep.Merged, error) {
 		}
 		sort.Ints(cells)
 		delete(leases, w)
-		if err := markFailure(w, why); err != nil {
-			return err
-		}
+		markFailure(w, why)
 		for _, c := range cells {
 			if err := requeueCell(c, why); err != nil {
 				return err
@@ -645,18 +457,6 @@ func Run(t Transport, cfg Config) (*distsweep.Merged, error) {
 		}
 		return nil
 	}
-	// releaseQuietly reclaims a lease during an interrupt drain without
-	// charging budgets: the fleet is being torn down with the operator's
-	// consent, so a lease lost to the shutdown is not the worker's fault.
-	releaseQuietly := func(w string, ls *leaseState) {
-		for c := range ls.cells {
-			if _, ok := done[c]; !ok && !inPending(c) {
-				pending = append(pending, c)
-			}
-		}
-		delete(leases, w)
-	}
-
 	poll := opts.LeaseTimeout / 4
 	if poll > time.Second {
 		poll = time.Second
@@ -665,36 +465,11 @@ func Run(t Transport, cfg Config) (*distsweep.Merged, error) {
 		poll = time.Millisecond
 	}
 
-	draining := false
 	publish()
 	for len(done) < cfg.Cells {
-		if err := pollController(); err != nil {
-			return nil, err
-		}
-		if !draining && cfg.Interrupt != nil {
-			select {
-			case <-cfg.Interrupt:
-				draining = true
-				cfg.logf("dispatch: interrupted: draining %d outstanding leases (%d/%d cells done)",
-					len(leases), len(done), cfg.Cells)
-			default:
-			}
-		}
-		if draining && len(leases) == 0 {
-			publish()
-			return nil, fmt.Errorf("%w with %d of %d cells done", ErrInterrupted, len(done), cfg.Cells)
-		}
 		now := time.Now()
 		for w, ls := range leases {
 			if now.After(ls.deadline) {
-				if draining {
-					// The worker may already be gone with the rest of the
-					// fleet; reclaim without charging so the drain ends
-					// instead of burning budgets on a shutdown.
-					releaseQuietly(w, ls)
-					publish()
-					continue
-				}
 				if err := releaseLease(w, ls, fmt.Sprintf("lease expired after %v without heartbeat", opts.LeaseTimeout)); err != nil {
 					return nil, err
 				}
@@ -723,34 +498,6 @@ func Run(t Transport, cfg Config) (*distsweep.Merged, error) {
 
 		switch m.Type {
 		case MsgRequest:
-			if draining {
-				// No new grants while draining: a re-request supersedes
-				// whatever lease the worker held (it is asking, not
-				// evaluating), so reclaim the cells and stop the worker.
-				if ls, ok := leases[w]; ok {
-					releaseQuietly(w, ls)
-				}
-				if err := t.Send(&Lease{Version: WireVersion, Worker: w, Seq: m.Seq, Stop: true}); err != nil {
-					return nil, err
-				}
-				publish()
-				continue
-			}
-			if drainReq[w] {
-				// A supervisor asked this worker to go: reclaim whatever
-				// its superseded lease still held (free of charge — the
-				// drain is the operator's choice, not the worker's fault)
-				// and answer Stop.
-				if ls, ok := leases[w]; ok {
-					releaseQuietly(w, ls)
-				}
-				if err := t.Send(&Lease{Version: WireVersion, Worker: w, Seq: m.Seq, Stop: true}); err != nil {
-					return nil, err
-				}
-				cfg.logf("dispatch: worker %s drained", w)
-				publish()
-				continue
-			}
 			if ls, ok := leases[w]; ok && len(ls.cells) > 0 {
 				// A new request while a lease is outstanding: most
 				// likely the lease reply was lost or delayed in transit
@@ -839,21 +586,11 @@ func Run(t Transport, cfg Config) (*distsweep.Merged, error) {
 				return nil, fmt.Errorf("dispatch: worker %s returned out-of-range cell %d", w, c)
 			}
 			if _, dup := done[c]; dup {
-				// A stolen lease completed anyway — or a pre-crash result
-				// arrived again after a journal replay: evaluation is
+				// A stolen lease completed anyway: evaluation is
 				// deterministic, so the copies are identical and the
 				// first one stands.
 				cfg.logf("dispatch: duplicate result for cell %d from worker %s ignored", c, w)
 			} else {
-				// Durability before acknowledgment: the result reaches the
-				// journal before the coordinator accounts for it, so a
-				// crash on either side of this line loses nothing — the
-				// cell is re-evaluated, or replayed and deduped.
-				if cfg.Journal != nil {
-					if jerr := cfg.Journal.Append(env); jerr != nil {
-						return nil, fmt.Errorf("dispatch: journal cell %d: %w", c, jerr)
-					}
-				}
 				done[c] = env
 				dropPending(c)
 				cfg.logf("dispatch: cell %d done (%d/%d) by worker %s", c, len(done), cfg.Cells, w)
@@ -878,9 +615,7 @@ func Run(t Transport, cfg Config) (*distsweep.Merged, error) {
 				delete(ls.cells, c)
 				if !ls.failed {
 					ls.failed = true
-					if err := markFailure(w, why); err != nil {
-						return nil, err
-					}
+					markFailure(w, why)
 				} else {
 					lastErr[w] = why
 				}
@@ -888,9 +623,7 @@ func Run(t Transport, cfg Config) (*distsweep.Merged, error) {
 					delete(leases, w)
 				}
 			} else {
-				if err := markFailure(w, why); err != nil {
-					return nil, err
-				}
+				markFailure(w, why)
 			}
 			if _, ok := done[c]; !ok && c >= 0 && c < cfg.Cells {
 				if err := requeueCell(c, m.Err); err != nil {

@@ -75,91 +75,15 @@ func TestWorkerDrainReleasesLease(t *testing.T) {
 	}
 }
 
-// TestControllerDrainStopsWorker: a Controller.Drain for a live worker
-// must stop it at its next lease request — its in-flight cell is
-// delivered, nothing else is leased to it, and the status feed marks
-// it draining.
-func TestControllerDrainStopsWorker(t *testing.T) {
-	const fp, n = "fp-ctrl-drain", 6
-	hub := NewHub()
-	ctrl := NewController()
-	cfg := testConfig(fp, n)
-	cfg.Options.LeaseTimeout = time.Minute
-	cfg.Controller = ctrl
-	res := startCoord(hub, cfg)
-	start := time.Now()
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var evals int32
-	w1 := fastWorker("w1", fp, n)
-	inner := w1.Eval
-	w1.Eval = func(c int) (experiments.CellResult, error) {
-		if atomic.AddInt32(&evals, 1) == 1 {
-			close(started)
-		}
-		<-release
-		return inner(c)
-	}
-	w1done := make(chan error, 1)
-	go func() { w1done <- w1.Run(hub.Worker("w1")) }()
-
-	<-started
-	ctrl.Drain("w1")
-	// The worker's heartbeats keep the coordinator loop turning, so the
-	// drain request is consumed well within a few heartbeat intervals.
-	time.Sleep(200 * time.Millisecond)
-	close(release)
-
-	select {
-	case err := <-w1done:
-		if err != nil {
-			t.Fatalf("drained worker exited with %v, want a clean stop", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("drained worker never observed Stop")
-	}
-	if got := atomic.LoadInt32(&evals); got != 1 {
-		t.Fatalf("drained worker evaluated %d cells after the drain, want just its in-flight 1", got)
-	}
-
-	go fastWorker("w2", fp, n).Run(hub.Worker("w2"))
-	r := <-res
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("run took %v — drain leaked the lease into its timeout", elapsed)
-	}
-	got, err := r.m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, fakeReference(t, fp, n)) {
-		t.Fatal("drained run not byte-identical to the direct fold")
-	}
-	st, ok := ctrl.Status()
-	if !ok {
-		t.Fatal("no status published")
-	}
-	for _, ws := range st.Workers {
-		if ws.Worker == "w1" && !ws.Draining {
-			t.Fatalf("status row for drained worker not marked draining: %+v", ws)
-		}
-	}
-}
-
 // TestReleaseRequeuesWithoutCharge: MsgRelease must requeue the
 // returned cells immediately (not after the lease deadline) and charge
 // no failure budget — a voluntary return is not a failure.
 func TestReleaseRequeuesWithoutCharge(t *testing.T) {
 	const fp, n = "fp-release", 6
-	hub := NewHub()
-	ctrl := NewController()
+	hub := &statusHub{Hub: NewHub()}
 	cfg := testConfig(fp, n)
 	cfg.Options.LeaseTimeout = time.Minute
 	cfg.Options.LeaseCells = 3
-	cfg.Controller = ctrl
 	res := startCoord(hub, cfg)
 	start := time.Now()
 
@@ -187,8 +111,8 @@ func TestReleaseRequeuesWithoutCharge(t *testing.T) {
 	if !bytes.Equal(got, fakeReference(t, fp, n)) {
 		t.Fatal("release run not byte-identical to the direct fold")
 	}
-	st, ok := ctrl.Status()
-	if !ok {
+	st, seen := hub.snapshot()
+	if seen == 0 {
 		t.Fatal("no status published")
 	}
 	for _, ws := range st.Workers {

@@ -15,11 +15,8 @@
 //	                                      waitms with none
 //	GET  /v1/status                       coordinator status: queue
 //	                                      depth, per-worker lease state,
-//	                                      uptime, lease ages, restart
-//	                                      ledger, finished flag
-//	POST /v1/drain?worker=W               ask the coordinator to drain
-//	                                      worker W (requires an attached
-//	                                      supervisor controller)
+//	                                      uptime, lease ages, finished
+//	                                      flag
 //
 // NewServer is the coordinator side (a dispatch.Transport that also
 // implements dispatch.StatusSink); Dial is the worker side (a
@@ -66,7 +63,6 @@ type Server struct {
 	stopSeen map[string]bool // workers that have received a Stop lease
 	status   dispatch.Status
 	hasState bool
-	ctrl     *dispatch.Controller
 }
 
 // NewServer returns an HTTP dispatch transport with no workers yet.
@@ -145,16 +141,6 @@ func (s *Server) PublishStatus(st dispatch.Status) {
 	s.mu.Unlock()
 }
 
-// AttachControl connects the coordinator's supervisor controller, which
-// enables POST /v1/drain: operators (or an out-of-process supervisor)
-// can ask for a worker to be drained over the same API the fleet
-// speaks.
-func (s *Server) AttachControl(c *dispatch.Controller) {
-	s.mu.Lock()
-	s.ctrl = c
-	s.mu.Unlock()
-}
-
 // DrainStops waits up to timeout for every worker the server has heard
 // from to observe a Stop lease, so a coordinator process can linger
 // just long enough for its fleet to exit cleanly before closing the
@@ -187,25 +173,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/msg", s.handleMsg)
 	mux.HandleFunc("GET /v1/lease", s.handleLease)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
-	mux.HandleFunc("POST /v1/drain", s.handleDrain)
 	return mux
-}
-
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	worker := r.URL.Query().Get("worker")
-	if worker == "" {
-		http.Error(w, "missing worker", http.StatusBadRequest)
-		return
-	}
-	s.mu.Lock()
-	ctrl := s.ctrl
-	s.mu.Unlock()
-	if ctrl == nil {
-		http.Error(w, "no supervisor controller attached to this coordinator", http.StatusNotImplemented)
-		return
-	}
-	ctrl.Drain(worker)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleMsg(w http.ResponseWriter, r *http.Request) {

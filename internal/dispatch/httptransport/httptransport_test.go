@@ -1,7 +1,6 @@
 package httptransport_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,7 +15,6 @@ import (
 
 	"exegpt/internal/dispatch"
 	"exegpt/internal/dispatch/httptransport"
-	"exegpt/internal/dispatch/journal"
 	"exegpt/internal/dispatch/transporttest"
 	"exegpt/internal/distsweep"
 	"exegpt/internal/experiments"
@@ -451,142 +449,6 @@ func TestStatusUnderChurn(t *testing.T) {
 	for _, want := range []string{"kernel panic", "CUDA out of memory"} {
 		if !strings.Contains(crasherWS.LastError, want) {
 			t.Errorf("exclusion reason missing %q: %q", want, crasherWS.LastError)
-		}
-	}
-}
-
-// TestStatusSurvivesJournalReplay: a worker excluded (with its stderr
-// tail) before the coordinator dies must still appear excluded — with
-// the same reason — on the restarted coordinator's status endpoint,
-// because the exclusion was journaled, not just held in memory.
-func TestStatusSurvivesJournalReplay(t *testing.T) {
-	const fp, n = "fp-http-replay", 4
-	dir := t.TempDir()
-	j, err := journal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.WriteHeader(journal.Header{Fingerprint: fp, Cells: n}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Phase 1: a failing worker earns its exclusion, an honest worker
-	// finishes the grid, everything lands in the journal.
-	srv1, hs1 := newTestCoord(t)
-	cfg1 := dispatch.Config{
-		Fingerprint: fp, Cells: n,
-		Options: dispatch.Options{
-			LeaseTimeout:   250 * time.Millisecond,
-			CellRetries:    50,
-			WorkerFailures: 1,
-			Idle:           30 * time.Second,
-		},
-		StderrTail: func(w string) string {
-			if w == "bad" {
-				return "CUDA out of memory on device 0\n"
-			}
-			return ""
-		},
-		Journal: j,
-	}
-	res1 := make(chan error, 1)
-	go func() {
-		_, err := dispatch.Run(srv1, cfg1)
-		res1 <- err
-	}()
-	bad := &dispatch.Worker{
-		ID: "bad", Fingerprint: fp, Cells: n,
-		Heartbeat: 30 * time.Millisecond,
-		Poll:      10 * time.Millisecond,
-		Idle:      30 * time.Second,
-		Eval: func(c int) (experiments.CellResult, error) {
-			return experiments.CellResult{}, fmt.Errorf("kernel panic on cell %d", c)
-		},
-	}
-	go bad.Run(dialWorker(t, hs1.URL, "bad"))
-	// Wait for the exclusion to be journaled before letting the honest
-	// worker race the grid to completion.
-	deadline := time.Now().Add(10 * time.Second)
-	for len(j.Exclusions()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("failing worker never excluded")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	good := &dispatch.Worker{
-		ID: "good", Fingerprint: fp, Cells: n,
-		Heartbeat: 30 * time.Millisecond,
-		Poll:      10 * time.Millisecond,
-		Idle:      30 * time.Second,
-		Eval:      func(c int) (experiments.CellResult, error) { return fakeCell(c), nil },
-	}
-	go good.Run(dialWorker(t, hs1.URL, "good"))
-	if err := <-res1; err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	// Phase 2: replay onto a fresh coordinator — the restart after a
-	// crash. All cells are recovered, so the run completes without a
-	// single worker, and the status endpoint still explains the
-	// exclusion.
-	j2, err := journal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if len(j2.Cells()) != n || len(j2.Exclusions()) != 1 {
-		t.Fatalf("journal recovered %d cells and %d exclusions, want %d and 1",
-			len(j2.Cells()), len(j2.Exclusions()), n)
-	}
-	srv2, hs2 := newTestCoord(t)
-	m, err := dispatch.Run(srv2, dispatch.Config{
-		Fingerprint: fp, Cells: n,
-		Options:    dispatch.Options{LeaseTimeout: time.Minute, Idle: 20 * time.Second},
-		Journal:    j2,
-		Completed:  j2.Cells(),
-		Exclusions: j2.Exclusions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	envs := make([]*distsweep.CellEnvelope, n)
-	for i := 0; i < n; i++ {
-		envs[i] = distsweep.NewCellEnvelope(fp, n, fakeCell(i))
-	}
-	want, err := distsweep.MergeCells(envs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes, err := want.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotBytes, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotBytes, wantBytes) {
-		t.Fatal("replayed merge not byte-identical to the direct fold")
-	}
-
-	st := getStatus(t, hs2.URL)
-	if !st.Finished || st.Done != n {
-		t.Fatalf("replayed status: finished %v done %d, want true and %d", st.Finished, st.Done, n)
-	}
-	var badWS *dispatch.WorkerStatus
-	for i := range st.Workers {
-		if st.Workers[i].Worker == "bad" {
-			badWS = &st.Workers[i]
-		}
-	}
-	if badWS == nil || !badWS.Excluded {
-		t.Fatalf("journaled exclusion lost across restart: %+v", st.Workers)
-	}
-	for _, want := range []string{"kernel panic", "CUDA out of memory"} {
-		if !strings.Contains(badWS.LastError, want) {
-			t.Errorf("replayed exclusion reason missing %q: %q", want, badWS.LastError)
 		}
 	}
 }

@@ -20,9 +20,6 @@
 // into one core.Frontier per (model, cluster, GPUs, policy group) —
 // the cross-task latency→throughput envelope of that deployment —
 // which is well-defined because Frontier.Merge is order-independent.
-//
-// Fleet (fleet.go) starts and tracks the worker processes of a
-// distributed sweep.
 package distsweep
 
 import (

@@ -7,21 +7,32 @@
 // loop revisits the same rounded micro-batch sizes over and over. An
 // Evaluator exploits that by memoizing every schedule-invariant
 // intermediate — completion distributions by ND, RRA allocations by TP,
-// WAA probes/splits/allocations by (policy, TP), and per-(stage, batch)
-// pipeline stage times — and by reusing scratch buffers so the steady
-// state of a search performs zero allocations per probe.
+// WAA probes/splits/allocations by (policy, TP) — and the composite
+// phase times derived from each allocation, held per allocation entry:
+// RRA decode-iteration periods in a dense slice indexed by micro-batch
+// size, the other composites in small int-keyed maps.
+//
+// Stage times themselves are not memoized. When an allocation entry is
+// built, its stages are deduped into stage shapes: the inputs of one
+// stage-time computation (layer count, TP degree, CrossNode, and the
+// pipeline link class). A composite miss computes one stage time per
+// distinct shape and fans it back out in stage order into a reused
+// scratch buffer, so the pipeline sums add the same terms in the same
+// order as the reference path. The steady state of a search performs
+// zero allocations per probe.
 //
 // An Evaluator is NOT safe for concurrent use: it is per-goroutine
 // state over a shared, read-only Simulator. The scheduler keeps one per
 // worker (par.ForEachWorker); experiments and the CLI create one per
 // Deployment. Results are bit-identical to Simulator.Estimate, the
-// reference path — asserted by the golden and equivalence tests.
+// reference path — asserted by the golden, equivalence and fuzz tests.
 package core
 
 import (
 	"fmt"
 	"math"
 
+	"exegpt/internal/profile"
 	"exegpt/internal/sched"
 	"exegpt/internal/seqdist"
 )
@@ -35,19 +46,75 @@ type compEntry struct {
 	err    error
 }
 
-// allocEntry memoizes one allocation attempt plus the per-stage weight
-// bytes (schedule-invariant given the allocation) and the composite
-// phase times the RRA estimate derives from it: once an allocation is
-// fixed, the encoding phase depends only on the micro-batch token count
-// and a decode iteration only on the rounded micro-batch size, so both
-// collapse to int-keyed lookups.
+// shapeKey is everything encStageTime or decStageTime reads from a
+// stage: the layer count of its phase, its TP degree and collective
+// link, and the link class to the next stage (the only way FirstRank
+// enters).
+type shapeKey struct {
+	layers, tp int
+	crossNode  bool
+	pp         profile.LinkClass
+}
+
+// stageShapes is one stage list deduped by shapeKey for one phase
+// (encode when enc is set, else decode). reps holds the first stage of
+// each distinct shape in order of first appearance; of maps every
+// stage, in stage order, to its shape index.
+type stageShapes struct {
+	enc  bool
+	reps []sched.Stage
+	of   []int
+}
+
+// newStageShapes dedupes stages by their encode (enc) or decode shape.
+// Stage lists are a few dozen entries at most, so a linear scan over
+// the shapes seen so far beats hashing.
+func newStageShapes(s *Simulator, stages []sched.Stage, enc bool) stageShapes {
+	sh := stageShapes{enc: enc, of: make([]int, len(stages))}
+	var buf [64]shapeKey
+	keys := buf[:0]
+	for i, st := range stages {
+		k := shapeKey{layers: st.DecLayers, tp: st.TP, crossNode: st.CrossNode, pp: s.ppClass(st)}
+		if enc {
+			k.layers = st.EncLayers
+		}
+		idx := len(keys)
+		for j, seen := range keys {
+			if seen == k {
+				idx = j
+				break
+			}
+		}
+		if idx == len(keys) {
+			keys = append(keys, k)
+			sh.reps = append(sh.reps, st)
+		}
+		sh.of[i] = idx
+	}
+	return sh
+}
+
+// maxDenseMicro caps the dense micro-batch-indexed memo: a larger
+// micro-batch (far beyond any search ladder) is computed but not
+// memoized, so one pathological config cannot grow an entry's slice
+// without bound.
+const maxDenseMicro = 1 << 16
+
+// allocEntry memoizes one RRA allocation attempt plus the per-stage
+// weight bytes, the stage shapes of both phases, and the composite
+// phase times derived from them: once an allocation is fixed, the
+// encoding phase depends only on the micro-batch token count and a
+// decode iteration only on the rounded micro-batch size.
 type allocEntry struct {
-	alloc   sched.Allocation
-	weights []int64 // WeightBytesPerGPU per stage, aligned with Stages
-	err     error
+	alloc    sched.Allocation
+	weights  []int64 // WeightBytesPerGPU per stage, aligned with Stages
+	enc, dec stageShapes
+	err      error
 
 	encPhaseByTokens map[int]float64 // pipelinePeriod of the encoding phase by microTokens
-	iterByMicro      map[int]float64 // decode-iteration period by micro-batch size
+	// iterByMicro is the decode-iteration period indexed by micro-batch
+	// size; NaN marks a slot not yet computed.
+	iterByMicro []float64
 }
 
 // waaEnc is the encoder-side composite for one encTokens value.
@@ -56,29 +123,29 @@ type waaEnc struct {
 	peak              int64
 }
 
-// waaDecKey/waaDec memoize the decoder-side composite: the iteration
-// period and traversal depend only on (micro, clamped Bm) once the
-// allocation is fixed.
-type waaDecKey struct {
-	micro, bm int
-}
-
+// waaDec is the decoder-side composite for one micro-batch size: the
+// traversal (sum of stage times) and the slowest stage. The iteration
+// period for any clamped Bm follows from the two by periodOf, so Bm
+// needs no slot of its own.
 type waaDec struct {
-	iter, traversal float64
+	traversal, slowest float64
 }
 
 // waaEntry memoizes one WAA split+allocation attempt for a (policy, TP)
-// pair, including the pre-split stage views, per-side weights, and the
-// composite pipeline times derived from them.
+// pair, including the pre-split stage views, per-side weights and stage
+// shapes, and the composite pipeline times derived from them.
 type waaEntry struct {
 	alloc                sched.Allocation
 	encStages, decStages []sched.Stage
 	encWeights           []int64
 	decWeights           []int64
+	enc, dec             stageShapes
 	err                  error
 
+	// Both keys are sparse counts (prompt tokens, and BE·mean output
+	// length over Bm), so they stay maps.
 	encByTokens map[int]waaEnc
-	decByKey    map[waaDecKey]waaDec
+	decByMicro  map[int]waaDec
 }
 
 // waaKey identifies a WAA allocation: the CE/CD probe and memory
@@ -87,16 +154,6 @@ type waaEntry struct {
 type waaKey struct {
 	policy sched.Policy
 	tp     sched.TPSpec
-}
-
-// stageTimeKey addresses one memoized pipeline stage time. Stage is a
-// small comparable struct, so the key doubles as the full lookup
-// context: batch is the micro-batch token count (encode) or query count
-// (decode); the attention context and mean sequence length are fixed
-// per Simulator.
-type stageTimeKey struct {
-	st    sched.Stage
-	batch int
 }
 
 // Evaluator is a per-goroutine evaluation context over one shared
@@ -125,34 +182,21 @@ type Evaluator struct {
 	// calls just flushes est.
 	pctl float64
 
-	encMemo map[stageTimeKey]float64
-	decMemo map[stageTimeKey]float64
-
-	// lastEnc/lastDec are size-1 caches in front of the memo maps: the
-	// decode loop and the block-corner probes repeat the immediately
-	// preceding lookup far more often than any other, and a struct
-	// compare is cheaper than a map probe.
-	lastEnc, lastDec struct {
-		key stageTimeKey
-		val float64
-		ok  bool
-	}
-
-	encTimes, decTimes []float64 // scratch stage-time buffers
+	// Scratch buffers: one time per distinct shape, then the same times
+	// fanned out per stage.
+	perShape, perStage []float64
 }
 
 // NewEvaluator returns an empty evaluation context for sim. The memos
 // fill lazily; constructing an Evaluator is cheap.
 func NewEvaluator(sim *Simulator) *Evaluator {
 	return &Evaluator{
-		sim:     sim,
-		comp:    map[int]*compEntry{},
-		rra:     map[sched.TPSpec]*allocEntry{},
-		waa:     map[waaKey]*waaEntry{},
-		est:     map[sched.Config]Estimate{},
-		encMemo: map[stageTimeKey]float64{},
-		decMemo: map[stageTimeKey]float64{},
-		pctl:    sim.LatencyPctl,
+		sim:  sim,
+		comp: map[int]*compEntry{},
+		rra:  map[sched.TPSpec]*allocEntry{},
+		waa:  map[waaKey]*waaEntry{},
+		est:  map[sched.Config]Estimate{},
+		pctl: sim.LatencyPctl,
 	}
 }
 
@@ -215,8 +259,9 @@ func (e *Evaluator) rraAlloc(tp sched.TPSpec) *allocEntry {
 	ae.alloc, ae.err = sched.AllocateRRA(e.sim.Model, e.sim.Cluster, tp)
 	if ae.err == nil {
 		ae.weights = stageWeights(e.sim, ae.alloc.Stages)
+		ae.enc = newStageShapes(e.sim, ae.alloc.Stages, true)
+		ae.dec = newStageShapes(e.sim, ae.alloc.Stages, false)
 		ae.encPhaseByTokens = map[int]float64{}
-		ae.iterByMicro = map[int]float64{}
 	}
 	e.rra[tp] = ae
 	return ae
@@ -228,15 +273,11 @@ func (e *Evaluator) rraEncPhase(ae *allocEntry, microTokens int) (float64, error
 	if v, ok := ae.encPhaseByTokens[microTokens]; ok {
 		return v, nil
 	}
-	encTimes := scratch(&e.encTimes, len(ae.alloc.Stages))
-	for i, st := range ae.alloc.Stages {
-		t, err := e.encStage(st, microTokens)
-		if err != nil {
-			return 0, err
-		}
-		encTimes[i] = t
+	times, err := e.stageTimes(&ae.enc, microTokens)
+	if err != nil {
+		return 0, err
 	}
-	v := pipelinePeriod(encTimes, rraMicroBatches)
+	v := pipelinePeriod(times, rraMicroBatches)
 	ae.encPhaseByTokens[microTokens] = v
 	return v, nil
 }
@@ -244,20 +285,32 @@ func (e *Evaluator) rraEncPhase(ae *allocEntry, microTokens int) (float64, error
 // rraDecIter returns the memoized RRA decode-iteration period for one
 // rounded micro-batch size.
 func (e *Evaluator) rraDecIter(ae *allocEntry, micro int) (float64, error) {
-	if v, ok := ae.iterByMicro[micro]; ok {
-		return v, nil
+	if micro < len(ae.iterByMicro) && !math.IsNaN(ae.iterByMicro[micro]) {
+		return ae.iterByMicro[micro], nil
 	}
-	decTimes := scratch(&e.decTimes, len(ae.alloc.Stages))
-	for i, st := range ae.alloc.Stages {
-		t, err := e.decStage(st, micro)
-		if err != nil {
-			return 0, err
+	times, err := e.stageTimes(&ae.dec, micro)
+	if err != nil {
+		return 0, err
+	}
+	v := pipelinePeriod(times, rraMicroBatches)
+	if micro < maxDenseMicro {
+		if micro >= len(ae.iterByMicro) {
+			ae.iterByMicro = growNaN(ae.iterByMicro, max(micro+1, 2*len(ae.iterByMicro)))
 		}
-		decTimes[i] = t
+		ae.iterByMicro[micro] = v
 	}
-	v := pipelinePeriod(decTimes, rraMicroBatches)
-	ae.iterByMicro[micro] = v
 	return v, nil
+}
+
+// growNaN returns s extended to n slots, the new ones NaN (unset), in
+// one allocation.
+func growNaN(s []float64, n int) []float64 {
+	grown := make([]float64, n)
+	copy(grown, s)
+	for i := len(s); i < n; i++ {
+		grown[i] = math.NaN()
+	}
+	return grown
 }
 
 func stageWeights(s *Simulator, stages []sched.Stage) []int64 {
@@ -299,8 +352,10 @@ func (e *Evaluator) waaAlloc(policy sched.Policy, tp sched.TPSpec, p waaProbe) *
 		we.decStages = we.alloc.DecStages()
 		we.encWeights = stageWeights(s, we.encStages)
 		we.decWeights = stageWeights(s, we.decStages)
+		we.enc = newStageShapes(s, we.encStages, true)
+		we.dec = newStageShapes(s, we.decStages, false)
 		we.encByTokens = map[int]waaEnc{}
-		we.decByKey = map[waaDecKey]waaDec{}
+		we.decByMicro = map[int]waaDec{}
 	}
 	e.waa[k] = we
 	return we
@@ -313,21 +368,11 @@ func (e *Evaluator) waaEncSide(we *waaEntry, encTokens int) (waaEnc, error) {
 		return v, nil
 	}
 	s := e.sim
-	encTimes := scratch(&e.encTimes, len(we.encStages))
-	for i, st := range we.encStages {
-		t, err := e.encStage(st, encTokens)
-		if err != nil {
-			return waaEnc{}, err
-		}
-		encTimes[i] = t
+	times, err := e.stageTimes(&we.enc, encTokens)
+	if err != nil {
+		return waaEnc{}, err
 	}
-	var v waaEnc
-	v.traversal = traversal(encTimes)
-	for _, t := range encTimes {
-		if t > v.period {
-			v.period = t
-		}
-	}
+	v := waaEnc{traversal: traversal(times), period: slowest(times)}
 	for i, st := range we.encStages {
 		mem := we.encWeights[i] +
 			int64(2*encTokens)*s.Model.KVBytesPerTokenLayer()*int64(max(st.EncLayers, 1))
@@ -339,64 +384,56 @@ func (e *Evaluator) waaEncSide(we *waaEntry, encTokens int) (waaEnc, error) {
 	return v, nil
 }
 
-// waaDecSide returns the memoized decoder-side composite (iteration
-// period, traversal) for one (micro, clamped Bm) pair.
-func (e *Evaluator) waaDecSide(we *waaEntry, micro, bm int) (waaDec, error) {
-	k := waaDecKey{micro: micro, bm: bm}
-	if v, ok := we.decByKey[k]; ok {
+// waaDecSide returns the memoized decoder-side composite for one
+// micro-batch size.
+func (e *Evaluator) waaDecSide(we *waaEntry, micro int) (waaDec, error) {
+	if v, ok := we.decByMicro[micro]; ok {
 		return v, nil
 	}
-	decTimes := scratch(&e.decTimes, len(we.decStages))
-	for i, st := range we.decStages {
-		t, err := e.decStage(st, micro)
-		if err != nil {
-			return waaDec{}, err
-		}
-		decTimes[i] = t
+	times, err := e.stageTimes(&we.dec, micro)
+	if err != nil {
+		return waaDec{}, err
 	}
-	v := waaDec{iter: pipelinePeriod(decTimes, bm), traversal: traversal(decTimes)}
-	we.decByKey[k] = v
+	v := waaDec{traversal: traversal(times), slowest: slowest(times)}
+	we.decByMicro[micro] = v
 	return v, nil
 }
 
-// encStage returns the memoized encode stage time (per-Simulator mean
-// sequence length).
-func (e *Evaluator) encStage(st sched.Stage, totalTokens int) (float64, error) {
-	k := stageTimeKey{st: st, batch: totalTokens}
-	if e.lastEnc.ok && e.lastEnc.key == k {
-		return e.lastEnc.val, nil
-	}
-	v, ok := e.encMemo[k]
-	if !ok {
+// stageTimes returns the time of every stage of sh for one batch:
+// prompt tokens when encoding (per-Simulator mean sequence length),
+// queries when decoding (per-Simulator mean attention context). It
+// computes one time per distinct shape and fans them out in stage
+// order.
+func (e *Evaluator) stageTimes(sh *stageShapes, batch int) ([]float64, error) {
+	per := scratch(&e.perShape, len(sh.reps))
+	for i, st := range sh.reps {
 		var err error
-		v, err = e.sim.encStageTime(st, totalTokens, e.sim.inMean)
-		if err != nil {
-			return 0, err
+		if sh.enc {
+			per[i], err = e.sim.encStageTime(st, batch, e.sim.inMean)
+		} else {
+			per[i], err = e.sim.decStageTime(st, batch, e.sim.ctxMean)
 		}
-		e.encMemo[k] = v
+		if err != nil {
+			return nil, err
+		}
 	}
-	e.lastEnc.key, e.lastEnc.val, e.lastEnc.ok = k, v, true
-	return v, nil
+	times := scratch(&e.perStage, len(sh.of))
+	for i, k := range sh.of {
+		times[i] = per[k]
+	}
+	return times, nil
 }
 
-// decStage returns the memoized decode stage time (per-Simulator mean
-// attention context).
-func (e *Evaluator) decStage(st sched.Stage, batch int) (float64, error) {
-	k := stageTimeKey{st: st, batch: batch}
-	if e.lastDec.ok && e.lastDec.key == k {
-		return e.lastDec.val, nil
-	}
-	v, ok := e.decMemo[k]
-	if !ok {
-		var err error
-		v, err = e.sim.decStageTime(st, batch, e.sim.ctxMean)
-		if err != nil {
-			return 0, err
+// slowest returns the largest stage time (0 for none), the pipelined
+// period of a side that admits a new batch every slowest stage.
+func slowest(times []float64) float64 {
+	var m float64
+	for _, t := range times {
+		if t > m {
+			m = t
 		}
-		e.decMemo[k] = v
 	}
-	e.lastDec.key, e.lastDec.val, e.lastDec.ok = k, v, true
-	return v, nil
+	return m
 }
 
 // scratch resizes buf to n without reallocating when capacity allows.
@@ -503,8 +540,8 @@ func (e *Evaluator) estimateRRA(cfg sched.Config) (Estimate, error) {
 }
 
 // estimateWAA is Simulator.estimateWAA with the CE/CD probe, split and
-// allocation memoized by (policy, TP) and the stage-time loops running
-// over reused buffers and the per-(stage, batch) memo.
+// allocation memoized by (policy, TP) and the encoder and decoder
+// composites memoized per allocation entry.
 func (e *Evaluator) estimateWAA(cfg sched.Config) (Estimate, error) {
 	s := e.sim
 	be := cfg.BE
@@ -541,15 +578,16 @@ func (e *Evaluator) estimateWAA(cfg sched.Config) (Estimate, error) {
 	if micro < 1 {
 		micro = 1
 	}
-	dec, err := e.waaDecSide(we, micro, bm)
+	dec, err := e.waaDecSide(we, micro)
 	if err != nil {
 		return Estimate{}, err
 	}
+	decIter := periodOf(dec.traversal, dec.slowest, bm)
 
 	// Steady-state period: the slower side gates; the staged KV
 	// handover binds only if slower than both.
 	kvXfer := s.Profile.KVTransfer(encTokens)
-	period := math.Max(dec.iter, enc.period)
+	period := math.Max(decIter, enc.period)
 	period = math.Max(period, kvXfer)
 
 	// Memory feasibility per side.
@@ -576,7 +614,7 @@ func (e *Evaluator) estimateWAA(cfg sched.Config) (Estimate, error) {
 	return Estimate{
 		Config: cfg, Alloc: alloc, Feasible: true,
 		Throughput: tput, Latency: latency,
-		EncTime: enc.traversal, DecIterTime: dec.iter, CycleTime: period,
+		EncTime: enc.traversal, DecIterTime: decIter, CycleTime: period,
 		PeakEncMem: peakEnc, PeakDecMem: peakDec,
 	}, nil
 }

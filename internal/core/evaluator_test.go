@@ -52,16 +52,32 @@ func (g goldenCase) config() sched.Config {
 	}
 }
 
+// goldenDeployment is one deployment and task of the golden dump,
+// under the dump's label.
+type goldenDeployment struct {
+	label   string
+	model   model.Model
+	gpus    int
+	cluster hw.Cluster
+	task    workload.Task
+}
+
+var goldenDeployments = []goldenDeployment{
+	{"OPT-13B/4xA40/S", model.OPT13B, 4, hw.A40Cluster, workload.Summarization},
+	{"GPT3-39B/16xA40/T", model.GPT339B, 16, hw.A40Cluster, workload.Translation},
+	{"T5-11B/8xA40/G", model.T511B, 8, hw.A40Cluster, workload.CodeGeneration},
+	{"GPT3-175B/16xA100/C1", model.GPT3175B, 16, hw.A100Cluster, workload.ConvQA1},
+}
+
 // goldenSims builds the simulators the golden dump used, keyed by its
 // deployment labels.
 func goldenSims(t testing.TB) map[string]*Simulator {
 	t.Helper()
-	return map[string]*Simulator{
-		"OPT-13B/4xA40/S":      newSim(t, model.OPT13B, 4, hw.A40Cluster, workload.Summarization),
-		"GPT3-39B/16xA40/T":    newSim(t, model.GPT339B, 16, hw.A40Cluster, workload.Translation),
-		"T5-11B/8xA40/G":       newSim(t, model.T511B, 8, hw.A40Cluster, workload.CodeGeneration),
-		"GPT3-175B/16xA100/C1": newSim(t, model.GPT3175B, 16, hw.A100Cluster, workload.ConvQA1),
+	sims := map[string]*Simulator{}
+	for _, g := range goldenDeployments {
+		sims[g.label] = newSim(t, g.model, g.gpus, g.cluster, g.task)
 	}
+	return sims
 }
 
 func loadGolden(t testing.TB) []goldenCase {
@@ -294,6 +310,146 @@ func TestEvaluatorsShareSimulatorRace(t *testing.T) {
 	for g, err := range errs {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
+		}
+	}
+}
+
+// checkShapes asserts that sh dedupes stages exactly by the stage-time
+// inputs: two stages share a shape iff they agree on layer count, TP,
+// CrossNode and pipeline link class. It returns the shape count.
+func checkShapes(t *testing.T, sim *Simulator, name string, stages []sched.Stage, sh stageShapes, enc bool) int {
+	t.Helper()
+	if len(sh.of) != len(stages) {
+		t.Fatalf("%s: %d shape indices for %d stages", name, len(sh.of), len(stages))
+	}
+	key := func(st sched.Stage) [4]int {
+		layers := st.DecLayers
+		if enc {
+			layers = st.EncLayers
+		}
+		cross := 0
+		if st.CrossNode {
+			cross = 1
+		}
+		return [4]int{layers, st.TP, cross, int(sim.ppClass(st))}
+	}
+	for i, a := range stages {
+		if rep := sh.reps[sh.of[i]]; key(rep) != key(a) {
+			t.Fatalf("%s: stage %d %+v mapped to shape of %+v", name, i, a, rep)
+		}
+		for j, b := range stages {
+			if same := sh.of[i] == sh.of[j]; same != (key(a) == key(b)) {
+				t.Fatalf("%s: stages %d %+v and %d %+v share shape = %v", name, i, a, j, b, same)
+			}
+		}
+	}
+	return len(sh.reps)
+}
+
+// TestStageShapesAcrossNodeBoundary: on GPT3-39B/16xA40 (two 8-GPU
+// nodes) the RRA stages at the node boundary and at the wrap-around
+// differ from their neighbours only in the pipeline link class, and the
+// WAA-C TP 4x8 decode pool has a TP group spanning both nodes beside
+// one that does not. Each such stage needs a shape of its own, and the
+// estimates must stay bit-identical to the reference path.
+func TestStageShapesAcrossNodeBoundary(t *testing.T) {
+	sim := newSim(t, model.GPT339B, 16, hw.A40Cluster, workload.Translation)
+	ev := NewEvaluator(sim)
+
+	ae := ev.rraAlloc(sched.TPSpec{Degree: 1})
+	if ae.err != nil {
+		t.Fatal(ae.err)
+	}
+	stages := ae.alloc.Stages
+	if n := checkShapes(t, sim, "RRA dec", stages, ae.dec, false); n != 2 {
+		t.Fatalf("RRA decode shapes = %d, want 2 (intra- and inter-node handover)", n)
+	}
+	checkShapes(t, sim, "RRA enc", stages, ae.enc, true)
+	if stages[6].DecLayers != stages[7].DecLayers || ae.dec.of[6] == ae.dec.of[7] || ae.dec.of[7] != ae.dec.of[15] {
+		t.Fatalf("RRA: stages 7 and 15 hand over across nodes and need their own shape: %v", ae.dec.of)
+	}
+
+	p, err := ev.waaCostProbe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waaTP := sched.TPSpec{Degree: 4, GPUs: 8}
+	we := ev.waaAlloc(sched.WAAC, waaTP, p)
+	if we.err != nil {
+		t.Fatal(we.err)
+	}
+	checkShapes(t, sim, "WAA enc", we.encStages, we.enc, true)
+	if n := checkShapes(t, sim, "WAA dec", we.decStages, we.dec, false); n != len(we.decStages) {
+		t.Fatalf("WAA decode shapes = %d, want one per stage (%d)", n, len(we.decStages))
+	}
+	var cross, local int = -1, -1
+	for i, st := range we.decStages {
+		if st.TP == 4 && st.CrossNode {
+			cross = i
+		} else if st.TP == 4 {
+			local = i
+		}
+	}
+	if cross < 0 || local < 0 || we.decStages[cross].DecLayers != we.decStages[local].DecLayers {
+		t.Fatalf("WAA decode pool lacks a cross-node/intra-node pair of equal TP groups: %+v", we.decStages)
+	}
+
+	for _, cfg := range []sched.Config{
+		{Policy: sched.RRA, BD: 512, BE: 1, ND: 24, TP: sched.TPSpec{Degree: 1}},
+		{Policy: sched.RRA, BD: 64, BE: 1, ND: 4, TP: sched.TPSpec{Degree: 1}},
+		{Policy: sched.WAAC, BE: 1, BD: 1, Bm: 3, TP: waaTP},
+		{Policy: sched.WAAC, BE: 1, BD: 1, Bm: 1, TP: waaTP},
+	} {
+		ref, err := sim.Estimate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ev.Estimate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ref.Feasible || !reflect.DeepEqual(got, ref) {
+			t.Fatalf("%+v: evaluator %+v, reference %+v", cfg, got, ref)
+		}
+	}
+}
+
+// TestEvaluatorWarmEstimateAllocs pins the zero-allocation steady
+// state: once a fixed set of RRA and WAA configs has been estimated,
+// estimating them again allocates nothing, both through the whole-result
+// memo and with it bypassed (allocation entries and composites only).
+func TestEvaluatorWarmEstimateAllocs(t *testing.T) {
+	sim := newSim(t, model.GPT339B, 16, hw.A40Cluster, workload.Translation)
+	cfgs := []sched.Config{
+		{Policy: sched.RRA, BD: 64, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 1}},
+		{Policy: sched.RRA, BD: 512, BE: 1, ND: 32, TP: sched.TPSpec{Degree: 2, GPUs: 8}},
+		{Policy: sched.WAAC, BE: 2, BD: 1, Bm: 2, TP: sched.TPSpec{Degree: 1}},
+		{Policy: sched.WAAM, BE: 3, BD: 1, Bm: 4, TP: sched.TPSpec{Degree: 2, GPUs: 4}},
+		{Policy: sched.WAAC, BE: 1, BD: 1, Bm: 3, TP: sched.TPSpec{Degree: 4, GPUs: 8}},
+	}
+	ev := NewEvaluator(sim)
+	for _, cfg := range cfgs {
+		est, err := ev.Estimate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !est.Feasible {
+			t.Fatalf("%+v infeasible (%s); the guard needs feasible configs", cfg, est.Reason)
+		}
+	}
+	for _, path := range []struct {
+		name string
+		est  func(sched.Config) (Estimate, error)
+	}{{"Estimate", ev.Estimate}, {"estimate (no result memo)", ev.estimate}} {
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, cfg := range cfgs {
+				if _, err := path.est(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %v allocations re-estimating %d warm configs, want 0", path.name, allocs, len(cfgs))
 		}
 	}
 }

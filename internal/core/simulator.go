@@ -172,15 +172,21 @@ func (s *Simulator) decStageTime(st sched.Stage, batch int, ctx float64) (float6
 // traversal (Figure 4(b)); more micro-batches overlap stages
 // (Figure 4(c)) at the cost of per-micro-batch efficiency.
 func pipelinePeriod(stageTimes []float64, m int) float64 {
-	if m < 1 {
-		m = 1
-	}
 	var sum, max float64
 	for _, t := range stageTimes {
 		sum += t
 		if t > max {
 			max = t
 		}
+	}
+	return periodOf(sum, max, m)
+}
+
+// periodOf is pipelinePeriod given the stage times' sum (the traversal)
+// and maximum.
+func periodOf(sum, max float64, m int) float64 {
+	if m < 1 {
+		m = 1
 	}
 	if p := float64(m) * max; p > sum {
 		return p

@@ -49,11 +49,19 @@ func TestStatusExplainsExclusion(t *testing.T) {
 	res := startCoord(sh, cfg)
 
 	bad := fastWorker("bad", fp, n)
+	leased := make(chan struct{})
+	var once sync.Once
 	bad.Eval = func(c int) (experiments.CellResult, error) {
+		once.Do(func() { close(leased) })
 		return experiments.CellResult{}, &testErr{"kernel panic"}
 	}
 	go bad.Run(sh.Worker("bad"))
-	go fastWorker("good", fp, n).Run(sh.Worker("good"))
+	// The good worker starts only once the bad one holds a cell, so it
+	// cannot finish the sweep before the bad worker is seen at all.
+	go func() {
+		<-leased
+		fastWorker("good", fp, n).Run(sh.Worker("good"))
+	}()
 
 	r := <-res
 	if r.err != nil {

@@ -317,14 +317,14 @@ func TestEvaluatorsShareSimulatorRace(t *testing.T) {
 // checkShapes asserts that sh dedupes stages exactly by the stage-time
 // inputs: two stages share a shape iff they agree on layer count, TP,
 // CrossNode and pipeline link class. It returns the shape count.
-func checkShapes(t *testing.T, sim *Simulator, name string, stages []sched.Stage, sh stageShapes, enc bool) int {
+func checkShapes(t *testing.T, sim *Simulator, name string, stages []sched.Stage, sh stageShapes) int {
 	t.Helper()
 	if len(sh.of) != len(stages) {
 		t.Fatalf("%s: %d shape indices for %d stages", name, len(sh.of), len(stages))
 	}
 	key := func(st sched.Stage) [4]int {
 		layers := st.DecLayers
-		if enc {
+		if sh.enc {
 			layers = st.EncLayers
 		}
 		cross := 0
@@ -361,10 +361,10 @@ func TestStageShapesAcrossNodeBoundary(t *testing.T) {
 		t.Fatal(ae.err)
 	}
 	stages := ae.alloc.Stages
-	if n := checkShapes(t, sim, "RRA dec", stages, ae.dec, false); n != 2 {
+	if n := checkShapes(t, sim, "RRA dec", stages, ae.dec); n != 2 {
 		t.Fatalf("RRA decode shapes = %d, want 2 (intra- and inter-node handover)", n)
 	}
-	checkShapes(t, sim, "RRA enc", stages, ae.enc, true)
+	checkShapes(t, sim, "RRA enc", stages, ae.enc)
 	if stages[6].DecLayers != stages[7].DecLayers || ae.dec.of[6] == ae.dec.of[7] || ae.dec.of[7] != ae.dec.of[15] {
 		t.Fatalf("RRA: stages 7 and 15 hand over across nodes and need their own shape: %v", ae.dec.of)
 	}
@@ -378,8 +378,8 @@ func TestStageShapesAcrossNodeBoundary(t *testing.T) {
 	if we.err != nil {
 		t.Fatal(we.err)
 	}
-	checkShapes(t, sim, "WAA enc", we.encStages, we.enc, true)
-	if n := checkShapes(t, sim, "WAA dec", we.decStages, we.dec, false); n != len(we.decStages) {
+	checkShapes(t, sim, "WAA enc", we.encStages, we.enc)
+	if n := checkShapes(t, sim, "WAA dec", we.decStages, we.dec); n != len(we.decStages) {
 		t.Fatalf("WAA decode shapes = %d, want one per stage (%d)", n, len(we.decStages))
 	}
 	var cross, local int = -1, -1

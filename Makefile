@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-report sweep-smoke sweep-golden sweep-dispatch serve-smoke serve-golden policy-conformance clean
+.PHONY: all build test race lint bench bench-report sweep-smoke sweep-golden serve-smoke serve-golden policy-conformance clean
 
 all: build
 
@@ -19,30 +19,6 @@ test:
 # cache), and the work-stealing dispatcher.
 race:
 	$(GO) test -race ./internal/core/... ./internal/runner/... ./internal/experiments/... ./internal/par/... ./internal/distsweep/... ./internal/atomicfile/... ./internal/dispatch/... ./internal/serve/...
-
-# End-to-end dispatched sweep on one box: an HTTP coordinator (`sweep
-# -mode dispatch`) plus two pull workers attaching over TCP, one killed
-# right after launch so its leases requeue (a late-attaching worker
-# takes over). The merged artifact and the printed table must be
-# byte-identical to the single-process sweep's.
-DISPATCH_DIR := .dispatch-demo
-DISPATCH_ADDR := 127.0.0.1:18080
-sweep-dispatch: build
-	rm -rf $(DISPATCH_DIR) && mkdir -p $(DISPATCH_DIR)/profiles
-	./exegpt sweep -quick -models OPT-13B -tasks S,T \
-		-profile-cache $(DISPATCH_DIR)/profiles -json $(DISPATCH_DIR)/single.json > $(DISPATCH_DIR)/single.txt
-	./exegpt sweep -quick -models OPT-13B -tasks S,T -mode dispatch \
-		-profile-cache $(DISPATCH_DIR)/profiles -http $(DISPATCH_ADDR) \
-		-lease-timeout 3s -dispatch-idle 60s -json $(DISPATCH_DIR)/dispatched.json > $(DISPATCH_DIR)/dispatched.txt & \
-	./exegpt sweep -quick -models OPT-13B -tasks S,T \
-		-profile-cache $(DISPATCH_DIR)/profiles -mode pull -connect http://$(DISPATCH_ADDR) -worker-id w1 & \
-	W1=$$!; sleep 0.3; kill -9 $$W1 2>/dev/null; \
-	./exegpt sweep -quick -models OPT-13B -tasks S,T -dispatch-idle 15s \
-		-profile-cache $(DISPATCH_DIR)/profiles -mode pull -connect http://$(DISPATCH_ADDR) -worker-id w2 || true; \
-	wait
-	cmp $(DISPATCH_DIR)/single.json $(DISPATCH_DIR)/dispatched.json
-	diff $(DISPATCH_DIR)/single.txt $(DISPATCH_DIR)/dispatched.txt
-	@echo "dispatched sweep == single-process sweep (byte-identical)"
 
 # Sweep smoke: run a small deterministic sweep (one deployment, two
 # tasks) and require its JSON artifact (rows, schedule-eval count,
@@ -102,4 +78,4 @@ bench-report: build
 
 clean:
 	rm -f exegpt
-	rm -rf $(DISPATCH_DIR) $(SWEEP_DIR) $(SERVE_DIR)
+	rm -rf $(SWEEP_DIR) $(SERVE_DIR)

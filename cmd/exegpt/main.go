@@ -10,10 +10,8 @@
 //	                         arrivals (-arrival, -rate), windowed SLO
 //	                         reporting, adaptive schedule switching gated
 //	                         by -switch-cost; -json writes the artifact
-//	exegpt sweep   [flags]   grid-evaluate deployments x tasks; -mode
-//	                         selects the distribution role: single,
-//	                         dispatch (work-stealing coordinator over
-//	                         HTTP) or pull (worker)
+//	exegpt sweep   [flags]   grid-evaluate deployments x tasks; -json
+//	                         writes the merged artifact
 //	exegpt figures [flags]   regenerate paper figures (6-11)
 //	exegpt tables  [flags]   regenerate paper tables (1-7, cost)
 //	exegpt bench   [flags]   measure the Estimate/FindBest hot paths
@@ -85,10 +83,7 @@ Commands:
             beats the modeled drain + re-shard cost (-switch-cost); same
             seed and flags produce a byte-identical -json artifact
   sweep     grid-evaluate deployments x tasks, parallel across deployments;
-            -mode picks the distribution role: single (default), dispatch
-            (work-stealing coordinator on an -http API) or pull (worker
-            attaching via -connect URL, from any reachable host, at any
-            time)
+            -json writes the merged rows, evals and frontiers
   figures   regenerate the paper's figures (6, 7, 8, 9, 10, 11)
   tables    regenerate the paper's tables (1-7) and the scheduling-cost study
   bench     measure Estimate/s and FindBest wall time, write BENCH_estimate.json

@@ -12,31 +12,14 @@ import (
 	"exegpt/internal/sched"
 )
 
-// cmdSweep grid-evaluates deployments x tasks, parallel across
-// deployments, in one of three modes selected with -mode:
-//
-//	-mode single (default)   one process, print the table
-//	-mode dispatch           work-stealing coordinator serving an HTTP
-//	                         API (-http; default a free loopback port)
-//	                         to the pull workers that attach to it
-//	-mode pull -connect URL  pull worker: lease cells from the
-//	                         coordinator until it says Stop; attachable
-//	                         at any time
-//
-// Workers sharing a -profile-cache directory profile each (model,
-// sub-cluster) once between them. Every mode goes through the same
-// internal/distsweep fold, so a dispatched sweep prints and writes
-// output byte-identical to the single-process one.
+// cmdSweep grid-evaluates deployments x tasks in one process, parallel
+// across deployments, prints the table and optionally writes the merged
+// JSON artifact.
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	newCtx := commonFlags(fs)
 	g := gridFlags(fs)
-	mode := fs.String("mode", "single", "distribution mode: single, dispatch or pull")
 	jsonOut := fs.String("json", "", "write the merged sweep (rows, evals, frontiers) as JSON to this file")
-	httpAddr := fs.String("http", "", "dispatch mode: serve the coordinator's HTTP API on this host:port (default: a free loopback port)")
-	connect := fs.String("connect", "", "pull mode: attach to the coordinator's HTTP API at this URL (e.g. http://gpu1:8080)")
-	workerID := fs.String("worker-id", "", "pull mode: this worker's name in leases and logs (default: host-pid)")
-	d := dispatchFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -49,26 +32,6 @@ func cmdSweep(args []string) error {
 	fp, err := ctx.GridFingerprint(grid)
 	if err != nil {
 		return err
-	}
-	opts, err := d.options()
-	if err != nil {
-		return err
-	}
-	m, err := resolveSweepMode(*mode)
-	if err != nil {
-		return err
-	}
-	if err := validateSweepMode(m, sweepModeFlags{
-		http: *httpAddr, connect: *connect, workerID: *workerID,
-	}); err != nil {
-		return err
-	}
-
-	switch m {
-	case modePull:
-		return runPullWorker(ctx, grid, fp, *connect, *workerID, opts)
-	case modeDispatch:
-		return runDispatch(grid, fp, *httpAddr, opts, *jsonOut)
 	}
 	indices := make([]int, len(grid.Cells()))
 	for i := range indices {
@@ -83,6 +46,45 @@ func cmdSweep(args []string) error {
 		return err
 	}
 	return printMerged(merged, grid, *jsonOut)
+}
+
+// gridFlagSet bundles the grid-selection flags of `sweep`.
+type gridFlagSet struct {
+	models   *string
+	gpus     *string
+	tasks    *string
+	policies *string
+}
+
+func gridFlags(fs *flag.FlagSet) *gridFlagSet {
+	return &gridFlagSet{
+		models:   fs.String("models", "", "comma-separated model names (default: every Table 2 model)"),
+		gpus:     fs.String("gpus", "", "comma-separated cluster sizes overriding Table 2 (e.g. 4,8,16)"),
+		tasks:    fs.String("tasks", "", "comma-separated task IDs (default: S,T,G,C1,C2)"),
+		policies: fs.String("policies", "all", "policy set: rra, waa, disagg or all"),
+	}
+}
+
+// build resolves the flags into a sweep grid.
+func (g *gridFlagSet) build(ctx *experiments.Context) (experiments.SweepGrid, error) {
+	tasks, err := tasksByIDs(*g.tasks)
+	if err != nil {
+		return experiments.SweepGrid{}, err
+	}
+	groups, err := parsePolicies(*g.policies)
+	if err != nil {
+		return experiments.SweepGrid{}, err
+	}
+	deps, err := sweepDeployments(*g.models, *g.gpus)
+	if err != nil {
+		return experiments.SweepGrid{}, err
+	}
+	return experiments.SweepGrid{
+		Deployments: deps,
+		Tasks:       tasks,
+		Policies:    groups,
+		Workers:     ctx.Workers,
+	}, nil
 }
 
 // printMerged prints the sweep header + table and optionally writes the

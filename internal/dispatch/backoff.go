@@ -1,7 +1,6 @@
-// Deterministic exponential backoff with jitter for the worker and HTTP
-// client retry loops. Jitter is drawn from a seeded generator, not the
-// global one, so tests (and the chaos suite) can pin the exact delay
-// schedule a seed produces.
+// Deterministic exponential backoff with jitter for the worker retry
+// loop. Jitter is drawn from a seeded generator, not the global one, so
+// tests can pin the exact delay schedule a seed produces.
 package dispatch
 
 import (
@@ -14,8 +13,8 @@ import (
 // each Next() draws uniformly from [step/2, step] and then doubles the
 // step, up to the cap. The schedule is fully determined by (base, max,
 // seed) — two Backoffs built with equal parameters return equal delay
-// sequences — which is what lets the chaos tests assert on retry
-// timing instead of sleeping and hoping. Not safe for concurrent use.
+// sequences — which is what lets tests assert on retry timing instead
+// of sleeping and hoping. Not safe for concurrent use.
 type Backoff struct {
 	base, max time.Duration
 	step      time.Duration

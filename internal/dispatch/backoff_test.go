@@ -6,8 +6,7 @@ import (
 )
 
 // TestBackoffDeterministic: equal (base, max, seed) must produce equal
-// delay sequences — the property the chaos suite's timing assertions
-// stand on.
+// delay sequences — the property retry-timing assertions stand on.
 func TestBackoffDeterministic(t *testing.T) {
 	a := NewBackoff(50*time.Millisecond, 400*time.Millisecond, 7)
 	b := NewBackoff(50*time.Millisecond, 400*time.Millisecond, 7)

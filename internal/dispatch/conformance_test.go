@@ -8,8 +8,7 @@ import (
 )
 
 // TestHubConformance runs the shared transport conformance suite
-// against the in-process channel hub. The hub passes typed pointers, so
-// the corrupt-frame scenario is skipped.
+// against the in-process channel hub.
 func TestHubConformance(t *testing.T) {
 	transporttest.Run(t, func(t *testing.T) *transporttest.Harness {
 		hub := dispatch.NewHub()

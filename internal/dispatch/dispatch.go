@@ -1,9 +1,8 @@
 // Package dispatch distributes an evaluation sweep by cell-level work
 // stealing: a pull-based coordinator owns the canonical SweepGrid cell
-// list as a lease queue, and workers — local goroutines, forked
-// processes, or processes on other hosts — repeatedly request a batch
-// of cells, evaluate them, and stream back one distsweep.CellEnvelope
-// per cell.
+// list as a lease queue, and workers repeatedly request a batch of
+// cells, evaluate them, and stream back one distsweep.CellEnvelope per
+// cell.
 //
 // The protocol is lease → heartbeat/deadline → result or requeue. A
 // worker that stops heartbeating (crashed, partitioned, or just slow
@@ -18,15 +17,10 @@
 // single-process Sweep.
 //
 // Transports sit behind two small interfaces (Transport on the
-// coordinator side, WorkerTransport on the worker side). Two ship: a
-// JSON-over-HTTP transport (httptransport.NewServer /
-// httptransport.Dial, framed by the versioned wire codec in wire.go)
-// for worker processes attaching to a coordinator over plain TCP — on
-// one box or across hosts, no shared filesystem, workers joinable and
-// killable at any time — and an in-process channel hub (NewHub) for
-// tests and embedded use. The transporttest subpackage is the
-// conformance suite both pass, and the chaostest subpackage reruns it
-// under seed-deterministic fault injection.
+// coordinator side, WorkerTransport on the worker side). One ships: an
+// in-process channel hub (NewHub) for tests and embedded use. The
+// transporttest subpackage is the conformance suite it passes. The
+// package has no CLI caller; `exegpt sweep` folds cells in one process.
 package dispatch
 
 import (
@@ -38,8 +32,8 @@ import (
 	"exegpt/internal/distsweep"
 )
 
-// WireVersion is the dispatch message format version; the wire codec
-// stamps and checks it so mixed-build fleets fail loudly.
+// WireVersion is the dispatch message format version, stamped on every
+// message and lease.
 const WireVersion = 1
 
 // MsgType identifies a worker → coordinator message.
@@ -127,8 +121,9 @@ type WorkerTransport interface {
 }
 
 // Options collects every dispatch tuning knob in one place, threaded
-// identically through the CLI and both transports (hub, HTTP). Zero-valued fields mean the Defaults() value; Validate rejects
-// anything out of range.
+// identically through the coordinator and its workers. Zero-valued
+// fields mean the Defaults() value; Validate rejects anything out of
+// range.
 type Options struct {
 	// LeaseTimeout is how long a lease may go without a heartbeat or a
 	// result before its cells requeue.
@@ -151,9 +146,9 @@ type Options struct {
 	// RetryBase and RetryMax bound the exponential
 	// backoff-with-deterministic-jitter schedule workers use for their
 	// transport retries: the sleep after an empty lease, the window
-	// before re-sending a request whose reply was lost, and (on the
-	// HTTP transport) reconnect attempts. Each retry doubles the delay
-	// from RetryBase up to RetryMax, jittered into [d/2, d].
+	// before re-sending a request whose reply was lost. Each retry
+	// doubles the delay from RetryBase up to RetryMax, jittered into
+	// [d/2, d].
 	RetryBase time.Duration
 	RetryMax  time.Duration
 }
@@ -249,8 +244,7 @@ type Config struct {
 }
 
 // Status is a point-in-time snapshot of a coordinator run, published to
-// transports that implement StatusSink (the HTTP transport serves it on
-// its status endpoint).
+// transports that implement StatusSink.
 type Status struct {
 	// Total, Done and Queued describe the cell queue: grid size, cells
 	// folded so far, and the current queue depth (cells waiting for a

@@ -157,7 +157,7 @@ func TestDispatchWorkerDiesMidLease(t *testing.T) {
 }
 
 // TestDispatchDuplicateResult: a worker that delivers every result
-// twice (e.g. a retried HTTP post) must not break exactly-once
+// twice (e.g. a retried send) must not break exactly-once
 // coverage — the first copy wins and the fold stays byte-identical.
 func TestDispatchDuplicateResult(t *testing.T) {
 	const fp, n = "fp-dup", 4
@@ -420,5 +420,29 @@ func TestDispatchLeaseTimeoutDrivesHeartbeat(t *testing.T) {
 	}
 	if r.m.Cells != n {
 		t.Fatalf("covered %d cells, want %d", r.m.Cells, n)
+	}
+}
+
+// TestOptionsDefaultsValidate: Defaults must validate, zero-valued
+// fields must resolve to defaults, and negatives must be rejected.
+func TestOptionsDefaultsValidate(t *testing.T) {
+	if err := Defaults().Validate(); err != nil {
+		t.Fatalf("Defaults() invalid: %v", err)
+	}
+	resolved := Options{}.withDefaults()
+	d := Defaults()
+	if resolved.LeaseTimeout != d.LeaseTimeout || resolved.LeaseCells != d.LeaseCells ||
+		resolved.CellRetries != d.CellRetries || resolved.WorkerFailures != d.WorkerFailures {
+		t.Fatalf("zero Options resolved to %+v, want defaults %+v", resolved, d)
+	}
+	if resolved.Idle != 0 {
+		t.Fatalf("zero Idle must stay 0 (wait forever), got %v", resolved.Idle)
+	}
+	for _, bad := range []Options{
+		{LeaseTimeout: -1}, {LeaseCells: -2}, {CellRetries: -1}, {WorkerFailures: -3}, {Idle: -1},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Options %+v validated", bad)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // statusHub wraps the in-process hub with a StatusSink, recording the
-// latest published snapshot like the HTTP transport does.
+// latest published snapshot.
 type statusHub struct {
 	*Hub
 	mu   sync.Mutex

@@ -1,10 +1,9 @@
 // Package transporttest is the conformance suite every dispatch
-// transport must pass: the same lease-grant, expiry-requeue,
-// duplicate-result, stop-propagation and corruption-tolerance scenarios
-// run against the in-process hub and the HTTP transport, each pinned to the byte-identical fold the single-process
-// sweep produces. A new transport earns its place by calling Run with a
-// Harness factory; protocol drift then fails here, named by scenario,
-// instead of as a flaky distributed sweep.
+// transport must pass: the lease-grant, expiry-requeue,
+// duplicate-result and stop-propagation scenarios, each pinned to the
+// byte-identical fold the single-process sweep produces. A transport
+// earns its place by calling Run with a Harness factory; protocol drift
+// then fails here, named by scenario, instead of as a flaky sweep.
 package transporttest
 
 import (
@@ -25,28 +24,6 @@ type Harness struct {
 	Coordinator dispatch.Transport
 	// Worker attaches the named worker to the same transport instance.
 	Worker func(t *testing.T, id string) dispatch.WorkerTransport
-	// Corrupt, when non-nil, injects one corrupted frame into the
-	// worker → coordinator path — a truncated POST body — and reports
-	// any injection failure. The coordinator must
-	// reject or discard the frame and carry on. Leave nil for
-	// transports that pass typed values and cannot tear a frame (the
-	// in-process hub); the corruption scenario is then skipped.
-	Corrupt func() error
-	// Tune, when non-nil, adjusts the coordinator options every
-	// scenario runs with. Chaos-wrapped harnesses raise the retry and
-	// failure budgets so injected faults exercise the requeue/dedup
-	// recovery paths instead of tripping the abort paths tested
-	// elsewhere.
-	Tune func(o *dispatch.Options)
-}
-
-// config returns the harness's coordinator settings for one scenario.
-func (h *Harness) config(fp string, n int) dispatch.Config {
-	cfg := config(fp, n)
-	if h.Tune != nil {
-		h.Tune(&cfg.Options)
-	}
-	return cfg
 }
 
 // Run executes the conformance scenarios, building a fresh harness (a
@@ -56,7 +33,6 @@ func Run(t *testing.T, factory func(t *testing.T) *Harness) {
 	t.Run("ExpiredLeaseRequeues", func(t *testing.T) { testExpiredLeaseRequeues(t, factory(t)) })
 	t.Run("DuplicateResults", func(t *testing.T) { testDuplicateResults(t, factory(t)) })
 	t.Run("StopPropagation", func(t *testing.T) { testStopPropagation(t, factory(t)) })
-	t.Run("CorruptFrame", func(t *testing.T) { testCorruptFrame(t, factory(t)) })
 }
 
 // fakeCellResult builds a synthetic cell result that is a function of
@@ -132,8 +108,7 @@ func startCoord(ct dispatch.Transport, cfg dispatch.Config) chan runResult {
 }
 
 // takeLease drives one request → lease round by hand, re-sending the
-// request after a second of silence as a real pull worker would — the
-// request or its reply may be dropped by a chaos-wrapped transport.
+// request after a second of silence as a real pull worker would.
 func takeLease(t *testing.T, wt dispatch.WorkerTransport, id string, seq, max int) *dispatch.Lease {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -178,7 +153,7 @@ func requireIdentical(t *testing.T, r runResult, fp string, n int) {
 // is byte-identical to the direct one.
 func testGrantAndResult(t *testing.T, h *Harness) {
 	const fp, n = "fp-tt-grant", 6
-	res := startCoord(h.Coordinator, h.config(fp, n))
+	res := startCoord(h.Coordinator, config(fp, n))
 	for _, id := range []string{"w1", "w2"} {
 		go pullWorker(id, fp, n).Run(h.Worker(t, id))
 	}
@@ -190,7 +165,7 @@ func testGrantAndResult(t *testing.T, h *Harness) {
 // a late-attaching survivor must finish the grid exactly once.
 func testExpiredLeaseRequeues(t *testing.T, h *Harness) {
 	const fp, n = "fp-tt-expiry", 5
-	res := startCoord(h.Coordinator, h.config(fp, n))
+	res := startCoord(h.Coordinator, config(fp, n))
 
 	dead := h.Worker(t, "deadbeat")
 	l := takeLease(t, dead, "deadbeat", 1, 2)
@@ -207,13 +182,13 @@ func testExpiredLeaseRequeues(t *testing.T, h *Harness) {
 // exactly-once coverage — the first copy wins.
 func testDuplicateResults(t *testing.T, h *Harness) {
 	const fp, n = "fp-tt-dup", 4
-	res := startCoord(h.Coordinator, h.config(fp, n))
+	res := startCoord(h.Coordinator, config(fp, n))
 
 	wt := h.Worker(t, "dup")
 	go func() {
 		for seq := 1; ; seq++ {
-			// Re-send the request after a second of silence: a chaos
-			// wrapper may have dropped it or its reply.
+			// Re-send the request after a second of silence, as a
+			// real pull worker would.
 			var l *dispatch.Lease
 			for l == nil {
 				wt.Send(&dispatch.Msg{Version: dispatch.WireVersion, Type: dispatch.MsgRequest,
@@ -245,7 +220,7 @@ func testDuplicateResults(t *testing.T, h *Harness) {
 // finished must be told to stop rather than wait forever.
 func testStopPropagation(t *testing.T, h *Harness) {
 	const fp, n = "fp-tt-stop", 3
-	res := startCoord(h.Coordinator, h.config(fp, n))
+	res := startCoord(h.Coordinator, config(fp, n))
 
 	w := pullWorker("w1", fp, n)
 	wDone := make(chan error, 1)
@@ -281,21 +256,4 @@ func testStopPropagation(t *testing.T, h *Harness) {
 			t.Fatal("late worker never received Stop")
 		}
 	}
-}
-
-// testCorruptFrame: one torn/truncated frame on the worker →
-// coordinator path must be rejected or discarded without derailing the
-// run — an honest worker still drains the grid byte-identically.
-func testCorruptFrame(t *testing.T, h *Harness) {
-	if h.Corrupt == nil {
-		t.Skip("transport passes typed values; frames cannot tear")
-	}
-	const fp, n = "fp-tt-torn", 4
-	res := startCoord(h.Coordinator, h.config(fp, n))
-
-	if err := h.Corrupt(); err != nil {
-		t.Fatalf("corrupt frame injection: %v", err)
-	}
-	go pullWorker("honest", fp, n).Run(h.Worker(t, "honest"))
-	requireIdentical(t, <-res, fp, n)
 }

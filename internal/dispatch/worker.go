@@ -51,12 +51,11 @@ type Worker struct {
 	// once it fires (a closed channel): the cell being evaluated
 	// finishes and its result is delivered, the rest of the lease is
 	// released back to the coordinator with MsgRelease, and Run returns
-	// nil instead of requesting another lease. The CLI wires SIGINT and
-	// SIGTERM here, so killing a pull worker softly never loses or
-	// strands a cell.
+	// nil instead of requesting another lease, so a drained worker
+	// never loses or strands a cell.
 	Drain <-chan struct{}
 	// Eval evaluates one grid cell (experiments.Context.SweepCells on a
-	// single index, in the CLI).
+	// single index).
 	Eval func(cell int) (experiments.CellResult, error)
 	// Logf, when non-nil, receives progress notes.
 	Logf func(format string, args ...any)

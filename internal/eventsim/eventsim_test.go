@@ -220,6 +220,74 @@ func TestQuickOrdering(t *testing.T) {
 	}
 }
 
+// Property: under any interleaving of At, Step and Cancel — including
+// cancels through handles whose event already fired and whose storage
+// a later At reused — the surviving events fire in (time, insertion
+// seq) order, no cancelled event fires, and nothing stays pending.
+func TestQuickCancelInterleaving(t *testing.T) {
+	f := func(ops []uint16) bool {
+		s := New()
+		var (
+			at        []float64
+			handles   []Handle
+			fired     []int
+			done      []bool // fired or cancelled
+			cancelled = map[int]bool{}
+		)
+		for _, op := range ops {
+			arg := int(op >> 2)
+			switch op % 4 {
+			case 0, 1: // schedule, with many same-time ties
+				id := len(at)
+				t := s.Now() + float64(arg%8)/2
+				at = append(at, t)
+				done = append(done, false)
+				handles = append(handles, s.At(t, func() {
+					fired = append(fired, id)
+					done[id] = true
+				}))
+			case 2: // cancel a random earlier handle, live or not
+				if len(handles) == 0 {
+					continue
+				}
+				id := arg % len(handles)
+				handles[id].Cancel()
+				if !done[id] {
+					cancelled[id] = true
+					done[id] = true
+				}
+			case 3:
+				s.Step()
+			}
+			live := 0
+			for _, d := range done {
+				if !d {
+					live++
+				}
+			}
+			if s.Pending() != live {
+				return false
+			}
+		}
+		s.Run()
+		for i, id := range fired {
+			if cancelled[id] {
+				return false
+			}
+			if i > 0 {
+				prev := fired[i-1]
+				if at[id] < at[prev] || (at[id] == at[prev] && id < prev) {
+					return false
+				}
+			}
+		}
+		return len(fired)+len(cancelled) == len(at) && s.Pending() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(3))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: resource serialization never overlaps work and busy time
 // equals the sum of durations.
 func TestQuickResourceSerial(t *testing.T) {

@@ -36,7 +36,7 @@ const (
 // "step" kind: the rate jumps from rate to rate*stepFactor at stepAt
 // seconds (they are ignored by the other kinds).
 func NewProcess(kind string, rate float64, seed int64, stepAt, stepFactor float64) (Process, error) {
-	if rate <= 0 || math.IsInf(rate, 0) || math.IsNaN(rate) {
+	if !finitePositive(rate) {
 		return nil, fmt.Errorf("serve: arrival rate %v must be positive and finite", rate)
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -53,16 +53,25 @@ func NewProcess(kind string, rate float64, seed int64, stepAt, stepFactor float6
 			base: rate, amp: diurnalAmp, period: diurnalPeriod, rng: rng,
 		}, nil
 	case "step":
-		if stepAt <= 0 {
-			return nil, fmt.Errorf("serve: step arrivals need a positive -step-at, got %v", stepAt)
+		if !finitePositive(stepAt) {
+			return nil, fmt.Errorf("serve: step arrivals need a positive, finite -step-at, got %v", stepAt)
 		}
-		if stepFactor <= 0 {
-			return nil, fmt.Errorf("serve: step arrivals need a positive -step-factor, got %v", stepFactor)
+		if !finitePositive(stepFactor) {
+			return nil, fmt.Errorf("serve: step arrivals need a positive, finite -step-factor, got %v", stepFactor)
+		}
+		// An infinite post-step rate makes every gap 0 and time never
+		// advances; an underflowed one makes every gap infinite.
+		if !finitePositive(rate * stepFactor) {
+			return nil, fmt.Errorf("serve: post-step rate %v x %v must be positive and finite", rate, stepFactor)
 		}
 		return &step{r1: rate, r2: rate * stepFactor, at: stepAt, rng: rng}, nil
 	}
 	return nil, fmt.Errorf("serve: unknown arrival kind %q (want poisson, mmpp, diurnal or step)", kind)
 }
+
+// finitePositive reports whether x is a positive, finite number (NaN
+// fails every comparison, so it is rejected too).
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // poisson is a homogeneous Poisson process: i.i.d. exponential gaps.
 type poisson struct {

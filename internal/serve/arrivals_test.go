@@ -115,4 +115,23 @@ func TestNewProcessRejectsBadInputs(t *testing.T) {
 	if _, err := NewProcess("step", 1, 1, 10, 0); err == nil {
 		t.Fatal("step without -step-factor accepted")
 	}
+	if _, err := NewProcess("poisson", math.NaN(), 1, 0, 0); err == nil {
+		t.Fatal("NaN rate accepted")
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name             string
+		rate, at, factor float64
+	}{
+		{"Inf step-at", 1, inf, 2},
+		{"NaN step-at", 1, nan, 2},
+		{"Inf step-factor", 1, 10, inf},
+		{"NaN step-factor", 1, 10, nan},
+		{"overflowing post-step rate", 1e300, 10, 1e300},
+		{"underflowing post-step rate", 1e-300, 10, 1e-300},
+	} {
+		if _, err := NewProcess("step", c.rate, 1, c.at, c.factor); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
 }

@@ -14,11 +14,11 @@ test:
 	$(GO) test ./...
 
 # Race-detect the concurrency-critical packages: the parallel scheduler
-# search, the runner engines, the parallel experiment sweep, the
-# distributed-sweep fold (concurrent workers sharing one profile
-# cache), and the work-stealing dispatcher.
+# search, the runner engines, the parallel experiment sweep (cells on a
+# worker pool sharing one profile memo and on-disk cache), the atomic
+# file writes, and the serving loop.
 race:
-	$(GO) test -race ./internal/core/... ./internal/runner/... ./internal/experiments/... ./internal/par/... ./internal/distsweep/... ./internal/atomicfile/... ./internal/dispatch/... ./internal/serve/...
+	$(GO) test -race ./internal/core/... ./internal/runner/... ./internal/experiments/... ./internal/par/... ./internal/atomicfile/... ./internal/serve/...
 
 # Sweep smoke: run a small deterministic sweep (one deployment, two
 # tasks) and require its JSON artifact (rows, schedule-eval count,

@@ -156,24 +156,30 @@ func clusterByName(name string) (hw.Cluster, error) {
 }
 
 // tasksByIDs resolves a comma-separated task-ID list; empty means the
-// paper's five synthetic tasks.
+// paper's five synthetic tasks. A task listed twice is an error.
 func tasksByIDs(list string) ([]workload.Task, error) {
 	if list == "" {
 		return workload.Tasks, nil
 	}
 	var out []workload.Task
+	seen := map[string]bool{}
 	for _, id := range strings.Split(list, ",") {
 		t, err := workload.ByID(strings.TrimSpace(id))
 		if err != nil {
 			return nil, err
 		}
+		if seen[t.ID] {
+			return nil, fmt.Errorf("task %q listed twice", t.ID)
+		}
+		seen[t.ID] = true
 		out = append(out, t)
 	}
 	return out, nil
 }
 
 // modelsByNames resolves a comma-separated model-name list; empty means
-// every Table 1 model with a default deployment.
+// every Table 1 model with a default deployment. A model listed twice is
+// an error.
 func modelsByNames(list string) ([]model.Model, error) {
 	if list == "" {
 		var out []model.Model
@@ -187,11 +193,16 @@ func modelsByNames(list string) ([]model.Model, error) {
 		return out, nil
 	}
 	var out []model.Model
+	seen := map[string]bool{}
 	for _, name := range strings.Split(list, ",") {
 		m, err := model.ByName(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}
+		if seen[m.Name] {
+			return nil, fmt.Errorf("model %q listed twice", m.Name)
+		}
+		seen[m.Name] = true
 		out = append(out, m)
 	}
 	return out, nil

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"exegpt/internal/sched"
@@ -92,6 +94,11 @@ func TestTasksByIDs(t *testing.T) {
 	if _, err := tasksByIDs("nope"); err == nil {
 		t.Fatal("unknown task should error")
 	}
+	for _, list := range []string{"S,S", "S,T, S"} {
+		if _, err := tasksByIDs(list); err == nil || !strings.Contains(err.Error(), `"S"`) {
+			t.Fatalf("%q: repeated task not rejected by name: %v", list, err)
+		}
+	}
 }
 
 func TestModelsByNames(t *testing.T) {
@@ -112,5 +119,49 @@ func TestModelsByNames(t *testing.T) {
 	}
 	if _, err := modelsByNames("GPT-9000"); err == nil {
 		t.Fatal("unknown model should error")
+	}
+	for _, list := range []string{"OPT-13B,OPT-13B", "OPT-13B,T5-11B, OPT-13B"} {
+		if _, err := modelsByNames(list); err == nil || !strings.Contains(err.Error(), `"OPT-13B"`) {
+			t.Fatalf("%q: repeated model not rejected by name: %v", list, err)
+		}
+	}
+}
+
+func TestSweepDeployments(t *testing.T) {
+	deps, err := sweepDeployments("OPT-13B", "2,4")
+	if err != nil || len(deps) != 2 || deps[0].GPUs != 2 || deps[1].GPUs != 4 {
+		t.Fatalf("-gpus 2,4: %v %v", deps, err)
+	}
+	for _, list := range []string{"4,4", "04,4", "2, 4,+4"} {
+		if _, err := sweepDeployments("OPT-13B", list); err == nil || !strings.Contains(err.Error(), "size 4 listed twice") {
+			t.Fatalf("-gpus %q: repeated size not rejected: %v", list, err)
+		}
+	}
+	if _, err := sweepDeployments("OPT-13B", "0"); err == nil {
+		t.Fatal("-gpus 0 should error")
+	}
+	if _, err := sweepDeployments("OPT-13B", "4096"); err == nil {
+		t.Fatal("-gpus larger than every cluster should leave an empty grid and error")
+	}
+}
+
+// TestSweepSmokeMatchesGolden is `make sweep-smoke` in tier-1: the
+// smoke grid's -json artifact must match the committed golden byte for
+// byte.
+func TestSweepSmokeMatchesGolden(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "sweep.json")
+	if err := cmdSweep([]string{"-quick", "-models", "OPT-13B", "-tasks", "S,T", "-json", out}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../GOLDEN_sweep.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("sweep artifact differs from GOLDEN_sweep.json; regenerate it with `make sweep-golden` only for a deliberate change")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"exegpt/internal/distsweep"
 	"exegpt/internal/experiments"
 	"exegpt/internal/sched"
 )
@@ -29,23 +28,11 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	fp, err := ctx.GridFingerprint(grid)
+	res, err := ctx.SweepAll(grid)
 	if err != nil {
 		return err
 	}
-	indices := make([]int, len(grid.Cells()))
-	for i := range indices {
-		indices[i] = i
-	}
-	cells, err := ctx.SweepCells(grid, indices)
-	if err != nil {
-		return err
-	}
-	merged, err := distsweep.Fold(fp, cells)
-	if err != nil {
-		return err
-	}
-	return printMerged(merged, grid, *jsonOut)
+	return printMerged(res, grid, *jsonOut)
 }
 
 // gridFlagSet bundles the grid-selection flags of `sweep`.
@@ -89,7 +76,7 @@ func (g *gridFlagSet) build(ctx *experiments.Context) (experiments.SweepGrid, er
 
 // printMerged prints the sweep header + table and optionally writes the
 // merged JSON artifact.
-func printMerged(m *distsweep.Merged, grid experiments.SweepGrid, jsonOut string) error {
+func printMerged(m *experiments.SweepResult, grid experiments.SweepGrid, jsonOut string) error {
 	fmt.Printf("sweep: %d cells (%d deployments), %d schedule evals, grid %.12s\n",
 		m.Cells, len(grid.Deployments), m.Evals, m.Fingerprint)
 	fmt.Print(experiments.FormatSweep(m.Rows))
@@ -104,6 +91,7 @@ func printMerged(m *distsweep.Merged, grid experiments.SweepGrid, jsonOut string
 
 // sweepDeployments builds the deployment grid: each model on its
 // Table 2 cluster, at its Table 2 GPU count or at every size in -gpus.
+// A size listed twice, in any spelling ("04,4"), is an error.
 func sweepDeployments(modelList, gpuList string) ([]sched.Deployment, error) {
 	models, err := modelsByNames(modelList)
 	if err != nil {
@@ -111,11 +99,16 @@ func sweepDeployments(modelList, gpuList string) ([]sched.Deployment, error) {
 	}
 	var sizes []int
 	if gpuList != "" {
+		seen := map[int]bool{}
 		for _, s := range strings.Split(gpuList, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || n < 1 {
 				return nil, fmt.Errorf("bad -gpus entry %q", s)
 			}
+			if seen[n] {
+				return nil, fmt.Errorf("-gpus size %d listed twice", n)
+			}
+			seen[n] = true
 			sizes = append(sizes, n)
 		}
 	}

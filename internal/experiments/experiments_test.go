@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -16,7 +17,8 @@ func quick() *Context { return NewQuickContext() }
 
 // TestSweepDeterministicAcrossWorkers runs the same small grid with one
 // and four deployment workers (the four-worker run also exercising the
-// shared profile memo concurrently) and requires identical rows.
+// shared profile memo concurrently) and requires identical rows and
+// byte-identical encoded sweeps.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	grid := SweepGrid{
 		Deployments: []sched.Deployment{
@@ -25,21 +27,30 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		Tasks: []workload.Task{workload.Summarization, workload.Translation},
 	}
 
-	grid.Workers = 1
-	seq, err := quick().Sweep(grid)
-	if err != nil {
-		t.Fatal(err)
+	encoded := func(workers int) (*SweepResult, []byte) {
+		t.Helper()
+		grid.Workers = workers
+		res, err := quick().SweepAll(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := res.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, data
 	}
-	grid.Workers = 4
-	par, err := quick().Sweep(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqRes, seqJSON := encoded(1)
+	parRes, parJSON := encoded(4)
+	seq, par := seqRes.Rows, parRes.Rows
 	if len(seq) == 0 {
 		t.Fatal("no rows")
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("sweep diverged across worker counts:\n seq %+v\n par %+v", seq, par)
+	}
+	if !bytes.Equal(seqJSON, parJSON) {
+		t.Fatal("encoded sweep differs between 1 and 4 workers")
 	}
 
 	// Shape: every cell reports FT plus both ExeGPT policy groups, and

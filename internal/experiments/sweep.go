@@ -1,17 +1,17 @@
-// Sweep: a grid evaluation over deployments (model × cluster size) and
-// tasks, parallel across deployments. The grid flattens into an
-// enumerable cell list in canonical (deployment, task) order; each cell
-// gets its own Simulator, Scheduler and runner Engine, so cells are
-// independent; only the memoized profile Table is shared, and that is
-// immutable once built. Results are reduced in grid order, so the
-// output is deterministic regardless of which worker finishes first.
+// Sweep: one in-process grid evaluation over deployments (model ×
+// cluster size) and tasks. The grid flattens into a cell list in
+// canonical (deployment, task) order; each cell gets its own Simulator,
+// Scheduler and runner Engine, so cells are independent, and only the
+// memoized profile Table is shared (immutable once built). Cells run on
+// a bounded worker pool and each writes its own slot, so the fold
+// concatenates them in grid order and the output is deterministic
+// regardless of which worker finishes first.
 //
-// The same cell list is the unit of distributed sweeps: SweepCells
-// evaluates any subset of cells, a work-stealing dispatcher leases
-// cells to worker processes (internal/dispatch), and internal/distsweep
-// folds the per-cell results back into exactly the rows a
-// single-process Sweep produces (GridFingerprint guards against mixing
-// cells from different grids or contexts).
+// The fold also merges every cell's per-policy-group Pareto frontier
+// into one frontier per (model, cluster, GPUs, group) — the cross-task
+// latency→throughput envelope of that deployment — and stamps the
+// result with a fingerprint of the grid and the context's settings.
+// SweepResult.Encode is the `exegpt sweep -json` artifact.
 package experiments
 
 import (
@@ -20,8 +20,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"sort"
 	"strconv"
 
+	"exegpt/internal/atomicfile"
 	"exegpt/internal/baselines"
 	"exegpt/internal/core"
 	"exegpt/internal/par"
@@ -57,8 +59,8 @@ type SweepGrid struct {
 }
 
 // resolved returns the grid with every defaulted field filled in, so
-// that enumeration, leasing and fingerprinting all see the same grid
-// whether it was spelled out or left to the defaults.
+// that enumeration and fingerprinting see the same grid whether it was
+// spelled out or left to the defaults.
 func (g SweepGrid) resolved() ([]sched.Deployment, []workload.Task, [][]sched.Policy) {
 	deps := g.Deployments
 	if len(deps) == 0 {
@@ -75,13 +77,10 @@ func (g SweepGrid) resolved() ([]sched.Deployment, []workload.Task, [][]sched.Po
 	return deps, tasks, groups
 }
 
-// SweepCell is one enumerable (deployment, task) cell of a grid. Index
-// is the cell's position in canonical (deployment, task) order; cell
-// leasing and result merging are both keyed on it.
+// SweepCell is one (deployment, task) cell of a grid.
 type SweepCell struct {
-	Index int
-	Dep   sched.Deployment
-	Task  workload.Task
+	Dep  sched.Deployment
+	Task workload.Task
 }
 
 // Cells flattens the grid into its canonical cell list.
@@ -90,7 +89,7 @@ func (g SweepGrid) Cells() []SweepCell {
 	cells := make([]SweepCell, 0, len(deps)*len(tasks))
 	for _, dep := range deps {
 		for _, task := range tasks {
-			cells = append(cells, SweepCell{Index: len(cells), Dep: dep, Task: task})
+			cells = append(cells, SweepCell{Dep: dep, Task: task})
 		}
 	}
 	return cells
@@ -101,33 +100,73 @@ func (g SweepGrid) Cells() []SweepCell {
 // same (deployment, group) merge order-independently across cells via
 // core.Frontier.Merge.
 type GroupFrontier struct {
-	Model    string        `json:"model"`
-	Cluster  string        `json:"cluster"`
-	GPUs     int           `json:"gpus"`
-	Task     string        `json:"task"`
-	Group    string        `json:"group"`
-	Frontier core.Frontier `json:"frontier"`
+	Model    string
+	Cluster  string
+	GPUs     int
+	Task     string
+	Group    string
+	Frontier core.Frontier
 }
 
 // CellResult is everything one evaluated cell contributes to a sweep:
 // its rows in bound-major order, the schedule-search evaluation count
-// (the §7.7 cost metric — deterministic, so distributed merges can be
-// checked bit-identical against a single-process run), and the per-group
-// frontiers.
+// (the §7.7 cost metric, deterministic across worker counts), and the
+// per-group frontiers.
 type CellResult struct {
-	Cell      int             `json:"cell"`
-	Rows      []SweepRow      `json:"rows"`
-	Evals     int             `json:"evals"`
-	Frontiers []GroupFrontier `json:"frontiers"`
+	Rows      []SweepRow
+	Evals     int
+	Frontiers []GroupFrontier
 }
 
-// GridFingerprint hashes everything that determines a sweep's output:
+// DeploymentFrontier is the merged cross-task Pareto frontier of one
+// (deployment, policy group): every feasible (latency, throughput)
+// point any task's schedule search discovered on that hardware with
+// that policy family, Pareto-reduced.
+type DeploymentFrontier struct {
+	Model    string        `json:"model"`
+	Cluster  string        `json:"cluster"`
+	GPUs     int           `json:"gpus"`
+	Group    string        `json:"group"`
+	Frontier core.Frontier `json:"frontier"`
+}
+
+// SweepResult is a folded sweep. Rows are in grid order; Evals is the
+// total schedule-search evaluation count; Frontiers are sorted by
+// (model, cluster, GPUs, group); Fingerprint identifies the grid and
+// settings that produced it. Nothing in it depends on the worker count.
+type SweepResult struct {
+	Fingerprint string               `json:"fingerprint"`
+	Cells       int                  `json:"cells"`
+	Evals       int                  `json:"evals"`
+	Rows        []SweepRow           `json:"rows"`
+	Frontiers   []DeploymentFrontier `json:"frontiers"`
+}
+
+// Encode renders the sweep as indented JSON with a trailing newline.
+// The encoding is deterministic: no maps, and every float round-trips
+// bit-exactly.
+func (r *SweepResult) Encode() ([]byte, error) {
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
+// WriteFile atomically writes the encoded sweep to path.
+func (r *SweepResult) WriteFile(path string) error {
+	data, err := r.Encode()
+	if err != nil {
+		return err
+	}
+	return atomicfile.Write(path, data, 0o644)
+}
+
+// gridFingerprint hashes everything that determines a sweep's output:
 // the resolved grid (deployments, tasks, policy groups) and the
-// context's sampling/search settings. Two runs agree on the fingerprint
-// iff their cell results can be merged into one coherent sweep.
-// Worker counts and cache paths are deliberately excluded: they change
-// only wall time, never results.
-func (c *Context) GridFingerprint(grid SweepGrid) (string, error) {
+// context's sampling/search settings. Worker counts and cache paths are
+// deliberately excluded: they change only wall time, never results.
+func (c *Context) gridFingerprint(grid SweepGrid) (string, error) {
 	deps, tasks, groups := grid.resolved()
 	type depKey struct {
 		Model   string
@@ -184,58 +223,44 @@ func defaultPolicyGroups() [][]sched.Policy {
 	}
 }
 
-// Sweep evaluates FT plus every requested ExeGPT policy group on every
-// (deployment, task) cell under the FT-derived latency bounds: SweepCells
-// over the whole grid with the per-cell metadata flattened away.
-func (c *Context) Sweep(grid SweepGrid) ([]SweepRow, error) {
-	all := grid.Cells()
-	indices := make([]int, len(all))
-	for i := range all {
-		indices[i] = i
-	}
-	cells, err := c.SweepCells(grid, indices)
+// SweepAll evaluates FT plus every requested ExeGPT policy group on
+// every (deployment, task) cell of the grid under the FT-derived
+// latency bounds, in this process, and folds the cells into one
+// SweepResult. Cells run concurrently on a bounded worker pool; the
+// result is the same at every worker count.
+func (c *Context) SweepAll(grid SweepGrid) (*SweepResult, error) {
+	fp, err := c.gridFingerprint(grid)
 	if err != nil {
 		return nil, err
 	}
-	var rows []SweepRow
-	for _, cr := range cells {
-		rows = append(rows, cr.Rows...)
+	cells, err := c.sweepCells(grid)
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	return fold(fp, cells), nil
 }
 
-// SweepCells evaluates an explicit set of grid cells, named by their
-// canonical index, and returns their CellResults in the given order.
-// It is the unit the work-stealing dispatcher leases: every cell is
-// evaluated exactly as a single-process Sweep would (results are
-// deterministic across worker counts and across any partition of the
-// grid into SweepCells calls). Cells run concurrently on a bounded
-// worker pool: each cell writes only to its own slot.
-func (c *Context) SweepCells(grid SweepGrid, indices []int) ([]CellResult, error) {
+// Sweep is SweepAll reduced to its rows.
+func (c *Context) Sweep(grid SweepGrid) ([]SweepRow, error) {
+	res, err := c.SweepAll(grid)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
+}
+
+// sweepCells evaluates every cell of the grid and returns the results
+// in grid order: each cell writes only its own slot.
+func (c *Context) sweepCells(grid SweepGrid) ([]CellResult, error) {
 	_, _, groups := grid.resolved()
-	all := grid.Cells()
-	mine := make([]SweepCell, 0, len(indices))
-	seen := make(map[int]bool, len(indices))
-	for _, i := range indices {
-		if i < 0 || i >= len(all) {
-			return nil, fmt.Errorf("experiments: cell index %d out of range 0..%d", i, len(all)-1)
-		}
-		if seen[i] {
-			return nil, fmt.Errorf("experiments: duplicate cell index %d", i)
-		}
-		seen[i] = true
-		mine = append(mine, all[i])
-	}
-	if len(mine) == 0 {
-		return nil, nil
-	}
+	cells := grid.Cells()
 
 	workers := grid.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(mine) {
-		workers = len(mine)
+	if workers > len(cells) {
+		workers = len(cells)
 	}
 	// Split the worker budget across the two parallelism levels instead
 	// of multiplying them: `workers` cells run concurrently, and each
@@ -248,25 +273,74 @@ func (c *Context) SweepCells(grid SweepGrid, indices []int) ([]CellResult, error
 		}
 	}
 
-	results := make([]CellResult, len(mine))
-	errs := make([]error, len(mine))
-	par.ForEach(len(mine), workers, func(i int) {
-		results[i], errs[i] = c.sweepCell(mine[i], groups, schedWorkers)
+	results := make([]CellResult, len(cells))
+	errs := make([]error, len(cells))
+	par.ForEach(len(cells), workers, func(i int) {
+		results[i], errs[i] = c.sweepCell(cells[i], groups, schedWorkers)
 	})
-	for i := range mine {
+	for i, cl := range cells {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("experiments: sweep %s/%s on %d GPUs: %w",
-				mine[i].Dep.Model.Name, mine[i].Task.ID, mine[i].Dep.GPUs, errs[i])
+				cl.Dep.Model.Name, cl.Task.ID, cl.Dep.GPUs, errs[i])
 		}
 	}
 	return results, nil
+}
+
+// fold reduces grid-ordered cell results into a SweepResult: rows
+// concatenated in grid order, evals summed, and every cell's
+// per-group frontier merged into its (deployment, group) frontier.
+func fold(fingerprint string, cells []CellResult) *SweepResult {
+	r := &SweepResult{Fingerprint: fingerprint, Cells: len(cells)}
+	type key struct {
+		model, cluster string
+		gpus           int
+		group          string
+	}
+	frontiers := map[key]*core.Frontier{}
+	var order []key
+	for _, c := range cells {
+		r.Evals += c.Evals
+		r.Rows = append(r.Rows, c.Rows...)
+		for i := range c.Frontiers {
+			gf := &c.Frontiers[i]
+			k := key{model: gf.Model, cluster: gf.Cluster, gpus: gf.GPUs, group: gf.Group}
+			f, ok := frontiers[k]
+			if !ok {
+				f = &core.Frontier{}
+				frontiers[k] = f
+				order = append(order, k)
+			}
+			f.Merge(&gf.Frontier)
+		}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if a.model != b.model {
+			return a.model < b.model
+		}
+		if a.cluster != b.cluster {
+			return a.cluster < b.cluster
+		}
+		if a.gpus != b.gpus {
+			return a.gpus < b.gpus
+		}
+		return a.group < b.group
+	})
+	for _, k := range order {
+		r.Frontiers = append(r.Frontiers, DeploymentFrontier{
+			Model: k.model, Cluster: k.cluster, GPUs: k.gpus, Group: k.group,
+			Frontier: *frontiers[k],
+		})
+	}
+	return r
 }
 
 // sweepCell measures one (deployment, task) cell across its bounds.
 // schedWorkers overrides the cell scheduler's pool size so the sweep
 // controls the total parallelism budget.
 func (c *Context) sweepCell(cl SweepCell, groups [][]sched.Policy, schedWorkers int) (CellResult, error) {
-	cr := CellResult{Cell: cl.Index}
+	var cr CellResult
 	dep, task := cl.Dep, cl.Task
 	d, err := c.Deploy(dep.Model, dep.Cluster, dep.GPUs, task)
 	if err != nil {
@@ -287,8 +361,7 @@ func (c *Context) sweepCell(cl SweepCell, groups [][]sched.Policy, schedWorkers 
 	// Schedule each policy group across every bound in one amortized
 	// multi-bound search before assembling rows in per-bound order.
 	// Each search leaves its eval count and merged Pareto frontier on
-	// the scheduler; the cell carries both so distributed merges can be
-	// verified against (and aggregated like) a single-process run.
+	// the scheduler; the cell carries both for the fold.
 	outsByGroup := make([][]RunOutcome, len(groups))
 	for gi, group := range groups {
 		// WAA needs a dedicated decode side; groups that cannot apply
@@ -327,10 +400,9 @@ func (c *Context) sweepCell(cl SweepCell, groups [][]sched.Policy, schedWorkers 
 	return cr, nil
 }
 
-// sweepRowWire mirrors SweepRow on the wire with the latency bound
-// carried as a string: JSON has no ±Inf, and the relaxed bound is
-// math.Inf(1). strconv's shortest 'g' format round-trips every float64
-// bit-exactly, which the distributed-sweep equivalence relies on.
+// sweepRowWire mirrors SweepRow in JSON with the latency bound carried
+// as a string: JSON has no ±Inf, and the relaxed bound is math.Inf(1).
+// strconv's shortest 'g' format keeps every float64 bit-exactly.
 type sweepRowWire struct {
 	Model    string  `json:"model"`
 	Cluster  string  `json:"cluster"`
@@ -349,23 +421,6 @@ func (r SweepRow) MarshalJSON() ([]byte, error) {
 		Bound:  strconv.FormatFloat(r.Bound, 'g', -1, 64),
 		System: r.System, Tput: r.Tput, Feasible: r.Feasible,
 	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *SweepRow) UnmarshalJSON(data []byte) error {
-	var w sweepRowWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	bound, err := strconv.ParseFloat(w.Bound, 64)
-	if err != nil {
-		return fmt.Errorf("experiments: bad sweep-row bound %q: %w", w.Bound, err)
-	}
-	*r = SweepRow{
-		Model: w.Model, Cluster: w.Cluster, GPUs: w.GPUs, Task: w.Task,
-		Bound: bound, System: w.System, Tput: w.Tput, Feasible: w.Feasible,
-	}
-	return nil
 }
 
 // FormatSweep renders sweep rows as a fixed-width table.

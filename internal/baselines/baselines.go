@@ -91,9 +91,11 @@ type Engine struct {
 	Cluster hw.Cluster
 	Prof    *profile.Table
 
-	// tp and stages cache the derived parallel configuration.
+	// tp and stages cache the derived parallel configuration; kern
+	// prices the stages.
 	tp     int
 	stages []sched.Stage
+	kern   *profile.Stages
 }
 
 // New builds a baseline engine with the papers' parallel configuration:
@@ -121,6 +123,7 @@ func New(system System, m model.Model, cluster hw.Cluster, prof *profile.Table) 
 		return nil, err
 	}
 	e.stages = alloc.Stages
+	e.kern = profile.NewStages(prof, cluster, alloc.Stages)
 	return e, nil
 }
 
@@ -130,20 +133,17 @@ func (e *Engine) TP() int { return e.tp }
 // PPStages returns the pipeline depth.
 func (e *Engine) PPStages() int { return len(e.stages) }
 
-func linkClass(s sched.Stage) profile.LinkClass {
-	if s.CrossNode {
-		return profile.InterNode
+// layerScale is the system's factor on profiled layer times: ORCA and
+// vLLM run unfused kernels, and DSI's custom GeMMs speed up decode
+// micro-batches under 32 queries (smallDecode).
+func (e *Engine) layerScale(smallDecode bool) float64 {
+	switch {
+	case e.System == ORCA || e.System == VLLM:
+		return vllmKernelFactor
+	case e.System == DSI && smallDecode:
+		return dsiSmallBatchBoost
 	}
-	return profile.IntraNode
-}
-
-func (e *Engine) ppClass(from sched.Stage) profile.LinkClass {
-	last := from.FirstRank + from.TP - 1
-	next := (last + 1) % e.Cluster.TotalGPUs()
-	if e.Cluster.NodeOf(last) != e.Cluster.NodeOf(next) {
-		return profile.InterNode
-	}
-	return profile.IntraNode
+	return 1
 }
 
 // encTime returns the pipelined encode time of a batch with the given
@@ -156,29 +156,12 @@ func (e *Engine) encTime(tokens int, meanSeq float64, microBatches int) (float64
 	if perMicro < 1 {
 		perMicro = 1
 	}
-	var sum, max float64
-	for _, st := range e.stages {
-		layer, err := e.Prof.EncodeLayer(perMicro, meanSeq, st.TP, linkClass(st))
-		if err != nil {
-			return 0, err
-		}
-		if e.System == ORCA || e.System == VLLM {
-			layer *= vllmKernelFactor
-		}
-		send, err := e.Prof.PPSend(perMicro, e.ppClass(st))
-		if err != nil {
-			return 0, err
-		}
-		t := float64(st.EncLayers)*layer + send
-		sum += t
-		if t > max {
-			max = t
-		}
+	var buf [8]float64
+	times, err := e.kern.Encode(buf[:0], perMicro, meanSeq, e.layerScale(false))
+	if err != nil {
+		return 0, err
 	}
-	if p := float64(microBatches) * max; p > sum {
-		return p, nil
-	}
-	return sum, nil
+	return profile.PipelinePeriod(times, microBatches), nil
 }
 
 // decIterTime returns one decode-iteration period for the batch, with
@@ -191,32 +174,12 @@ func (e *Engine) decIterTime(batch int, ctx float64, microBatches int) (float64,
 	if per < 1 {
 		per = 1
 	}
-	var sum, max float64
-	for _, st := range e.stages {
-		layer, err := e.Prof.DecodeLayer(per, ctx, st.TP, linkClass(st))
-		if err != nil {
-			return 0, err
-		}
-		if e.System == DSI && per < 32 {
-			layer *= dsiSmallBatchBoost
-		}
-		if e.System == ORCA || e.System == VLLM {
-			layer *= vllmKernelFactor
-		}
-		send, err := e.Prof.PPSend(per, e.ppClass(st))
-		if err != nil {
-			return 0, err
-		}
-		t := float64(st.DecLayers)*layer + send
-		sum += t
-		if t > max {
-			max = t
-		}
+	var buf [8]float64
+	times, err := e.kern.Decode(buf[:0], per, ctx, e.layerScale(per < 32))
+	if err != nil {
+		return 0, err
 	}
-	period := sum
-	if p := float64(microBatches) * max; p > period {
-		period = p
-	}
+	period := profile.PipelinePeriod(times, microBatches)
 	// ORCA is proprietary; the paper evaluates it through vLLM's
 	// iteration-level scheduling mode (§7.1), so both carry the vLLM
 	// executor overhead: a fixed engine cost plus a per-sequence cost

@@ -12,14 +12,16 @@
 // RRA decode-iteration periods in a dense slice indexed by micro-batch
 // size, the other composites in small int-keyed maps.
 //
-// Stage times themselves are not memoized. When an allocation entry is
-// built, its stages are deduped into stage shapes: the inputs of one
-// stage-time computation (layer count, TP degree, CrossNode, and the
-// pipeline link class). A composite miss computes one stage time per
-// distinct shape and fans it back out in stage order into a reused
-// scratch buffer, so the pipeline sums add the same terms in the same
-// order as the reference path. The steady state of a search performs
-// zero allocations per probe.
+// Stage times themselves are not memoized. Each allocation entry holds
+// its allocation's stage-cost kernel (profile.Stages), the same pricing
+// the reference path, the runner and the baselines use. The kernel
+// dedupes the profile lookups at construction — one layer lookup per
+// distinct (TP degree, collective link), one handover per distinct
+// link — so a composite miss makes those few lookups and fans them out
+// in stage order into the Evaluator's one reused buffer, and the
+// pipeline sums add the same terms in the same order as the reference
+// path. The steady state of a search performs zero allocations per
+// probe.
 //
 // An Evaluator is NOT safe for concurrent use: it is per-goroutine
 // state over a shared, read-only Simulator. The scheduler keeps one per
@@ -46,54 +48,6 @@ type compEntry struct {
 	err    error
 }
 
-// shapeKey is everything encStageTime or decStageTime reads from a
-// stage: the layer count of its phase, its TP degree and collective
-// link, and the link class to the next stage (the only way FirstRank
-// enters).
-type shapeKey struct {
-	layers, tp int
-	crossNode  bool
-	pp         profile.LinkClass
-}
-
-// stageShapes is one stage list deduped by shapeKey for one phase
-// (encode when enc is set, else decode). reps holds the first stage of
-// each distinct shape in order of first appearance; of maps every
-// stage, in stage order, to its shape index.
-type stageShapes struct {
-	enc  bool
-	reps []sched.Stage
-	of   []int
-}
-
-// newStageShapes dedupes stages by their encode (enc) or decode shape.
-// Stage lists are a few dozen entries at most, so a linear scan over
-// the shapes seen so far beats hashing.
-func newStageShapes(s *Simulator, stages []sched.Stage, enc bool) stageShapes {
-	sh := stageShapes{enc: enc, of: make([]int, len(stages))}
-	var buf [64]shapeKey
-	keys := buf[:0]
-	for i, st := range stages {
-		k := shapeKey{layers: st.DecLayers, tp: st.TP, crossNode: st.CrossNode, pp: s.ppClass(st)}
-		if enc {
-			k.layers = st.EncLayers
-		}
-		idx := len(keys)
-		for j, seen := range keys {
-			if seen == k {
-				idx = j
-				break
-			}
-		}
-		if idx == len(keys) {
-			keys = append(keys, k)
-			sh.reps = append(sh.reps, st)
-		}
-		sh.of[i] = idx
-	}
-	return sh
-}
-
 // maxDenseMicro caps the dense micro-batch-indexed memo: a larger
 // micro-batch (far beyond any search ladder) is computed but not
 // memoized, so one pathological config cannot grow an entry's slice
@@ -101,17 +55,17 @@ func newStageShapes(s *Simulator, stages []sched.Stage, enc bool) stageShapes {
 const maxDenseMicro = 1 << 16
 
 // allocEntry memoizes one RRA allocation attempt plus the per-stage
-// weight bytes, the stage shapes of both phases, and the composite
+// weight bytes, the allocation's stage-cost kernel, and the composite
 // phase times derived from them: once an allocation is fixed, the
 // encoding phase depends only on the micro-batch token count and a
 // decode iteration only on the rounded micro-batch size.
 type allocEntry struct {
-	alloc    sched.Allocation
-	weights  []int64 // WeightBytesPerGPU per stage, aligned with Stages
-	enc, dec stageShapes
-	err      error
+	alloc   sched.Allocation
+	weights []int64 // WeightBytesPerGPU per stage, aligned with Stages
+	kern    *profile.Stages
+	err     error
 
-	encPhaseByTokens map[int]float64 // pipelinePeriod of the encoding phase by microTokens
+	encPhaseByTokens map[int]float64 // PipelinePeriod of the encoding phase by microTokens
 	// iterByMicro is the decode-iteration period indexed by micro-batch
 	// size; NaN marks a slot not yet computed.
 	iterByMicro []float64
@@ -125,21 +79,22 @@ type waaEnc struct {
 
 // waaDec is the decoder-side composite for one micro-batch size: the
 // traversal (sum of stage times) and the slowest stage. The iteration
-// period for any clamped Bm follows from the two by periodOf, so Bm
+// period for any clamped Bm follows from the two by PeriodOf, so Bm
 // needs no slot of its own.
 type waaDec struct {
 	traversal, slowest float64
 }
 
 // waaEntry memoizes one WAA split+allocation attempt for a (policy, TP)
-// pair, including the pre-split stage views, per-side weights and stage
-// shapes, and the composite pipeline times derived from them.
+// pair, including the pre-split stage views, per-side weights, the
+// allocation's stage-cost kernel, and the composite pipeline times
+// derived from them.
 type waaEntry struct {
 	alloc                sched.Allocation
 	encStages, decStages []sched.Stage
 	encWeights           []int64
 	decWeights           []int64
-	enc, dec             stageShapes
+	kern                 *profile.Stages
 	err                  error
 
 	// Both keys are sparse counts (prompt tokens, and BE·mean output
@@ -182,9 +137,8 @@ type Evaluator struct {
 	// calls just flushes est.
 	pctl float64
 
-	// Scratch buffers: one time per distinct shape, then the same times
-	// fanned out per stage.
-	perShape, perStage []float64
+	// times is the stage-time buffer every kernel fill reuses.
+	times []float64
 }
 
 // NewEvaluator returns an empty evaluation context for sim. The memos
@@ -259,8 +213,7 @@ func (e *Evaluator) rraAlloc(tp sched.TPSpec) *allocEntry {
 	ae.alloc, ae.err = sched.AllocateRRA(e.sim.Model, e.sim.Cluster, tp)
 	if ae.err == nil {
 		ae.weights = stageWeights(e.sim, ae.alloc.Stages)
-		ae.enc = newStageShapes(e.sim, ae.alloc.Stages, true)
-		ae.dec = newStageShapes(e.sim, ae.alloc.Stages, false)
+		ae.kern = profile.NewStages(e.sim.Profile, e.sim.Cluster, ae.alloc.Stages)
 		ae.encPhaseByTokens = map[int]float64{}
 	}
 	e.rra[tp] = ae
@@ -273,11 +226,12 @@ func (e *Evaluator) rraEncPhase(ae *allocEntry, microTokens int) (float64, error
 	if v, ok := ae.encPhaseByTokens[microTokens]; ok {
 		return v, nil
 	}
-	times, err := e.stageTimes(&ae.enc, microTokens)
+	var err error
+	e.times, err = ae.kern.Encode(e.times, microTokens, e.sim.inMean, 1)
 	if err != nil {
 		return 0, err
 	}
-	v := pipelinePeriod(times, rraMicroBatches)
+	v := profile.PipelinePeriod(e.times, rraMicroBatches)
 	ae.encPhaseByTokens[microTokens] = v
 	return v, nil
 }
@@ -288,11 +242,12 @@ func (e *Evaluator) rraDecIter(ae *allocEntry, micro int) (float64, error) {
 	if micro < len(ae.iterByMicro) && !math.IsNaN(ae.iterByMicro[micro]) {
 		return ae.iterByMicro[micro], nil
 	}
-	times, err := e.stageTimes(&ae.dec, micro)
+	var err error
+	e.times, err = ae.kern.Decode(e.times, micro, e.sim.ctxMean, 1)
 	if err != nil {
 		return 0, err
 	}
-	v := pipelinePeriod(times, rraMicroBatches)
+	v := profile.PipelinePeriod(e.times, rraMicroBatches)
 	if micro < maxDenseMicro {
 		if micro >= len(ae.iterByMicro) {
 			ae.iterByMicro = growNaN(ae.iterByMicro, max(micro+1, 2*len(ae.iterByMicro)))
@@ -352,8 +307,7 @@ func (e *Evaluator) waaAlloc(policy sched.Policy, tp sched.TPSpec, p waaProbe) *
 		we.decStages = we.alloc.DecStages()
 		we.encWeights = stageWeights(s, we.encStages)
 		we.decWeights = stageWeights(s, we.decStages)
-		we.enc = newStageShapes(s, we.encStages, true)
-		we.dec = newStageShapes(s, we.decStages, false)
+		we.kern = profile.NewStages(s.Profile, s.Cluster, we.alloc.Stages)
 		we.encByTokens = map[int]waaEnc{}
 		we.decByMicro = map[int]waaDec{}
 	}
@@ -368,11 +322,12 @@ func (e *Evaluator) waaEncSide(we *waaEntry, encTokens int) (waaEnc, error) {
 		return v, nil
 	}
 	s := e.sim
-	times, err := e.stageTimes(&we.enc, encTokens)
+	var err error
+	e.times, err = we.kern.Encode(e.times, encTokens, s.inMean, 1)
 	if err != nil {
 		return waaEnc{}, err
 	}
-	v := waaEnc{traversal: traversal(times), period: slowest(times)}
+	v := waaEnc{traversal: profile.Traversal(e.times), period: profile.Slowest(e.times)}
 	for i, st := range we.encStages {
 		mem := we.encWeights[i] +
 			int64(2*encTokens)*s.Model.KVBytesPerTokenLayer()*int64(max(st.EncLayers, 1))
@@ -390,59 +345,14 @@ func (e *Evaluator) waaDecSide(we *waaEntry, micro int) (waaDec, error) {
 	if v, ok := we.decByMicro[micro]; ok {
 		return v, nil
 	}
-	times, err := e.stageTimes(&we.dec, micro)
+	var err error
+	e.times, err = we.kern.Decode(e.times, micro, e.sim.ctxMean, 1)
 	if err != nil {
 		return waaDec{}, err
 	}
-	v := waaDec{traversal: traversal(times), slowest: slowest(times)}
+	v := waaDec{traversal: profile.Traversal(e.times), slowest: profile.Slowest(e.times)}
 	we.decByMicro[micro] = v
 	return v, nil
-}
-
-// stageTimes returns the time of every stage of sh for one batch:
-// prompt tokens when encoding (per-Simulator mean sequence length),
-// queries when decoding (per-Simulator mean attention context). It
-// computes one time per distinct shape and fans them out in stage
-// order.
-func (e *Evaluator) stageTimes(sh *stageShapes, batch int) ([]float64, error) {
-	per := scratch(&e.perShape, len(sh.reps))
-	for i, st := range sh.reps {
-		var err error
-		if sh.enc {
-			per[i], err = e.sim.encStageTime(st, batch, e.sim.inMean)
-		} else {
-			per[i], err = e.sim.decStageTime(st, batch, e.sim.ctxMean)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	times := scratch(&e.perStage, len(sh.of))
-	for i, k := range sh.of {
-		times[i] = per[k]
-	}
-	return times, nil
-}
-
-// slowest returns the largest stage time (0 for none), the pipelined
-// period of a side that admits a new batch every slowest stage.
-func slowest(times []float64) float64 {
-	var m float64
-	for _, t := range times {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
-// scratch resizes buf to n without reallocating when capacity allows.
-func scratch(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }
 
 // estimateRRA is Simulator.estimateRRA with memoized completion
@@ -582,7 +492,7 @@ func (e *Evaluator) estimateWAA(cfg sched.Config) (Estimate, error) {
 	if err != nil {
 		return Estimate{}, err
 	}
-	decIter := periodOf(dec.traversal, dec.slowest, bm)
+	decIter := profile.PeriodOf(dec.traversal, dec.slowest, bm)
 
 	// Steady-state period: the slower side gates; the staged KV
 	// handover binds only if slower than both.

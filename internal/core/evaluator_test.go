@@ -167,13 +167,20 @@ func TestGoldenEstimates(t *testing.T) {
 
 // TestEvaluatorMatchesSlowPathExactly asserts reflect.DeepEqual between
 // the memoized Evaluator and the reference Simulator on every golden
-// config, including the full Allocation. A fresh Evaluator per call
-// must match too (memo state must never leak into results).
+// config, including the full Allocation, plus the GPT3-39B WAA-C TP 4x8
+// configs whose decode pool has a TP group spanning both nodes (the
+// golden has no TP 4x8 WAA rows). A fresh Evaluator per call must match
+// too (memo state must never leak into results).
 func TestEvaluatorMatchesSlowPathExactly(t *testing.T) {
 	sims := goldenSims(t)
+	cases := loadGolden(t)
+	for _, bm := range []int{1, 3} {
+		cases = append(cases, goldenCase{Deployment: "GPT3-39B/16xA40/T", Policy: int(sched.WAAC),
+			BE: 1, BD: 1, Bm: bm, TPDegree: 4, TPGPUs: 8})
+	}
 	for name, sim := range sims {
 		ev := NewEvaluator(sim)
-		for _, g := range loadGolden(t) {
+		for _, g := range cases {
 			if g.Deployment != name {
 				continue
 			}
@@ -310,106 +317,6 @@ func TestEvaluatorsShareSimulatorRace(t *testing.T) {
 	for g, err := range errs {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
-		}
-	}
-}
-
-// checkShapes asserts that sh dedupes stages exactly by the stage-time
-// inputs: two stages share a shape iff they agree on layer count, TP,
-// CrossNode and pipeline link class. It returns the shape count.
-func checkShapes(t *testing.T, sim *Simulator, name string, stages []sched.Stage, sh stageShapes) int {
-	t.Helper()
-	if len(sh.of) != len(stages) {
-		t.Fatalf("%s: %d shape indices for %d stages", name, len(sh.of), len(stages))
-	}
-	key := func(st sched.Stage) [4]int {
-		layers := st.DecLayers
-		if sh.enc {
-			layers = st.EncLayers
-		}
-		cross := 0
-		if st.CrossNode {
-			cross = 1
-		}
-		return [4]int{layers, st.TP, cross, int(sim.ppClass(st))}
-	}
-	for i, a := range stages {
-		if rep := sh.reps[sh.of[i]]; key(rep) != key(a) {
-			t.Fatalf("%s: stage %d %+v mapped to shape of %+v", name, i, a, rep)
-		}
-		for j, b := range stages {
-			if same := sh.of[i] == sh.of[j]; same != (key(a) == key(b)) {
-				t.Fatalf("%s: stages %d %+v and %d %+v share shape = %v", name, i, a, j, b, same)
-			}
-		}
-	}
-	return len(sh.reps)
-}
-
-// TestStageShapesAcrossNodeBoundary: on GPT3-39B/16xA40 (two 8-GPU
-// nodes) the RRA stages at the node boundary and at the wrap-around
-// differ from their neighbours only in the pipeline link class, and the
-// WAA-C TP 4x8 decode pool has a TP group spanning both nodes beside
-// one that does not. Each such stage needs a shape of its own, and the
-// estimates must stay bit-identical to the reference path.
-func TestStageShapesAcrossNodeBoundary(t *testing.T) {
-	sim := newSim(t, model.GPT339B, 16, hw.A40Cluster, workload.Translation)
-	ev := NewEvaluator(sim)
-
-	ae := ev.rraAlloc(sched.TPSpec{Degree: 1})
-	if ae.err != nil {
-		t.Fatal(ae.err)
-	}
-	stages := ae.alloc.Stages
-	if n := checkShapes(t, sim, "RRA dec", stages, ae.dec); n != 2 {
-		t.Fatalf("RRA decode shapes = %d, want 2 (intra- and inter-node handover)", n)
-	}
-	checkShapes(t, sim, "RRA enc", stages, ae.enc)
-	if stages[6].DecLayers != stages[7].DecLayers || ae.dec.of[6] == ae.dec.of[7] || ae.dec.of[7] != ae.dec.of[15] {
-		t.Fatalf("RRA: stages 7 and 15 hand over across nodes and need their own shape: %v", ae.dec.of)
-	}
-
-	p, err := ev.waaCostProbe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	waaTP := sched.TPSpec{Degree: 4, GPUs: 8}
-	we := ev.waaAlloc(sched.WAAC, waaTP, p)
-	if we.err != nil {
-		t.Fatal(we.err)
-	}
-	checkShapes(t, sim, "WAA enc", we.encStages, we.enc)
-	if n := checkShapes(t, sim, "WAA dec", we.decStages, we.dec); n != len(we.decStages) {
-		t.Fatalf("WAA decode shapes = %d, want one per stage (%d)", n, len(we.decStages))
-	}
-	var cross, local int = -1, -1
-	for i, st := range we.decStages {
-		if st.TP == 4 && st.CrossNode {
-			cross = i
-		} else if st.TP == 4 {
-			local = i
-		}
-	}
-	if cross < 0 || local < 0 || we.decStages[cross].DecLayers != we.decStages[local].DecLayers {
-		t.Fatalf("WAA decode pool lacks a cross-node/intra-node pair of equal TP groups: %+v", we.decStages)
-	}
-
-	for _, cfg := range []sched.Config{
-		{Policy: sched.RRA, BD: 512, BE: 1, ND: 24, TP: sched.TPSpec{Degree: 1}},
-		{Policy: sched.RRA, BD: 64, BE: 1, ND: 4, TP: sched.TPSpec{Degree: 1}},
-		{Policy: sched.WAAC, BE: 1, BD: 1, Bm: 3, TP: waaTP},
-		{Policy: sched.WAAC, BE: 1, BD: 1, Bm: 1, TP: waaTP},
-	} {
-		ref, err := sim.Estimate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ev.Estimate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ref.Feasible || !reflect.DeepEqual(got, ref) {
-			t.Fatalf("%+v: evaluator %+v, reference %+v", cfg, got, ref)
 		}
 	}
 }

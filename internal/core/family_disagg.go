@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"exegpt/internal/profile"
 	"exegpt/internal/sched"
 )
 
@@ -41,21 +42,13 @@ func (s *Simulator) estimateDisagg(cfg sched.Config) (Estimate, error) {
 	ctx := s.meanCtx()
 
 	// Prefill pool: pipelined over successive batches.
-	encStages := alloc.EncStages()
-	encTimes := make([]float64, len(encStages))
-	for i, st := range encStages {
-		encTimes[i], err = s.encStageTime(st, encTokens, s.inMean)
-		if err != nil {
-			return Estimate{}, err
-		}
+	kern := profile.NewStages(s.Profile, s.Cluster, alloc.Stages)
+	encTimes, err := kern.Encode(nil, encTokens, s.inMean, 1)
+	if err != nil {
+		return Estimate{}, err
 	}
-	encTraversal := traversal(encTimes)
-	encPeriod := 0.0
-	for _, t := range encTimes {
-		if t > encPeriod {
-			encPeriod = t
-		}
-	}
+	encTraversal := profile.Traversal(encTimes)
+	encPeriod := profile.Slowest(encTimes)
 
 	// Decode pool with Bm micro-batches, clamped like WAA's.
 	decStages := alloc.DecStages()
@@ -67,15 +60,12 @@ func (s *Simulator) estimateDisagg(cfg sched.Config) (Estimate, error) {
 	if micro < 1 {
 		micro = 1
 	}
-	decTimes := make([]float64, len(decStages))
-	for i, st := range decStages {
-		decTimes[i], err = s.decStageTime(st, micro, ctx)
-		if err != nil {
-			return Estimate{}, err
-		}
+	decTimes, err := kern.Decode(nil, micro, ctx, 1)
+	if err != nil {
+		return Estimate{}, err
 	}
-	decIter := pipelinePeriod(decTimes, bm)
-	decTraversal := traversal(decTimes)
+	decIter := profile.PipelinePeriod(decTimes, bm)
+	decTraversal := profile.Traversal(decTimes)
 
 	// Steady-state period: the disaggregated cache handover is a direct
 	// pool-to-pool pull with no host staging, so it serializes with the
@@ -86,7 +76,7 @@ func (s *Simulator) estimateDisagg(cfg sched.Config) (Estimate, error) {
 
 	// Memory feasibility per pool, same accounting as WAA's.
 	var peakEnc, peakDec int64
-	for _, st := range encStages {
+	for _, st := range alloc.EncStages() {
 		mem := sched.WeightBytesPerGPU(s.Model, st) +
 			int64(2*encTokens)*s.Model.KVBytesPerTokenLayer()*int64(max(st.EncLayers, 1))
 		if mem > peakEnc {

@@ -113,97 +113,6 @@ func infeasible(cfg sched.Config, reason string) Estimate {
 		Throughput: 0, Latency: math.Inf(1)}
 }
 
-// linkClass returns the collective link class for a stage.
-func linkClass(s sched.Stage) profile.LinkClass {
-	if s.CrossNode {
-		return profile.InterNode
-	}
-	return profile.IntraNode
-}
-
-// ppClass returns the link class between consecutive stages; adjacent
-// rank blocks may span nodes, approximated by the from-stage boundary.
-func (s *Simulator) ppClass(from sched.Stage) profile.LinkClass {
-	last := from.FirstRank + from.TP - 1
-	next := (last + 1) % s.Cluster.TotalGPUs()
-	if s.Cluster.NodeOf(last) != s.Cluster.NodeOf(next) {
-		return profile.InterNode
-	}
-	return profile.IntraNode
-}
-
-// encStageTime returns one stage's encoding time for a batch with
-// totalTokens prompt tokens, plus the pipeline handover.
-func (s *Simulator) encStageTime(st sched.Stage, totalTokens int, meanSeq float64) (float64, error) {
-	if st.EncLayers == 0 || totalTokens == 0 {
-		return 0, nil
-	}
-	layer, err := s.Profile.EncodeLayer(totalTokens, meanSeq, st.TP, linkClass(st))
-	if err != nil {
-		return 0, err
-	}
-	send, err := s.Profile.PPSend(totalTokens, s.ppClass(st))
-	if err != nil {
-		return 0, err
-	}
-	return float64(st.EncLayers)*layer + send, nil
-}
-
-// decStageTime returns one stage's decode-iteration time for batch
-// queries with mean attention context ctx.
-func (s *Simulator) decStageTime(st sched.Stage, batch int, ctx float64) (float64, error) {
-	if st.DecLayers == 0 || batch == 0 {
-		return 0, nil
-	}
-	layer, err := s.Profile.DecodeLayer(batch, ctx, st.TP, linkClass(st))
-	if err != nil {
-		return 0, err
-	}
-	send, err := s.Profile.PPSend(batch, s.ppClass(st))
-	if err != nil {
-		return 0, err
-	}
-	return float64(st.DecLayers)*layer + send, nil
-}
-
-// pipelinePeriod returns the steady-state period of one autoregressive
-// iteration over the stage times when m micro-batches are in flight:
-// max(Σ t_s, m * max_s t_s). With m=1 the pipeline serializes to the
-// traversal (Figure 4(b)); more micro-batches overlap stages
-// (Figure 4(c)) at the cost of per-micro-batch efficiency.
-func pipelinePeriod(stageTimes []float64, m int) float64 {
-	var sum, max float64
-	for _, t := range stageTimes {
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
-	return periodOf(sum, max, m)
-}
-
-// periodOf is pipelinePeriod given the stage times' sum (the traversal)
-// and maximum.
-func periodOf(sum, max float64, m int) float64 {
-	if m < 1 {
-		m = 1
-	}
-	if p := float64(m) * max; p > sum {
-		return p
-	}
-	return sum
-}
-
-// traversal returns Σ t_s: the time one token takes through the
-// pipeline.
-func traversal(stageTimes []float64) float64 {
-	var sum float64
-	for _, t := range stageTimes {
-		sum += t
-	}
-	return sum
-}
-
 // meanCtx returns the mean self(+cross) attention context of an active
 // decode slot in steady state, precomputed at construction.
 func (s *Simulator) meanCtx() float64 { return s.ctxMean }
@@ -278,14 +187,12 @@ func (s *Simulator) estimateRRA(cfg sched.Config) (Estimate, error) {
 	if microTokens < 1 {
 		microTokens = 1
 	}
-	encTimes := make([]float64, len(alloc.Stages))
-	for i, st := range alloc.Stages {
-		encTimes[i], err = s.encStageTime(st, microTokens, s.inMean)
-		if err != nil {
-			return Estimate{}, err
-		}
+	kern := profile.NewStages(s.Profile, s.Cluster, alloc.Stages)
+	times, err := kern.Encode(nil, microTokens, s.inMean, 1)
+	if err != nil {
+		return Estimate{}, err
 	}
-	encPhase := pipelinePeriod(encTimes, rraMicroBatches)
+	encPhase := profile.PipelinePeriod(times, rraMicroBatches)
 
 	// Decoding iterations u = 1..ND with decaying active batches.
 	ctx := s.meanCtx()
@@ -299,14 +206,11 @@ func (s *Simulator) estimateRRA(cfg sched.Config) (Estimate, error) {
 		if micro < 1 {
 			micro = 1
 		}
-		times := make([]float64, len(alloc.Stages))
-		for i, st := range alloc.Stages {
-			times[i], err = s.decStageTime(st, micro, ctx)
-			if err != nil {
-				return Estimate{}, err
-			}
+		times, err = kern.Decode(times, micro, ctx, 1)
+		if err != nil {
+			return Estimate{}, err
 		}
-		iter := pipelinePeriod(times, rraMicroBatches)
+		iter := profile.PipelinePeriod(times, rraMicroBatches)
 		decTotal += iter
 		if u == 1 {
 			firstIter = iter
@@ -425,21 +329,13 @@ func (s *Simulator) estimateWAA(cfg sched.Config) (Estimate, error) {
 	}
 
 	// Encoder pipeline: pipelined over successive batches.
-	encStages := alloc.EncStages()
-	encTimes := make([]float64, len(encStages))
-	for i, st := range encStages {
-		encTimes[i], err = s.encStageTime(st, encTokens, s.inMean)
-		if err != nil {
-			return Estimate{}, err
-		}
+	kern := profile.NewStages(s.Profile, s.Cluster, alloc.Stages)
+	encTimes, err := kern.Encode(nil, encTokens, s.inMean, 1)
+	if err != nil {
+		return Estimate{}, err
 	}
-	encTraversal := traversal(encTimes)
-	encPeriod := 0.0
-	for _, t := range encTimes {
-		if t > encPeriod {
-			encPeriod = t
-		}
-	}
+	encTraversal := profile.Traversal(encTimes)
+	encPeriod := profile.Slowest(encTimes)
 
 	// Decoder pipeline with Bm micro-batches. More micro-batches than
 	// pipeline stages add no overlap and only shrink per-micro-batch
@@ -454,15 +350,12 @@ func (s *Simulator) estimateWAA(cfg sched.Config) (Estimate, error) {
 	if micro < 1 {
 		micro = 1
 	}
-	decTimes := make([]float64, len(decStages))
-	for i, st := range decStages {
-		decTimes[i], err = s.decStageTime(st, micro, ctx)
-		if err != nil {
-			return Estimate{}, err
-		}
+	decTimes, err := kern.Decode(nil, micro, ctx, 1)
+	if err != nil {
+		return Estimate{}, err
 	}
-	decIter := pipelinePeriod(decTimes, bm)
-	decTraversal := traversal(decTimes)
+	decIter := profile.PipelinePeriod(decTimes, bm)
+	decTraversal := profile.Traversal(decTimes)
 
 	// Steady-state period: the slower side gates (pipeline bubble
 	// otherwise); the KV handover is staged through host memory and
@@ -473,7 +366,7 @@ func (s *Simulator) estimateWAA(cfg sched.Config) (Estimate, error) {
 
 	// Memory feasibility per side.
 	var peakEnc, peakDec int64
-	for _, st := range encStages {
+	for _, st := range alloc.EncStages() {
 		mem := sched.WeightBytesPerGPU(s.Model, st) +
 			int64(2*encTokens)*s.Model.KVBytesPerTokenLayer()*int64(max(st.EncLayers, 1))
 		if mem > peakEnc {

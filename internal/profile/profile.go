@@ -9,9 +9,11 @@
 //
 // In this reproduction "measuring" samples the analytical cost model
 // (internal/costmodel) instead of CUDA kernels; everything downstream
-// (XSimulator, XScheduler) consumes only the resulting Table, exactly as
-// in the paper. Tables serialize to JSON so profiles can be captured
-// once per model and cluster (§7.7) and reused.
+// (XSimulator, XScheduler, XRunner, the baselines) consumes only the
+// resulting Table, exactly as in the paper, and prices pipeline stages
+// from it through one kernel, Stages. Tables serialize to JSON so
+// profiles can be captured once per model and cluster (§7.7) and
+// reused.
 package profile
 
 import (

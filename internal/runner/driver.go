@@ -60,18 +60,14 @@ func (pooledDriver) runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation
 }
 
 func (pooledDriver) openInit(o *OpenRun) error {
-	o.encStages = o.alloc.EncStages()
-	o.decStages = o.alloc.DecStages()
-	if len(o.encStages) == 0 || len(o.decStages) == 0 {
+	encStages, decStages := o.alloc.EncStages(), o.alloc.DecStages()
+	if len(encStages) == 0 || len(decStages) == 0 {
 		return fmt.Errorf("runner: WAA needs dedicated encode and decode stages")
 	}
-	o.bm = o.cfg.Bm
-	if o.bm > len(o.decStages) {
-		o.bm = len(o.decStages)
-	}
+	o.bm = min(o.cfg.Bm, len(decStages))
 	// Same in-flight bound as the batch engine: the encoder pipeline
 	// holds one batch per stage plus handover slack.
-	o.maxInflight = len(o.encStages) + 3
+	o.maxInflight = len(encStages) + 3
 	return nil
 }
 

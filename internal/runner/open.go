@@ -23,6 +23,7 @@ import (
 
 	"exegpt/internal/eventsim"
 	"exegpt/internal/metrics"
+	"exegpt/internal/profile"
 	"exegpt/internal/sched"
 	"exegpt/internal/workload"
 )
@@ -66,15 +67,18 @@ type OpenRun struct {
 	// drv is the execution driver the policy's family selected.
 	drv driver
 
+	// kern prices the allocation's stages into the reused times buffer.
+	kern  *profile.Stages
+	times []float64
+
 	// Dedicated-pool pipeline state (mirrors runWAA); populated by the
 	// pooled driver's openInit.
-	encStages, decStages []sched.Stage
-	bm                   int
-	inbox                []openArrival
-	inflight             int // encoder batches not yet fully merged
-	inflightReqs         int // requests encoded but not yet active
-	maxInflight          int
-	decoding             bool
+	bm           int
+	inbox        []openArrival
+	inflight     int // encoder batches not yet fully merged
+	inflightReqs int // requests encoded but not yet active
+	maxInflight  int
+	decoding     bool
 }
 
 // openArrival is an encoded batch in KV handover or waiting for decoder
@@ -104,6 +108,7 @@ func (e *Engine) Open(cfg sched.Config, alloc sched.Allocation, startAt float64)
 		startAt:   startAt,
 		admitting: true,
 		parked:    true,
+		kern:      profile.NewStages(e.Prof, e.Cluster, alloc.Stages),
 	}
 	o.sim.MaxSteps = 500_000_000
 	drv, err := driverFor(cfg.Policy)
@@ -283,15 +288,16 @@ func (o *OpenRun) rraCycle() {
 			if microTokens < 1 {
 				microTokens = 1
 			}
-			times, err := o.eng.encStageTimes(o.alloc.Stages, microTokens, o.meanIn())
+			var err error
+			o.times, err = o.kern.Encode(o.times, microTokens, o.meanIn(), 1)
 			if err != nil {
 				o.err = err
 				return
 			}
-			for _, t := range times {
+			for _, t := range o.times {
 				o.res.EncStage.Add(t)
 			}
-			encDur = pipelinePeriod(times, rraMicroBatches)
+			encDur = profile.PipelinePeriod(o.times, rraMicroBatches)
 		}
 	}
 	o.sim.After(encDur, func() { o.rraDecode(0) })
@@ -311,15 +317,16 @@ func (o *OpenRun) rraDecode(u int) {
 	if micro < 1 {
 		micro = 1
 	}
-	times, err := o.eng.decStageTimes(o.alloc.Stages, micro, ctx)
+	var err error
+	o.times, err = o.kern.Decode(o.times, micro, ctx, 1)
 	if err != nil {
 		o.err = err
 		return
 	}
-	for _, t := range times {
+	for _, t := range o.times {
 		o.res.DecStage.Add(t)
 	}
-	o.sim.After(pipelinePeriod(times, rraMicroBatches), func() {
+	o.sim.After(profile.PipelinePeriod(o.times, rraMicroBatches), func() {
 		o.res.Iterations++
 		o.complete()
 		if o.err != nil {
@@ -355,22 +362,17 @@ func (o *OpenRun) startEncode() {
 	for _, r := range batch {
 		tokens += r.InLen
 	}
-	times, terr := o.eng.encStageTimes(o.encStages, tokens, o.meanIn())
+	var terr error
+	o.times, terr = o.kern.Encode(o.times, tokens, o.meanIn(), 1)
 	if terr != nil {
 		o.err = terr
 		return
 	}
-	for _, t := range times {
+	for _, t := range o.times {
 		o.res.EncStage.Add(t)
 	}
-	period, trav := 0.0, 0.0
-	for _, t := range times {
-		trav += t
-		if t > period {
-			period = t
-		}
-	}
-	handover := trav + o.eng.Prof.KVTransfer(tokens)
+	period := profile.Slowest(o.times)
+	handover := profile.Traversal(o.times) + o.eng.Prof.KVTransfer(tokens)
 	o.inflight++
 	o.inflightReqs += len(batch)
 	o.sim.After(handover, func() {
@@ -435,15 +437,16 @@ func (o *OpenRun) iterate() {
 		micro = 1
 	}
 	ctx := o.dec.meanCtx()
-	times, terr := o.eng.decStageTimes(o.decStages, micro, ctx)
+	var terr error
+	o.times, terr = o.kern.Decode(o.times, micro, ctx, 1)
 	if terr != nil {
 		o.err = terr
 		return
 	}
-	for _, t := range times {
+	for _, t := range o.times {
 		o.res.DecStage.Add(t)
 	}
-	dur := pipelinePeriod(times, o.bm)
+	dur := profile.PipelinePeriod(o.times, o.bm)
 	if cost, ran := o.eng.maybeCompact(o.dec.states); ran {
 		dur += cost
 		o.res.Compactions++

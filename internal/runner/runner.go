@@ -262,82 +262,6 @@ func (e *Engine) promptTokens(r workload.Request) int {
 	return r.InLen
 }
 
-// linkClass mirrors core's stage link classification.
-func linkClass(s sched.Stage) profile.LinkClass {
-	if s.CrossNode {
-		return profile.InterNode
-	}
-	return profile.IntraNode
-}
-
-func (e *Engine) ppClass(from sched.Stage) profile.LinkClass {
-	last := from.FirstRank + from.TP - 1
-	next := (last + 1) % e.Cluster.TotalGPUs()
-	if e.Cluster.NodeOf(last) != e.Cluster.NodeOf(next) {
-		return profile.InterNode
-	}
-	return profile.IntraNode
-}
-
-// encStageTimes returns per-stage encode times for a batch totalling
-// tokens prompt tokens.
-func (e *Engine) encStageTimes(stages []sched.Stage, tokens int, meanSeq float64) ([]float64, error) {
-	out := make([]float64, 0, len(stages))
-	for _, st := range stages {
-		if st.EncLayers == 0 {
-			continue
-		}
-		layer, err := e.Prof.EncodeLayer(tokens, meanSeq, st.TP, linkClass(st))
-		if err != nil {
-			return nil, err
-		}
-		send, err := e.Prof.PPSend(tokens, e.ppClass(st))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, float64(st.EncLayers)*layer+send)
-	}
-	return out, nil
-}
-
-// decStageTimes returns per-stage decode-iteration times.
-func (e *Engine) decStageTimes(stages []sched.Stage, batch int, ctx float64) ([]float64, error) {
-	out := make([]float64, 0, len(stages))
-	for _, st := range stages {
-		if st.DecLayers == 0 {
-			continue
-		}
-		layer, err := e.Prof.DecodeLayer(batch, ctx, st.TP, linkClass(st))
-		if err != nil {
-			return nil, err
-		}
-		send, err := e.Prof.PPSend(batch, e.ppClass(st))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, float64(st.DecLayers)*layer+send)
-	}
-	return out, nil
-}
-
-// pipelinePeriod mirrors core's steady-state iteration period.
-func pipelinePeriod(stageTimes []float64, m int) float64 {
-	if m < 1 {
-		m = 1
-	}
-	var sum, max float64
-	for _, t := range stageTimes {
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
-	if p := float64(m) * max; p > sum {
-		return p
-	}
-	return sum
-}
-
 // Run dispatches on the schedule's policy through the execution-driver
 // registry (driver.go).
 func (e *Engine) Run(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
@@ -420,6 +344,8 @@ func (e *Engine) runRRA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 	dec := decoder{model: e.Model, states: states}
 	meanIn := meanInLen(reqs)
 	now := 0.0
+	kern := profile.NewStages(e.Prof, e.Cluster, alloc.Stages)
+	var times []float64
 
 	// decSample buffers per-iteration decode stage times so the Table 7
 	// variance stats can be restricted to steady state after the fact:
@@ -450,7 +376,8 @@ func (e *Engine) runRRA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 				if microTokens < 1 {
 					microTokens = 1
 				}
-				times, err := e.encStageTimes(alloc.Stages, microTokens, meanIn)
+				var err error
+				times, err = kern.Encode(times, microTokens, meanIn, 1)
 				if err != nil {
 					return Result{}, err
 				}
@@ -461,7 +388,7 @@ func (e *Engine) runRRA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 						res.EncStage.Add(t)
 					}
 				}
-				now += pipelinePeriod(times, rraMicroBatches)
+				now += profile.PipelinePeriod(times, rraMicroBatches)
 				for _, r := range admitted {
 					dec.add(r, now)
 				}
@@ -475,7 +402,8 @@ func (e *Engine) runRRA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 			if micro < 1 {
 				micro = 1
 			}
-			times, err := e.decStageTimes(alloc.Stages, micro, ctx)
+			var err error
+			times, err = kern.Decode(times, micro, ctx, 1)
 			if err != nil {
 				return Result{}, err
 			}
@@ -488,7 +416,7 @@ func (e *Engine) runRRA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 					times:  append([]float64(nil), times...),
 				})
 			}
-			now += pipelinePeriod(times, rraMicroBatches)
+			now += profile.PipelinePeriod(times, rraMicroBatches)
 			res.Iterations++
 
 			if _, err := dec.step(now, rec, &res.Records); err != nil {
@@ -553,6 +481,8 @@ func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 	pending := newReqFIFO(reqs)
 	meanIn := meanInLen(reqs)
 	dec := decoder{model: e.Model, states: states}
+	kern := profile.NewStages(e.Prof, e.Cluster, alloc.Stages)
+	var times []float64
 	type arrival struct {
 		batch []workload.Request
 		start float64
@@ -600,7 +530,8 @@ func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 		for _, r := range batch {
 			tokens += r.InLen
 		}
-		times, terr := e.encStageTimes(encStages, tokens, meanIn)
+		var terr error
+		times, terr = kern.Encode(times, tokens, meanIn, 1)
 		if terr != nil {
 			runErr = terr
 			return
@@ -608,15 +539,8 @@ func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 		for _, t := range times {
 			res.EncStage.Add(t)
 		}
-		period := 0.0
-		var trav float64
-		for _, t := range times {
-			trav += t
-			if t > period {
-				period = t
-			}
-		}
-		handover := trav + e.Prof.KVTransfer(tokens)
+		period := profile.Slowest(times)
+		handover := profile.Traversal(times) + e.Prof.KVTransfer(tokens)
 		start := sim.Now()
 		inflight++
 		sim.After(handover, func() {
@@ -682,7 +606,8 @@ func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 			micro = 1
 		}
 		ctx := dec.meanCtx()
-		times, terr := e.decStageTimes(decStages, micro, ctx)
+		var terr error
+		times, terr = kern.Decode(times, micro, ctx, 1)
 		if terr != nil {
 			runErr = terr
 			return
@@ -692,7 +617,7 @@ func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 				res.DecStage.Add(t)
 			}
 		}
-		dur := pipelinePeriod(times, bm)
+		dur := profile.PipelinePeriod(times, bm)
 		if cost, ran := e.maybeCompact(states); ran {
 			dur += cost
 			res.Compactions++

@@ -10,8 +10,8 @@ import (
 	"math/rand"
 )
 
-// Process generates a strictly increasing sequence of arrival times in
-// virtual seconds. Implementations are single-goroutine.
+// Process generates a strictly increasing sequence of finite arrival
+// times in virtual seconds. Implementations are single-goroutine.
 type Process interface {
 	// Name identifies the process kind (poisson, mmpp, diurnal, step).
 	Name() string
@@ -31,24 +31,35 @@ const (
 	diurnalAmp     = 0.8 // rate swings mean*(1 +/- 0.8)
 )
 
+// MinRate is the lowest rate in requests/second a process accepts, for
+// the mean rate and the post-step rate alike. Far below it the
+// processes break down: at 1e-300 each mmpp arrival walks ~10^299
+// dwell flips, and at 1e-310 a gap overflows to +Inf. At the floor an
+// mmpp arrival takes about a millisecond to draw.
+const MinRate = 1e-6
+
 // NewProcess builds an arrival process of the given kind around a mean
 // rate (arrivals/second). stepAt/stepFactor configure the piecewise
 // "step" kind: the rate jumps from rate to rate*stepFactor at stepAt
 // seconds (they are ignored by the other kinds).
 func NewProcess(kind string, rate float64, seed int64, stepAt, stepFactor float64) (Process, error) {
-	if !finitePositive(rate) {
-		return nil, fmt.Errorf("serve: arrival rate %v must be positive and finite", rate)
+	if !validRate(rate) {
+		return nil, fmt.Errorf("serve: arrival rate %v must be finite and at least %v", rate, MinRate)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	switch kind {
 	case "poisson":
 		return &poisson{rate: rate, rng: rng}, nil
 	case "mmpp":
-		return &mmpp{
-			low: rate * mmppLowFactor, high: rate * mmppHighFactor,
-			dwell: mmppMeanDwell, rng: rng,
-		}, nil
+		low, high := rate*mmppLowFactor, rate*mmppHighFactor
+		if !finitePositive(high) {
+			return nil, fmt.Errorf("serve: mmpp high-state rate %v (from rate %v) must be finite", high, rate)
+		}
+		return &mmpp{low: low, high: high, dwell: mmppMeanDwell, rng: rng}, nil
 	case "diurnal":
+		if peak := rate * (1 + diurnalAmp); !finitePositive(peak) {
+			return nil, fmt.Errorf("serve: diurnal peak rate %v (from rate %v) must be finite", peak, rate)
+		}
 		return &diurnal{
 			base: rate, amp: diurnalAmp, period: diurnalPeriod, rng: rng,
 		}, nil
@@ -61,8 +72,8 @@ func NewProcess(kind string, rate float64, seed int64, stepAt, stepFactor float6
 		}
 		// An infinite post-step rate makes every gap 0 and time never
 		// advances; an underflowed one makes every gap infinite.
-		if !finitePositive(rate * stepFactor) {
-			return nil, fmt.Errorf("serve: post-step rate %v x %v must be positive and finite", rate, stepFactor)
+		if !validRate(rate * stepFactor) {
+			return nil, fmt.Errorf("serve: post-step rate %v x %v must be finite and at least %v", rate, stepFactor, MinRate)
 		}
 		return &step{r1: rate, r2: rate * stepFactor, at: stepAt, rng: rng}, nil
 	}
@@ -72,6 +83,19 @@ func NewProcess(kind string, rate float64, seed int64, stepAt, stepFactor float6
 // finitePositive reports whether x is a positive, finite number (NaN
 // fails every comparison, so it is rejected too).
 func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// validRate reports whether x is a finite rate of at least MinRate.
+func validRate(x float64) bool { return x >= MinRate && !math.IsInf(x, 1) }
+
+// after returns t+gap, or the next float above t when gap is below the
+// float spacing at t (a rate far above 1/t), so arrivals stay strictly
+// increasing.
+func after(t, gap float64) float64 {
+	if next := t + gap; next > t {
+		return next
+	}
+	return math.Nextafter(t, math.Inf(1))
+}
 
 // poisson is a homogeneous Poisson process: i.i.d. exponential gaps.
 type poisson struct {
@@ -83,7 +107,7 @@ type poisson struct {
 func (p *poisson) Name() string { return "poisson" }
 
 func (p *poisson) Next() float64 {
-	p.t += p.rng.ExpFloat64() / p.rate
+	p.t = after(p.t, p.rng.ExpFloat64()/p.rate)
 	return p.t
 }
 
@@ -116,7 +140,7 @@ func (m *mmpp) Next() float64 {
 		}
 		gap := m.rng.ExpFloat64() / rate
 		if m.t+gap < m.stateEnd {
-			m.t += gap
+			m.t = after(m.t, gap)
 			return m.t
 		}
 		// The gap crosses a state boundary: discard it (memorylessness
@@ -145,7 +169,7 @@ func (d *diurnal) rate(t float64) float64 {
 func (d *diurnal) Next() float64 {
 	peak := d.base * (1 + d.amp)
 	for {
-		d.t += d.rng.ExpFloat64() / peak
+		d.t = after(d.t, d.rng.ExpFloat64()/peak)
 		if d.rng.Float64()*peak < d.rate(d.t) {
 			return d.t
 		}
@@ -176,7 +200,7 @@ func (s *step) Next() float64 {
 			s.t = s.at
 			continue
 		}
-		s.t += gap
+		s.t = after(s.t, gap)
 		return s.t
 	}
 }

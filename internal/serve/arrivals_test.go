@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -129,9 +130,53 @@ func TestNewProcessRejectsBadInputs(t *testing.T) {
 		{"NaN step-factor", 1, 10, nan},
 		{"overflowing post-step rate", 1e300, 10, 1e300},
 		{"underflowing post-step rate", 1e-300, 10, 1e-300},
+		{"post-step rate below the floor", 1, 10, 1e-7},
 	} {
 		if _, err := NewProcess("step", c.rate, 1, c.at, c.factor); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
+	}
+	// Rates below the floor, and rates whose state or peak rate
+	// overflows. At these rates mmpp walks ~10^299 dwell flips per
+	// arrival, diurnal thins against an infinite peak (or, at 1e-310,
+	// loops on t=+Inf), and poisson and step return +Inf.
+	for _, c := range []struct {
+		kind string
+		rate float64
+		want string
+	}{
+		{"poisson", 1e-310, "1e-310"},
+		{"poisson", MinRate / 2, "5e-07"},
+		{"step", 1e-310, "1e-310"},
+		{"mmpp", 1e-300, "1e-300"},
+		{"mmpp", 1.7e308, "+Inf"},
+		{"diurnal", 1e-310, "1e-310"},
+		{"diurnal", 1.7e308, "+Inf"},
+	} {
+		_, err := NewProcess(c.kind, c.rate, 1, 10, 2)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s at rate %v: error %v, want one naming %s", c.kind, c.rate, err, c.want)
+		}
+	}
+	if _, err := NewProcess("mmpp", MinRate, 1, 0, 0); err != nil {
+		t.Errorf("rate at the floor rejected: %v", err)
+	}
+}
+
+// TestArrivalsResolveHighRates: a post-step rate whose gaps are below
+// the float spacing at the step time still yields strictly increasing
+// arrivals.
+func TestArrivalsResolveHighRates(t *testing.T) {
+	p, err := NewProcess("step", 1, 1, 10, 1e17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0.0
+	for i := 0; i < 64; i++ {
+		v := p.Next()
+		if !(v > prev) || math.IsInf(v, 0) {
+			t.Fatalf("arrival %d at %v not after %v", i, v, prev)
+		}
+		prev = v
 	}
 }

@@ -256,6 +256,16 @@ func relDrift(obs, assumed float64) float64 {
 
 // Run executes one serving run on the deployment.
 func Run(dep *experiments.Deployment, opts Options) (*Report, error) {
+	// withDefaults replaces only values <= 0, so NaN and +Inf would
+	// pass through into the controller's value model.
+	for _, o := range []struct {
+		name string
+		v    float64
+	}{{"switch cost", opts.SwitchCost}, {"drift tolerance", opts.DriftTol}, {"horizon", opts.Horizon}} {
+		if math.IsNaN(o.v) || math.IsInf(o.v, 0) {
+			return nil, fmt.Errorf("serve: %s %v must be finite", o.name, o.v)
+		}
+	}
 	opts = opts.withDefaults()
 	if opts.Duration <= 0 || math.IsInf(opts.Duration, 0) || math.IsNaN(opts.Duration) {
 		return nil, fmt.Errorf("serve: duration %v must be positive and finite", opts.Duration)

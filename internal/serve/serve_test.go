@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -206,5 +208,18 @@ func TestServeRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := Run(d, Options{Rate: 1, Duration: 10, Arrival: "nope"}); err == nil {
 		t.Fatal("unknown arrival kind accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, o := range map[string]Options{
+			"switch cost":     {SwitchCost: v},
+			"drift tolerance": {DriftTol: v},
+			"horizon":         {Horizon: v},
+		} {
+			o.Rate, o.Duration = 1, 10
+			_, err := Run(d, o)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%s %v", name, v)) {
+				t.Errorf("%s %v: error %v, want one naming the value", name, v, err)
+			}
+		}
 	}
 }

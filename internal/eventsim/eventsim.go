@@ -1,5 +1,5 @@
 // Package eventsim provides a deterministic discrete-event simulation
-// kernel used by the XRunner execution engine and the baseline engines.
+// kernel used by the XRunner execution engine.
 //
 // Time is virtual and measured in seconds (float64). Events scheduled at
 // the same instant are executed in scheduling order (FIFO), which makes
@@ -7,8 +7,8 @@
 //
 // Event structs are pooled: fired and lazily drained cancelled events
 // return to a per-Sim free list and are reused by later At/After calls,
-// so long simulations (the WAA runner schedules one event per decode
-// iteration and handover) stop churning the heap allocator once the
+// so long simulations (the runner schedules one event per decode
+// iteration and per WAA handover) stop churning the heap allocator once the
 // pool warms up. External code holds Handles, which carry a generation
 // counter so operations on an already-fired (recycled) event are safe
 // no-ops.
@@ -217,57 +217,4 @@ func (s *Sim) RunUntil(deadline float64) float64 {
 		s.now = deadline
 	}
 	return s.now
-}
-
-// Resource models an exclusive serially-reusable resource (e.g. one GPU's
-// compute stream). Work items are executed in FIFO order; each occupies
-// the resource for its stated duration.
-type Resource struct {
-	sim  *Sim
-	name string
-	// freeAt is the virtual time at which the resource becomes idle.
-	freeAt float64
-	// busy accumulates total busy seconds for utilization accounting.
-	busy float64
-}
-
-// NewResource creates a resource bound to sim.
-func NewResource(sim *Sim, name string) *Resource {
-	return &Resource{sim: sim, name: name}
-}
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
-// FreeAt returns the virtual time at which all currently queued work
-// completes.
-func (r *Resource) FreeAt() float64 { return r.freeAt }
-
-// BusySeconds returns the accumulated busy time.
-func (r *Resource) BusySeconds() float64 { return r.busy }
-
-// Acquire schedules work of the given duration beginning no earlier than
-// earliest, queued FIFO behind previously acquired work. done is invoked
-// at completion time with the completion time as argument. Acquire
-// returns the time the work starts.
-func (r *Resource) Acquire(earliest, duration float64, done func(endAt float64)) float64 {
-	if duration < 0 {
-		panic(fmt.Sprintf("eventsim: resource %s negative duration %v", r.name, duration))
-	}
-	start := math.Max(math.Max(earliest, r.freeAt), r.sim.Now())
-	end := start + duration
-	r.freeAt = end
-	r.busy += duration
-	if done != nil {
-		r.sim.At(end, func() { done(end) })
-	}
-	return start
-}
-
-// Utilization returns busy seconds divided by the given makespan.
-func (r *Resource) Utilization(makespan float64) float64 {
-	if makespan <= 0 {
-		return 0
-	}
-	return r.busy / makespan
 }

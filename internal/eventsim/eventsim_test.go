@@ -136,62 +136,6 @@ func TestMaxStepsGuard(t *testing.T) {
 	s.Run()
 }
 
-func TestResourceFIFO(t *testing.T) {
-	s := New()
-	r := NewResource(s, "gpu0")
-	var ends []float64
-	r.Acquire(0, 2.0, func(end float64) { ends = append(ends, end) })
-	r.Acquire(0, 3.0, func(end float64) { ends = append(ends, end) })
-	start := r.Acquire(1.0, 1.0, func(end float64) { ends = append(ends, end) })
-	if start != 5.0 {
-		t.Fatalf("third start = %v, want 5 (queued FIFO)", start)
-	}
-	s.Run()
-	want := []float64{2, 5, 6}
-	for i := range want {
-		if ends[i] != want[i] {
-			t.Fatalf("ends = %v, want %v", ends, want)
-		}
-	}
-	if r.BusySeconds() != 6 {
-		t.Fatalf("busy = %v, want 6", r.BusySeconds())
-	}
-	if u := r.Utilization(6); u != 1.0 {
-		t.Fatalf("utilization = %v, want 1", u)
-	}
-}
-
-func TestResourceEarliestRespected(t *testing.T) {
-	s := New()
-	r := NewResource(s, "gpu0")
-	start := r.Acquire(4.0, 1.0, nil)
-	if start != 4.0 {
-		t.Fatalf("start = %v, want 4", start)
-	}
-	if r.FreeAt() != 5.0 {
-		t.Fatalf("freeAt = %v, want 5", r.FreeAt())
-	}
-}
-
-func TestResourceNegativeDurationPanics(t *testing.T) {
-	s := New()
-	r := NewResource(s, "gpu0")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	r.Acquire(0, -1, nil)
-}
-
-func TestUtilizationZeroMakespan(t *testing.T) {
-	s := New()
-	r := NewResource(s, "g")
-	if r.Utilization(0) != 0 {
-		t.Fatal("utilization with zero makespan should be 0")
-	}
-}
-
 // Property: regardless of insertion order, events fire in nondecreasing
 // time order and the final clock equals the max scheduled time.
 func TestQuickOrdering(t *testing.T) {
@@ -286,41 +230,6 @@ func TestQuickCancelInterleaving(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// Property: resource serialization never overlaps work and busy time
-// equals the sum of durations.
-func TestQuickResourceSerial(t *testing.T) {
-	f := func(raw []uint8) bool {
-		s := New()
-		r := NewResource(s, "g")
-		total := 0.0
-		prevEnd := 0.0
-		ok := true
-		for _, v := range raw {
-			d := float64(v) / 13.0
-			total += d
-			pe := prevEnd
-			start := r.Acquire(0, d, nil)
-			if start < pe {
-				ok = false
-			}
-			prevEnd = start + d
-		}
-		s.Run()
-		return ok && almostEq(r.BusySeconds(), total)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func almostEq(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d < 1e-9*(1+b)
 }
 
 // TestStaleHandleIsSafeAfterRecycle: once an event fires, its storage

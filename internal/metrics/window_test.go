@@ -3,14 +3,11 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 func TestWindowedRejectsBadWidth(t *testing.T) {
 	for _, width := range []float64{0, -1, math.Inf(1), math.NaN()} {
@@ -61,7 +58,7 @@ func TestWindowedBuckets(t *testing.T) {
 // TestWindowedGolden pins the windowed recorder's full output — bucket
 // boundaries, percentile math, violation counting, gap filling — as a
 // committed JSON golden. A deliberate behavior change regenerates it
-// with `go test ./internal/metrics -run Golden -update-golden`.
+// with `UPDATE_GOLDEN=1 go test ./internal/metrics -run Golden`.
 func TestWindowedGolden(t *testing.T) {
 	w, err := NewWindowed(5, 1.0)
 	if err != nil {
@@ -86,7 +83,7 @@ func TestWindowedGolden(t *testing.T) {
 	got = append(got, '\n')
 
 	path := filepath.Join("testdata", "windowed_golden.json")
-	if *updateGolden {
+	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +93,7 @@ func TestWindowedGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create)", err)
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create)", err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("windowed stats diverged from golden %s:\ngot:\n%s\nwant:\n%s", path, got, want)

@@ -65,21 +65,12 @@ func TestBatchRunConservation(t *testing.T) {
 	e := engine(t, model.OPT13B, 4, hw.A40Cluster)
 	for _, c := range conservationCases() {
 		for _, seed := range []int64{1, 2, 3} {
-			alloc := c.alloc(t, e)
 			reqs := requests(t, workload.Summarization, 300, seed)
-			states, err := e.newStageStates(alloc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := driverFor(c.cfg.Policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := d.runBatch(e, c.cfg, alloc, reqs, states)
+			o, err := e.runAll(c.cfg, c.alloc(t, e), reqs)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", c.name, seed, err)
 			}
-			checkConservation(t, e, reqs, nil, res.Records, states)
+			checkConservation(t, e, reqs, nil, o.Records(), o.dec.states)
 		}
 	}
 }

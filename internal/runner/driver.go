@@ -1,8 +1,8 @@
 // Execution-driver registry: the runner's end of the per-family
 // dispatch. A family's capability flags select its driver — dedicated
-// encode/decode pools run on the asynchronous eventsim driver, shared
-// pools on the synchronized cycle driver — so a family registered in
-// sched lands in both the batch Run and incremental OpenRun engines
+// encode/decode pools run as asynchronous encoder and decoder
+// pipelines, shared pools as the synchronized cycle — so a family
+// registered in sched runs on the engine (Engine.Run and OpenRun alike)
 // without a new policy branch here.
 package runner
 
@@ -10,15 +10,12 @@ import (
 	"fmt"
 
 	"exegpt/internal/sched"
-	"exegpt/internal/workload"
 )
 
-// driver executes schedules for one capability class of families. Both
-// engines route through it: runBatch drains a pre-drawn request slice
-// (Engine.Run) over the allocation's decode stages; openInit/openWake
-// bind the incremental OpenRun's pipeline state and admission restart.
+// driver binds one capability class of families onto an OpenRun:
+// openInit sets up its pipeline state and event callbacks, and openWake
+// restarts admission when an arrival finds the engine parked.
 type driver interface {
-	runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request, states []*stageState) (Result, error)
 	openInit(o *OpenRun) error
 	openWake(o *OpenRun)
 }
@@ -43,11 +40,10 @@ func driverFor(p sched.Policy) (driver, error) {
 // (one encoding phase then ND decoding iterations, Figure 4(a)).
 type syncDriver struct{}
 
-func (syncDriver) runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request, states []*stageState) (Result, error) {
-	return e.runRRA(cfg, alloc, reqs, states)
+func (syncDriver) openInit(o *OpenRun) error {
+	o.onDecode, o.onStep = o.rraDecode, o.rraStep
+	return nil
 }
-
-func (syncDriver) openInit(o *OpenRun) error { return nil }
 
 func (syncDriver) openWake(o *OpenRun) { o.rraCycle() }
 
@@ -55,19 +51,18 @@ func (syncDriver) openWake(o *OpenRun) { o.rraCycle() }
 // decoder pipelines on the discrete-event simulator (Figure 4(b)).
 type pooledDriver struct{}
 
-func (pooledDriver) runBatch(e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request, states []*stageState) (Result, error) {
-	return e.runWAA(cfg, alloc, reqs, states)
-}
-
 func (pooledDriver) openInit(o *OpenRun) error {
 	encStages, decStages := o.alloc.EncStages(), o.alloc.DecStages()
 	if len(encStages) == 0 || len(decStages) == 0 {
 		return fmt.Errorf("runner: WAA needs dedicated encode and decode stages")
 	}
 	o.bm = min(o.cfg.Bm, len(decStages))
-	// Same in-flight bound as the batch engine: the encoder pipeline
-	// holds one batch per stage plus handover slack.
+	// The encoder pipeline naturally holds one batch per stage, and the
+	// KV handover keeps more in flight; bound the buffer so the encoder
+	// is never throttled below its steady issue rate but cannot run
+	// unboundedly ahead of the decoder.
 	o.maxInflight = len(encStages) + 3
+	o.onEncode, o.onStep = o.startEncode, o.waaStep
 	return nil
 }
 

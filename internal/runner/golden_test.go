@@ -110,6 +110,34 @@ func goldenOf(name string, cfg sched.Config, res Result) goldenRun {
 	}
 }
 
+// goldenSelections are the latency bounds a family's schedule is
+// selected at, as a slack over the family's lowest latency.
+var goldenSelections = []struct {
+	name  string
+	slack float64
+}{{"max", math.Inf(1)}, {"1.5xmin", 1.5}}
+
+// familySchedule selects the policy's highest-throughput schedule whose
+// latency is within slack x the policy's lowest latency.
+func familySchedule(t *testing.T, sim *core.Simulator, p sched.Policy, slack float64) (core.Estimate, bool) {
+	t.Helper()
+	s := core.NewScheduler(sim)
+	policies := []sched.Policy{p}
+	bound := slack
+	if !math.IsInf(bound, 1) {
+		min, err := s.MinLatency(policies)
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		bound *= min
+	}
+	res, err := s.FindBest(policies, bound)
+	if err != nil {
+		t.Fatalf("%v: %v", p, err)
+	}
+	return res.Best, res.Found
+}
+
 // goldenRuns executes every pinned case on the current engine.
 func goldenRuns(t *testing.T) []goldenRun {
 	t.Helper()
@@ -142,35 +170,19 @@ func goldenRuns(t *testing.T) []goldenRun {
 			}
 			reqs := requests(t, task, 400, 61)
 			for _, f := range sched.Families() {
-				for _, sel := range []struct {
-					name  string
-					slack float64 // bound = slack x the family's lowest latency
-				}{{"max", math.Inf(1)}, {"1.5xmin", 1.5}} {
+				for _, sel := range goldenSelections {
 					name := dep.m.Name + "/" + strconv.Itoa(dep.gpus) + "xA40/" + task.ID + "/" + f.Name + "/" + sel.name
-					s := core.NewScheduler(sim)
-					policies := []sched.Policy{f.Policy}
-					bound := sel.slack
-					if !math.IsInf(bound, 1) {
-						min, err := s.MinLatency(policies)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						bound *= min
-					}
-					best, err := s.FindBest(policies, bound)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !best.Found {
+					best, found := familySchedule(t, sim, f.Policy, sel.slack)
+					if !found {
 						out = append(out, goldenRun{Case: name, Config: "NS"})
 						continue
 					}
-					res, err := e.Run(best.Best.Config, best.Best.Alloc, reqs)
+					res, err := e.Run(best.Config, best.Alloc, reqs)
 					if err != nil {
-						out = append(out, goldenRun{Case: name, Config: best.Best.Config.String(), Failed: true})
+						out = append(out, goldenRun{Case: name, Config: best.Config.String(), Failed: true})
 						continue
 					}
-					out = append(out, goldenOf(name, best.Best.Config, res))
+					out = append(out, goldenOf(name, best.Config, res))
 				}
 			}
 		}

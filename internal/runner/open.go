@@ -1,21 +1,21 @@
-// Open-loop execution: the incremental admission seam used by the
-// online serving mode (`exegpt serve`).
+// The execution engine: OpenRun, which every schedule runs on.
 //
-// The batch entry point (Engine.Run) drains a pre-drawn request slice
-// to empty. An OpenRun instead owns a long-lived event simulation that
-// requests are pushed into as they arrive: the engine admits from the
-// live queue, goes idle when there is no work, wakes on the next
-// arrival, and can be drained at any point so a controller can switch
-// schedules — in-flight queries finish under the old schedule, queued
-// ones carry over to the successor engine with their original arrival
-// timestamps. Latency is therefore measured from arrival (queueing
-// included), which is what per-window SLO attainment reports need.
+// An OpenRun owns a long-lived event simulation that requests are
+// pushed into as they arrive: the engine admits from the live queue,
+// goes idle when there is no work, wakes on the next arrival, and can
+// be drained at any point so a controller can switch schedules —
+// in-flight queries finish under the old schedule, queued ones carry
+// over to the successor engine with their original arrival timestamps.
+// Its latency is measured from arrival (queueing included), which is
+// what per-window SLO attainment reports need. The online serving mode
+// (`exegpt serve`) drives it directly; Engine.Run queues a pre-drawn
+// request stream at t=0 and measures latency from admission instead.
 //
-// Both policies are supported: RRA runs its synchronized
-// encode-then-ND-decodes cycle as a chain of simulator events; WAA
-// mirrors the asynchronous encoder/decoder pipelines of runWAA with the
-// pre-drawn FIFO replaced by the live queue. Everything is virtual-time
-// and single-goroutine, so a run is bit-for-bit deterministic.
+// RRA runs its synchronized encode-then-ND-decodes cycle as a chain of
+// simulator events; WAA runs the asynchronous encoder and decoder
+// pipelines, the encoder issuing one batch per stage period. Everything
+// is virtual-time and single-goroutine, so a run is bit-for-bit
+// deterministic.
 package runner
 
 import (
@@ -41,7 +41,7 @@ type OpenRun struct {
 	cfg   sched.Config
 	alloc sched.Allocation
 	sim   *eventsim.Sim
-	dec   decoder // query.start is the arrival time
+	dec   decoder // query.start is the arrival (admission under Engine.Run)
 
 	queue     reqFIFO
 	arrivedAt map[int]float64 // request ID -> arrival time
@@ -51,6 +51,16 @@ type OpenRun struct {
 	rec     *metrics.Recorder
 	res     Result
 	startAt float64
+
+	// batchRun is set only by Engine.Run. It starts each query's latency
+	// clock at its admission instead of its arrival, and makes the
+	// engine sample Table 7 stage times into res.EncStage/DecStage.
+	// RRA decode samples are buffered instead — decTimes holds the
+	// stage times of each iteration whose active batch is in decActive
+	// — and Run filters them by the achieved batch once the run is over.
+	batchRun  bool
+	decActive []int
+	decTimes  []float64
 
 	// admitting is cleared by Drain: the engine stops taking requests
 	// off the queue but finishes everything already admitted/encoded.
@@ -71,20 +81,29 @@ type OpenRun struct {
 	kern  *profile.Stages
 	times []float64
 
-	// Dedicated-pool pipeline state (mirrors runWAA); populated by the
-	// pooled driver's openInit.
+	// Event callbacks, bound once by the driver's openInit so that
+	// scheduling an event allocates nothing.
+	onDecode, onStep, onEncode func()
+
+	// rraIter is the decode iteration of the current RRA cycle.
+	rraIter int
+
+	// Dedicated-pool pipeline state; populated by the pooled driver's
+	// openInit.
 	bm           int
-	inbox        []openArrival
+	inbox        []encoded
 	inflight     int // encoder batches not yet fully merged
 	inflightReqs int // requests encoded but not yet active
 	maxInflight  int
 	decoding     bool
 }
 
-// openArrival is an encoded batch in KV handover or waiting for decoder
-// capacity.
-type openArrival struct {
-	batch []workload.Request
+// encoded is an encoded batch in KV handover or waiting for decoder
+// capacity. issued is its encode issue time, the admission clock of
+// its queries under Engine.Run.
+type encoded struct {
+	batch  []workload.Request
+	issued float64
 }
 
 // Open starts an open-loop execution of the schedule with the engine's
@@ -104,7 +123,6 @@ func (e *Engine) Open(cfg sched.Config, alloc sched.Allocation, startAt float64)
 		dec:       decoder{model: e.Model, states: states},
 		arrivedAt: map[int]float64{},
 		rec:       metrics.NewRecorder(),
-		res:       Result{EncStage: metrics.NewRecorder(), DecStage: metrics.NewRecorder()},
 		startAt:   startAt,
 		admitting: true,
 		parked:    true,
@@ -148,7 +166,8 @@ func (o *OpenRun) Done() bool {
 	return o.queue.Len() == 0 && o.inflightReqs == 0 && len(o.dec.active) == 0
 }
 
-// Records returns the completions so far (Start is the arrival time).
+// Records returns the completions so far. Start is the arrival time,
+// so a record's latency includes its queueing.
 func (o *OpenRun) Records() []QueryRecord { return o.res.Records }
 
 // Result summarizes the execution so far.
@@ -159,8 +178,8 @@ func (o *OpenRun) Result() Result {
 	return res
 }
 
-// meanIn is the running mean input length over everything that arrived;
-// the batch engine's fixed whole-stream mean is not available online.
+// meanIn is the running mean input length over everything that arrived
+// (under Engine.Run, the whole stream's mean).
 func (o *OpenRun) meanIn() float64 {
 	if o.arrivals == 0 {
 		return 1
@@ -238,9 +257,19 @@ func (o *OpenRun) hasEncodeWork() bool {
 
 // takeBatch forms the next encode batch from the live queue through the
 // engine's batch-formation policy — the single admission call site both
-// drivers share (previously duplicated in rraCycle and startEncode).
+// drivers share.
 func (o *OpenRun) takeBatch() []workload.Request {
 	return o.eng.formation().Take(&o.queue, o.cfg.BE, o.meanIn(), len(o.dec.active), o.cfg.BD)
+}
+
+// activate makes an admitted request active. admittedAt is its
+// admission time, the latency clock under Engine.Run; otherwise the
+// clock is its arrival.
+func (o *OpenRun) activate(r workload.Request, admittedAt float64) {
+	if !o.batchRun {
+		admittedAt = o.arrivedAt[r.ID]
+	}
+	o.dec.add(r, admittedAt)
 }
 
 // complete applies one decode iteration's survivors/completions at the
@@ -254,7 +283,7 @@ func (o *OpenRun) complete() {
 		}
 	}
 	if err != nil {
-		o.err = fmt.Errorf("runner: open decode OOM: %w", err)
+		o.err = fmt.Errorf("runner: decode OOM: %w", err)
 	}
 }
 
@@ -274,16 +303,17 @@ func (o *OpenRun) rraCycle() {
 		batch := o.takeBatch()
 		admitted, tokens, deferred := o.eng.admitBatch(o.dec.states, batch)
 		if deferred > 0 {
+			// Out of memory: the deferred victims return to the queue
+			// front and the phase proceeds with what fits.
 			o.queue.Rewind(deferred)
 		}
-		for _, r := range admitted {
-			o.dec.add(r, o.arrivedAt[r.ID])
-		}
 		if len(admitted) == 0 && len(o.dec.active) == 0 {
-			o.err = fmt.Errorf("runner: open RRA query %d does not fit in KV memory even on an idle system", batch[0].ID)
+			o.err = fmt.Errorf("runner: RRA query %d does not fit in KV memory even on an idle system", batch[0].ID)
 			return
 		}
 		if len(admitted) > 0 {
+			// The phase runs as rraMicroBatches interleaved
+			// mini-batches (Figure 4(a)); stage times are per micro.
 			microTokens := tokens / rraMicroBatches
 			if microTokens < 1 {
 				microTokens = 1
@@ -294,21 +324,30 @@ func (o *OpenRun) rraCycle() {
 				o.err = err
 				return
 			}
-			for _, t := range o.times {
-				o.res.EncStage.Add(t)
+			// Stage-time variance (Table 7) is a steady-state property:
+			// skip the drain tail where batches shrink.
+			if o.batchRun && o.queue.Len() > 0 {
+				for _, t := range o.times {
+					o.res.EncStage.Add(t)
+				}
 			}
 			encDur = profile.PipelinePeriod(o.times, rraMicroBatches)
+			for _, r := range admitted {
+				o.activate(r, o.sim.Now()+encDur)
+			}
 		}
 	}
-	o.sim.After(encDur, func() { o.rraDecode(0) })
+	o.rraIter = 0
+	o.sim.After(encDur, o.onDecode)
 }
 
-// rraDecode runs decode iteration u of the current cycle.
-func (o *OpenRun) rraDecode(u int) {
+// rraDecode runs decode iteration rraIter of the current cycle, or
+// starts the next cycle once ND iterations ran or the decoder emptied.
+func (o *OpenRun) rraDecode() {
 	if o.err != nil {
 		return
 	}
-	if u >= o.cfg.ND || len(o.dec.active) == 0 {
+	if o.rraIter >= o.cfg.ND || len(o.dec.active) == 0 {
 		o.rraCycle()
 		return
 	}
@@ -323,29 +362,36 @@ func (o *OpenRun) rraDecode(u int) {
 		o.err = err
 		return
 	}
-	for _, t := range o.times {
-		o.res.DecStage.Add(t)
+	// Skip the drain tail now and the ramp-up in Engine.Run's filter.
+	if o.batchRun && o.queue.Len() > 0 {
+		o.decActive = append(o.decActive, len(o.dec.active))
+		o.decTimes = append(o.decTimes, o.times...)
 	}
-	o.sim.After(profile.PipelinePeriod(o.times, rraMicroBatches), func() {
-		o.res.Iterations++
-		o.complete()
-		if o.err != nil {
-			return
-		}
-		if cost, ran := o.eng.maybeCompact(o.dec.states); ran {
-			o.res.Compactions++
-			o.res.CompactionSeconds += cost
-			o.sim.After(cost, func() { o.rraDecode(u + 1) })
-			return
-		}
-		o.rraDecode(u + 1)
-	})
+	o.sim.After(profile.PipelinePeriod(o.times, rraMicroBatches), o.onStep)
+}
+
+// rraStep finishes one RRA decode iteration: completions, then a
+// compaction when the caches fragmented, then the next iteration.
+func (o *OpenRun) rraStep() {
+	o.res.Iterations++
+	o.complete()
+	if o.err != nil {
+		return
+	}
+	o.rraIter++
+	if cost, ran := o.eng.maybeCompact(o.dec.states); ran {
+		o.res.Compactions++
+		o.res.CompactionSeconds += cost
+		o.sim.After(cost, o.onDecode)
+		return
+	}
+	o.rraDecode()
 }
 
 // startEncode issues one WAA encoder batch from the live queue and
-// pipelines the next issue one stage period later, exactly as the
-// batch engine does; with nothing to take it parks (arrival wakes it),
-// and at the in-flight cap it stops (the decoder restarts it on merge).
+// pipelines the next issue one stage period later; with nothing to take
+// it parks (arrival wakes it), and at the in-flight cap it stops (the
+// decoder restarts it on merge).
 func (o *OpenRun) startEncode() {
 	if o.err != nil {
 		return
@@ -368,25 +414,31 @@ func (o *OpenRun) startEncode() {
 		o.err = terr
 		return
 	}
-	for _, t := range o.times {
-		o.res.EncStage.Add(t)
+	if o.batchRun {
+		for _, t := range o.times {
+			o.res.EncStage.Add(t)
+		}
 	}
 	period := profile.Slowest(o.times)
 	handover := profile.Traversal(o.times) + o.eng.Prof.KVTransfer(tokens)
 	o.inflight++
 	o.inflightReqs += len(batch)
+	issued := o.sim.Now()
 	o.sim.After(handover, func() {
-		o.inbox = append(o.inbox, openArrival{batch: batch})
+		o.inbox = append(o.inbox, encoded{batch: batch, issued: issued})
 		if !o.decoding {
 			o.iterate()
 		}
 	})
-	o.sim.After(period, o.startEncode)
+	o.sim.After(period, o.onEncode)
 }
 
-// iterate is the WAA decoder loop: merge arrived batches that fit, run
-// one iteration, reschedule. Mirrors runWAA's iterate over the live
-// queue.
+// iterate is the WAA decoder loop: merge arrived batches that fit (§4.1:
+// encoded batches merge with previously decoded data), run one
+// iteration, reschedule. Batches that do not fit yet wait for capacity
+// freed by completing queries; the waiting list compacts in place and
+// leftover batches stay subslices, so a stalled decoder never copies
+// queued requests.
 func (o *OpenRun) iterate() {
 	if o.err != nil {
 		return
@@ -400,17 +452,17 @@ func (o *OpenRun) iterate() {
 	for _, a := range o.inbox {
 		admitted, deferred := sel.Admit(a.batch, tryAdmit)
 		for _, r := range admitted {
-			o.dec.add(r, o.arrivedAt[r.ID])
+			o.activate(r, a.issued)
 			o.inflightReqs--
 			merged = true
 		}
 		if deferred > 0 {
 			i := len(a.batch) - deferred
 			if len(o.dec.active) == 0 {
-				o.err = fmt.Errorf("runner: open WAA query %d does not fit in KV memory even on an idle decoder", a.batch[i].ID)
+				o.err = fmt.Errorf("runner: WAA query %d does not fit in KV memory even on an idle decoder", a.batch[i].ID)
 				return
 			}
-			waiting = append(waiting, openArrival{batch: a.batch[i:]})
+			waiting = append(waiting, encoded{batch: a.batch[i:], issued: a.issued})
 		} else {
 			o.inflight--
 		}
@@ -443,8 +495,11 @@ func (o *OpenRun) iterate() {
 		o.err = terr
 		return
 	}
-	for _, t := range o.times {
-		o.res.DecStage.Add(t)
+	// Table 7 samples the decoder while the encoder still feeds it.
+	if o.batchRun && !o.parked {
+		for _, t := range o.times {
+			o.res.DecStage.Add(t)
+		}
 	}
 	dur := profile.PipelinePeriod(o.times, o.bm)
 	if cost, ran := o.eng.maybeCompact(o.dec.states); ran {
@@ -452,12 +507,15 @@ func (o *OpenRun) iterate() {
 		o.res.Compactions++
 		o.res.CompactionSeconds += cost
 	}
-	o.sim.After(dur, func() {
-		o.res.Iterations++
-		o.complete()
-		if o.err != nil {
-			return
-		}
-		o.iterate()
-	})
+	o.sim.After(dur, o.onStep)
+}
+
+// waaStep finishes one WAA decode iteration and runs the next.
+func (o *OpenRun) waaStep() {
+	o.res.Iterations++
+	o.complete()
+	if o.err != nil {
+		return
+	}
+	o.iterate()
 }

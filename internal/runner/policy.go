@@ -1,7 +1,7 @@
 // The runner half of the execution-policy seam: batch formation and
 // victim/admission selection, split out of the execution drivers so a
 // policy family (or an experiment) can swap either without touching the
-// engines. The defaults reproduce the paper's behavior exactly: §5.2
+// engine. The defaults reproduce the paper's behavior exactly: §5.2
 // dynamic workload adjustment for formation, FIFO defer-the-tail for
 // admission.
 package runner

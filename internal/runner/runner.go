@@ -13,16 +13,19 @@
 //     shrunk to keep the encoder token workload and the decoder batch
 //     near their scheduled averages.
 //
-// RRA executes as a synchronized phase loop (one encoding phase then ND
-// decoding iterations, Figure 4(a)); WAA runs the encoder and decoder
-// pipelines asynchronously on a discrete-event simulator (Figure 4(b)).
+// One engine executes every schedule: OpenRun (open.go), an event
+// chain on the discrete-event simulator fed from a live queue. RRA runs
+// its synchronized cycle (one encoding phase then ND decoding
+// iterations, Figure 4(a)) as a chain of events; WAA runs the encoder
+// and decoder pipelines asynchronously (Figure 4(b)). The serving loop
+// pushes arrivals into it over time; Engine.Run queues a whole
+// pre-drawn request stream at t=0 and drains it.
 package runner
 
 import (
 	"fmt"
 	"math"
 
-	"exegpt/internal/eventsim"
 	"exegpt/internal/hw"
 	"exegpt/internal/kvcache"
 	"exegpt/internal/metrics"
@@ -34,9 +37,10 @@ import (
 
 // Engine executes schedules for one model deployment.
 //
-// Concurrency: Run reads the Engine's fields and the profile Table (both
-// immutable after construction) and builds all mutable execution state —
-// stage KV trackers, metric recorders, the event simulator — per call.
+// Concurrency: Run and Open read the Engine's fields and the profile
+// Table (both immutable after construction) and build all mutable
+// execution state — stage KV trackers, metric recorders, the event
+// simulator — per call.
 // Separate Engine instances are therefore fully independent, and even a
 // single Engine supports concurrent Run calls provided its exported
 // knobs are not mutated mid-flight. The parallel sweep in
@@ -77,7 +81,9 @@ func New(m model.Model, cluster hw.Cluster, prof *profile.Table) (*Engine, error
 		DynamicAdjust: true, Theta: 0.1, CompactFrac: 0.10}, nil
 }
 
-// QueryRecord is the per-query outcome.
+// QueryRecord is the per-query outcome. Start is when the query's
+// latency clock starts: its admission under Engine.Run, its arrival
+// under OpenRun.
 type QueryRecord struct {
 	ID         int
 	Start, End float64 // virtual seconds (generation latency = End-Start)
@@ -89,8 +95,9 @@ type QueryRecord struct {
 type Result struct {
 	Stats   metrics.RunStats
 	Records []QueryRecord
-	// EncStage and DecStage record per-phase/iteration single-stage
-	// execution times (Table 7 variance analysis).
+	// EncStage and DecStage record steady-state single-stage execution
+	// times per encode batch and decode iteration (Table 7 variance
+	// analysis). Only Engine.Run fills them; they are nil otherwise.
 	EncStage, DecStage *metrics.Recorder
 	// PeakDecMemPerGPU is the high-water KV+weight bytes on the most
 	// loaded decode-role GPU.
@@ -110,9 +117,8 @@ type query struct {
 	pos   int // generated tokens so far
 }
 
-// decoder is the decode side the three engines share: the active
-// queries, the running sum of their context lengths, and the per-stage
-// KV caches they occupy.
+// decoder is the engine's decode side: the active queries, the running
+// sum of their context lengths, and the per-stage KV caches they occupy.
 type decoder struct {
 	model  model.Model
 	states []*stageState
@@ -262,24 +268,64 @@ func (e *Engine) promptTokens(r workload.Request) int {
 	return r.InLen
 }
 
-// Run dispatches on the schedule's policy through the execution-driver
-// registry (driver.go).
+// Run executes the schedule on a pre-drawn request stream and drains
+// it to empty. It is the open engine with every request queued at t=0
+// before its one wake, plus two rules of its own: a query's latency
+// runs from its admission (the end of its RRA encoding phase, or its
+// WAA encode issue), not from its arrival; and EncStage/DecStage hold
+// the Table 7 steady-state stage times.
 func (e *Engine) Run(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
-	if err := cfg.Validate(e.Cluster.TotalGPUs()); err != nil {
+	o, err := e.runAll(cfg, alloc, reqs)
+	if err != nil {
 		return Result{}, err
 	}
+	res := o.Result()
+	// Keep only RRA decode iterations where the decoder ran within Theta
+	// of the largest batch it achieved: that is the schedule's operating
+	// point, whether or not the request stream ever filled the nominal
+	// BD. The achieved batch is only known once the run is over.
+	peakActive := 0
+	for _, a := range o.decActive {
+		peakActive = max(peakActive, a)
+	}
+	floor := float64(peakActive) * (1 - e.Theta)
+	stride := len(o.dec.states) // one decode time per decode stage
+	for i, a := range o.decActive {
+		if float64(a) >= floor {
+			for _, t := range o.decTimes[i*stride : (i+1)*stride] {
+				res.DecStage.Add(t)
+			}
+		}
+	}
+	return res, nil
+}
+
+// runAll opens a batch-mode engine, queues every request at t=0, wakes
+// it once and runs it until every request completed.
+func (e *Engine) runAll(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (*OpenRun, error) {
 	if len(reqs) == 0 {
-		return Result{}, fmt.Errorf("runner: no requests")
+		return nil, fmt.Errorf("runner: no requests")
 	}
-	d, err := driverFor(cfg.Policy)
+	o, err := e.Open(cfg, alloc, 0)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	states, err := e.newStageStates(alloc)
-	if err != nil {
-		return Result{}, err
+	o.batchRun = true
+	o.res.EncStage, o.res.DecStage = metrics.NewRecorder(), metrics.NewRecorder()
+	o.queue = newReqFIFO(reqs)
+	for _, r := range reqs {
+		o.totalIn += int64(r.InLen)
 	}
-	return d.runBatch(e, cfg, alloc, reqs, states)
+	o.arrivals = int64(len(reqs))
+	o.parked = false
+	o.drv.openWake(o)
+	if err := o.Finish(); err != nil {
+		return nil, err
+	}
+	if len(o.res.Records) != len(reqs) {
+		return nil, fmt.Errorf("runner: %v completed %d of %d requests (stall)", cfg.Policy, len(o.res.Records), len(reqs))
+	}
+	return o, nil
 }
 
 // rraMicroBatches matches Figure 4(a)'s two interleaved mini-batches.
@@ -335,122 +381,6 @@ func (q *reqFIFO) push(r workload.Request) {
 	q.items = append(q.items, r)
 }
 
-// runRRA executes the synchronized encode/decode phase loop.
-func (e *Engine) runRRA(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request, states []*stageState) (Result, error) {
-	res := Result{EncStage: metrics.NewRecorder(), DecStage: metrics.NewRecorder()}
-	rec := metrics.NewRecorder()
-
-	pending := newReqFIFO(reqs)
-	dec := decoder{model: e.Model, states: states}
-	meanIn := meanInLen(reqs)
-	now := 0.0
-	kern := profile.NewStages(e.Prof, e.Cluster, alloc.Stages)
-	var times []float64
-
-	// decSample buffers per-iteration decode stage times so the Table 7
-	// variance stats can be restricted to steady state after the fact:
-	// the sustainable decoder batch is only known once the run is over.
-	type decSample struct {
-		active int
-		times  []float64
-	}
-	var decSamples []decSample
-
-	for pending.Len() > 0 || len(dec.active) > 0 {
-		// Encoding phase (skipped while draining).
-		if pending.Len() > 0 {
-			batch := e.formation().Take(&pending, cfg.BE, meanIn, len(dec.active), cfg.BD)
-			admitted, tokens, deferred := e.admitBatch(states, batch)
-			if deferred > 0 {
-				// Out of memory: rewind the deferred victims onto the
-				// queue front and proceed with what fits.
-				pending.Rewind(deferred)
-			}
-			if len(admitted) == 0 && len(dec.active) == 0 {
-				return Result{}, fmt.Errorf("runner: query %d does not fit in KV memory even on an idle system", batch[0].ID)
-			}
-			if len(admitted) > 0 {
-				// The phase runs as rraMicroBatches interleaved
-				// mini-batches (Figure 4(a)); stage times are per micro.
-				microTokens := tokens / rraMicroBatches
-				if microTokens < 1 {
-					microTokens = 1
-				}
-				var err error
-				times, err = kern.Encode(times, microTokens, meanIn, 1)
-				if err != nil {
-					return Result{}, err
-				}
-				// Stage-time variance (Table 7) is a steady-state
-				// property: skip the drain tail where batches shrink.
-				if pending.Len() > 0 {
-					for _, t := range times {
-						res.EncStage.Add(t)
-					}
-				}
-				now += profile.PipelinePeriod(times, rraMicroBatches)
-				for _, r := range admitted {
-					dec.add(r, now)
-				}
-			}
-		}
-
-		// ND decoding iterations.
-		for u := 0; u < cfg.ND && len(dec.active) > 0; u++ {
-			ctx := dec.meanCtx()
-			micro := len(dec.active) / rraMicroBatches
-			if micro < 1 {
-				micro = 1
-			}
-			var err error
-			times, err = kern.Decode(times, micro, ctx, 1)
-			if err != nil {
-				return Result{}, err
-			}
-			// Stage-time variance (Table 7) is a steady-state property:
-			// skip the drain tail now and the ramp-up in the post-pass
-			// below (the achieved steady batch is only known at the end).
-			if pending.Len() > 0 {
-				decSamples = append(decSamples, decSample{
-					active: len(dec.active),
-					times:  append([]float64(nil), times...),
-				})
-			}
-			now += profile.PipelinePeriod(times, rraMicroBatches)
-			res.Iterations++
-
-			if _, err := dec.step(now, rec, &res.Records); err != nil {
-				return Result{}, fmt.Errorf("runner: decode OOM: %w", err)
-			}
-			if cost, ran := e.maybeCompact(states); ran {
-				now += cost
-				res.Compactions++
-				res.CompactionSeconds += cost
-			}
-		}
-	}
-	// Keep only iterations where the decoder ran within Theta of the
-	// largest batch it achieved: that is the schedule's operating point,
-	// whether or not the request stream ever filled the nominal BD.
-	peakActive := 0
-	for _, s := range decSamples {
-		if s.active > peakActive {
-			peakActive = s.active
-		}
-	}
-	floor := float64(peakActive) * (1 - e.Theta)
-	for _, s := range decSamples {
-		if float64(s.active) >= floor {
-			for _, t := range s.times {
-				res.DecStage.Add(t)
-			}
-		}
-	}
-	res.Stats = metrics.Summarize(rec, now, completionTimes(res.Records))
-	res.PeakDecMemPerGPU = peakMem(states)
-	return res, nil
-}
-
 // completionTimes extracts the End timestamps of the records.
 func completionTimes(records []QueryRecord) []float64 {
 	ends := make([]float64, len(records))
@@ -458,194 +388,4 @@ func completionTimes(records []QueryRecord) []float64 {
 		ends[i] = r.End
 	}
 	return ends
-}
-
-// runWAA executes the asynchronous encoder/decoder pipelines on the
-// discrete-event simulator.
-func (e *Engine) runWAA(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request, states []*stageState) (Result, error) {
-	encStages := alloc.EncStages()
-	decStages := alloc.DecStages()
-	if len(encStages) == 0 || len(decStages) == 0 {
-		return Result{}, fmt.Errorf("runner: WAA needs dedicated encode and decode stages")
-	}
-	bm := cfg.Bm
-	if bm > len(decStages) {
-		bm = len(decStages)
-	}
-
-	res := Result{EncStage: metrics.NewRecorder(), DecStage: metrics.NewRecorder()}
-	rec := metrics.NewRecorder()
-	sim := eventsim.New()
-	sim.MaxSteps = 50_000_000
-
-	pending := newReqFIFO(reqs)
-	meanIn := meanInLen(reqs)
-	dec := decoder{model: e.Model, states: states}
-	kern := profile.NewStages(e.Prof, e.Cluster, alloc.Stages)
-	var times []float64
-	type arrival struct {
-		batch []workload.Request
-		start float64
-	}
-	var inbox []arrival
-	inflight := 0 // encoder batches not yet merged by the decoder
-	// The encoder pipeline naturally holds one batch per stage, and the
-	// KV handover keeps more in flight; bound the buffer so the encoder
-	// is never throttled below its steady issue rate but cannot run
-	// unboundedly ahead of the decoder.
-	maxInflight := len(encStages) + 3
-	encDone := false
-	var runErr error
-
-	var startEncode func()
-	var iterate func()
-	decoding := false
-	decodeDone := func() {
-		res.Iterations++
-		if _, err := dec.step(sim.Now(), rec, &res.Records); err != nil {
-			runErr = fmt.Errorf("runner: WAA decode OOM: %w", err)
-			return
-		}
-		iterate()
-	}
-
-	startEncode = func() {
-		if runErr != nil {
-			return
-		}
-		if pending.Len() == 0 {
-			encDone = true
-			if !decoding {
-				iterate()
-			}
-			return
-		}
-		if inflight >= maxInflight {
-			// Encoder stalls until the decoder drains the buffer; the
-			// decoder restarts it.
-			return
-		}
-		batch := e.formation().Take(&pending, cfg.BE, meanIn, len(dec.active), cfg.BD)
-		tokens := 0
-		for _, r := range batch {
-			tokens += r.InLen
-		}
-		var terr error
-		times, terr = kern.Encode(times, tokens, meanIn, 1)
-		if terr != nil {
-			runErr = terr
-			return
-		}
-		for _, t := range times {
-			res.EncStage.Add(t)
-		}
-		period := profile.Slowest(times)
-		handover := profile.Traversal(times) + e.Prof.KVTransfer(tokens)
-		start := sim.Now()
-		inflight++
-		sim.After(handover, func() {
-			inbox = append(inbox, arrival{batch: batch, start: start})
-			if !decoding {
-				iterate()
-			}
-		})
-		// Pipelined issue: the next batch enters the first stage after
-		// one stage period.
-		sim.After(period, startEncode)
-	}
-
-	iterate = func() {
-		if runErr != nil {
-			return
-		}
-		// Merge arrivals (§4.1: encoded batches merge with previously
-		// decoded data). Arrivals that do not fit yet wait for capacity
-		// freed by completing queries. The waiting list compacts in
-		// place (the write index never passes the read index) and
-		// leftover batches stay subslices, so a stalled decoder never
-		// copies queued requests.
-		waiting := inbox[:0]
-		merged := false
-		sel := e.victims()
-		tryAdmit := func(r workload.Request) error {
-			return admit(states, r.ID, e.promptTokens(r))
-		}
-		for _, a := range inbox {
-			admitted, deferred := sel.Admit(a.batch, tryAdmit)
-			for _, r := range admitted {
-				dec.add(r, a.start)
-				merged = true
-			}
-			if deferred > 0 {
-				i := len(a.batch) - deferred
-				if len(dec.active) == 0 {
-					runErr = fmt.Errorf("runner: WAA query %d does not fit in KV memory even on an idle decoder", a.batch[i].ID)
-					return
-				}
-				waiting = append(waiting, arrival{batch: a.batch[i:], start: a.start})
-			} else {
-				inflight--
-			}
-		}
-		restartEnc := merged
-		inbox = waiting
-		if restartEnc && !encDone {
-			startEncode()
-		}
-		if len(dec.active) == 0 {
-			decoding = false
-			if encDone && inflight == 0 {
-				return // finished
-			}
-			return // wait for arrivals
-		}
-		decoding = true
-
-		micro := len(dec.active) / bm
-		if micro < 1 {
-			micro = 1
-		}
-		ctx := dec.meanCtx()
-		var terr error
-		times, terr = kern.Decode(times, micro, ctx, 1)
-		if terr != nil {
-			runErr = terr
-			return
-		}
-		if !encDone {
-			for _, t := range times {
-				res.DecStage.Add(t)
-			}
-		}
-		dur := profile.PipelinePeriod(times, bm)
-		if cost, ran := e.maybeCompact(states); ran {
-			dur += cost
-			res.Compactions++
-			res.CompactionSeconds += cost
-		}
-		sim.After(dur, decodeDone)
-	}
-
-	startEncode()
-	end := sim.Run()
-	if runErr != nil {
-		return Result{}, runErr
-	}
-	res.Stats = metrics.Summarize(rec, end, completionTimes(res.Records))
-	res.PeakDecMemPerGPU = peakMem(states)
-	if res.Stats.Completed != len(reqs) {
-		return Result{}, fmt.Errorf("runner: WAA completed %d of %d requests (stall)", res.Stats.Completed, len(reqs))
-	}
-	return res, nil
-}
-
-func meanInLen(reqs []workload.Request) float64 {
-	if len(reqs) == 0 {
-		return 1
-	}
-	t := 0
-	for _, r := range reqs {
-		t += r.InLen
-	}
-	return float64(t) / float64(len(reqs))
 }

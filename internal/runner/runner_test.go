@@ -318,6 +318,20 @@ func BenchmarkRunRRA(b *testing.B) {
 	}
 }
 
+func BenchmarkRunWAA(b *testing.B) {
+	e := engine(b, model.OPT13B, 4, hw.A40Cluster)
+	reqs := requests(b, workload.Summarization, 1200, 43)
+	cfg := sched.Config{Policy: sched.WAAM, BE: 4, BD: 128, Bm: 2, TP: sched.TPSpec{Degree: 1}}
+	alloc := waaAlloc(b, e, 1, 3, cfg.TP)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Run(cfg, alloc, reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestReqFIFO pins the index-cursor queue semantics the encode path
 // relies on: batches come out in order, and a rewind restores the tail
 // of the last batch to the queue front without disturbing order.

@@ -229,8 +229,8 @@ func testSearchDeterminism(t *testing.T, f sched.Family) {
 	}
 }
 
-// testBatchRun executes the family's best-known schedule in the batch
-// engine: every request completes and two runs are identical.
+// testBatchRun executes the family's best-known schedule through
+// Engine.Run: every request completes and two runs are identical.
 func testBatchRun(t *testing.T, f sched.Family) {
 	fx := newFixture(t)
 	est := feasible(t, fx, f)

@@ -445,12 +445,8 @@ func (o *OpenRun) iterate() {
 	}
 	waiting := o.inbox[:0]
 	merged := false
-	sel := o.eng.victims()
-	tryAdmit := func(r workload.Request) error {
-		return admit(o.dec.states, r.ID, o.eng.promptTokens(r))
-	}
 	for _, a := range o.inbox {
-		admitted, deferred := sel.Admit(a.batch, tryAdmit)
+		admitted, _, deferred := o.eng.admitBatch(o.dec.states, a.batch)
 		for _, r := range admitted {
 			o.activate(r, a.issued)
 			o.inflightReqs--

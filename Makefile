@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-report sweep-smoke sweep-golden serve-smoke serve-golden policy-conformance clean
+.PHONY: all build test race lint bench sweep-smoke sweep-golden serve-smoke serve-golden policy-conformance clean
 
 all: build
 
@@ -67,14 +67,10 @@ lint:
 	fi
 
 # Compare the reference and Evaluator estimate paths plus the
-# sequential/parallel/multi-bound schedule search.
+# sequential/parallel/multi-bound and warm/cold schedule search. The
+# end-to-end benchmark is `sh bench/run.sh`.
 bench:
 	$(GO) test -bench 'FindBest|Estimate' -run '^$$' -benchmem ./internal/core/
-
-# Regenerate the committed Estimate/FindBest and multi-bound sweep
-# perf reports.
-bench-report: build
-	./exegpt bench -time 1 -out BENCH_estimate.json -sweep-out BENCH_sweep.json
 
 clean:
 	rm -f exegpt

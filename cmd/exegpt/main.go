@@ -14,7 +14,6 @@
 //	                         writes the merged artifact
 //	exegpt figures [flags]   regenerate paper figures (6-11)
 //	exegpt tables  [flags]   regenerate paper tables (1-7, cost)
-//	exegpt bench   [flags]   measure the Estimate/FindBest hot paths
 //
 // Every subcommand accepts -seed, -workers, -requests, -quick,
 // -profile-cache, -cpuprofile and -memprofile; run `exegpt <command> -h`
@@ -52,8 +51,6 @@ func main() {
 		err = cmdFigures(args)
 	case "tables":
 		err = cmdTables(args)
-	case "bench":
-		err = cmdBench(args)
 	case "-h", "--help", "help":
 		usage()
 		return
@@ -86,7 +83,6 @@ Commands:
             -json writes the merged rows, evals and frontiers
   figures   regenerate the paper's figures (6, 7, 8, 9, 10, 11)
   tables    regenerate the paper's tables (1-7) and the scheduling-cost study
-  bench     measure Estimate/s and FindBest wall time, write BENCH_estimate.json
 
 Run "exegpt <command> -h" for command flags.
 `)

@@ -250,7 +250,7 @@ func TestFindBestMemoMatchesReference(t *testing.T) {
 	for _, bound := range []float64{5, 20, math.Inf(1)} {
 		fast := detScheduler(t, 2)
 		ref := detScheduler(t, 2)
-		ref.DisableMemo = true
+		ref.disableMemo = true
 		fres, err := fast.FindBest(allPolicies, bound)
 		if err != nil {
 			t.Fatal(err)
@@ -396,20 +396,27 @@ func BenchmarkEstimateEvaluator(b *testing.B) {
 	benchEstimate(b, ev.Estimate)
 }
 
-// BenchmarkFindBestReference / BenchmarkFindBestEvaluator compare the
-// full Workers=1 search on the two paths (the committed BENCH_estimate
-// speedup claim, also exposed via `exegpt bench`).
-func benchFindBestPath(b *testing.B, disableMemo bool) {
+// BenchmarkFindBestReference / BenchmarkFindBestEvaluator /
+// BenchmarkFindBestEvaluatorCold compare the full Workers=1 search on
+// the reference path, on warm per-worker Evaluators (memos persist
+// across searches, as in a sweep), and on Evaluators dropped before
+// every search (one from-scratch search).
+func benchFindBestPath(b *testing.B, disableMemo, cold bool) {
 	s := detScheduler(b, 1)
-	s.DisableMemo = disableMemo
+	s.disableMemo = disableMemo
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if cold {
+			s.evs = nil
+		}
 		if _, err := s.FindBest(allPolicies, 20); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFindBestReference(b *testing.B) { benchFindBestPath(b, true) }
+func BenchmarkFindBestReference(b *testing.B) { benchFindBestPath(b, true, false) }
 
-func BenchmarkFindBestEvaluator(b *testing.B) { benchFindBestPath(b, false) }
+func BenchmarkFindBestEvaluator(b *testing.B) { benchFindBestPath(b, false, false) }
+
+func BenchmarkFindBestEvaluatorCold(b *testing.B) { benchFindBestPath(b, false, true) }

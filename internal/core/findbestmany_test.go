@@ -183,7 +183,7 @@ func TestFindBestManyDisableMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := detScheduler(t, 2)
-	ref.DisableMemo = true
+	ref.disableMemo = true
 	refRes, err := ref.FindBestMany(allPolicies, bounds)
 	if err != nil {
 		t.Fatal(err)
@@ -240,10 +240,28 @@ func BenchmarkFindBestIndependentFourBounds(b *testing.B) {
 }
 
 // TestFindBestManyRejectsNaN: a NaN bound cannot satisfy any latency
-// comparison and cannot key results; it must be an explicit error.
+// comparison and cannot key results, so every search entry point that
+// takes a bound must return an explicit error instead of an NS.
 func TestFindBestManyRejectsNaN(t *testing.T) {
-	s := detScheduler(t, 1)
-	if _, err := s.FindBestMany(allPolicies, []float64{math.NaN(), 20}); err == nil {
-		t.Fatal("NaN bound must be rejected")
+	for _, tc := range []struct {
+		name   string
+		search func(*Scheduler) error
+	}{
+		{"FindBestMany", func(s *Scheduler) error {
+			_, err := s.FindBestMany(allPolicies, []float64{math.NaN(), 20})
+			return err
+		}},
+		{"FindBest", func(s *Scheduler) error {
+			_, err := s.FindBest(allPolicies, math.NaN())
+			return err
+		}},
+		{"Exhaustive", func(s *Scheduler) error {
+			_, err := s.Exhaustive(allPolicies, math.NaN())
+			return err
+		}},
+	} {
+		if err := tc.search(detScheduler(t, 1)); err == nil {
+			t.Errorf("%s: NaN bound must be rejected", tc.name)
+		}
 	}
 }

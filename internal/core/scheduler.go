@@ -13,6 +13,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -90,11 +91,12 @@ type perf struct {
 
 // Scheduler is XScheduler.
 //
-// A single search call (FindBest, MinLatency, Exhaustive) fans its
-// (policy, TP) branch-and-bound roots out to a bounded worker pool; the
-// Scheduler itself must not be shared by concurrent search calls, but
-// one search internally uses Workers goroutines, each probing the
-// shared read-only Simulator through its own memoized Evaluator.
+// A single search call (FindBest, FindBestMany, MinLatency, Exhaustive)
+// fans its (policy, TP) branch-and-bound roots out to a bounded worker
+// pool; the Scheduler itself must not be shared by concurrent search
+// calls, but one search internally uses Workers goroutines, each
+// probing the shared read-only Simulator through its own memoized
+// Evaluator.
 type Scheduler struct {
 	Sim *Simulator
 	// TolT and TolL are the throughput/latency tolerances of
@@ -111,18 +113,17 @@ type Scheduler struct {
 	// deterministic seed bound, so the count is identical across worker
 	// counts and runs (see FindBest).
 	Evals int
-	// DisableMemo routes every probe through the reference
-	// Simulator.Estimate instead of the per-worker memoized Evaluators.
-	// The selected schedule is identical either way (the equivalence
-	// tests assert it); the flag exists for benchmarks comparing the
-	// paths and for debugging.
-	DisableMemo bool
 	// Frontier is the merged latency→throughput Pareto frontier
 	// discovered by the last FindBestMany call (canonical branch merge
-	// order, so it is deterministic across worker counts). It is
-	// JSON-serializable, which makes it a natural per-shard result for
-	// future multi-process sweep sharding.
+	// order, so it is deterministic across worker counts). The sweep
+	// folds it into its per-deployment frontiers.
 	Frontier Frontier
+
+	// disableMemo routes every probe through the reference
+	// Simulator.Estimate instead of the per-worker memoized Evaluators.
+	// The selected schedule is identical either way; only the
+	// equivalence tests and benchmarks that compare the paths set it.
+	disableMemo bool
 
 	// evs are the per-worker Evaluators, sized by ensureEvals at the
 	// start of each search; evs[w] is only ever touched by pool worker w
@@ -150,7 +151,7 @@ func (s *Scheduler) workers() int {
 // ensureEvals sizes the per-worker Evaluator slice for a search. Called
 // from the single-goroutine entry points before any worker runs.
 func (s *Scheduler) ensureEvals() {
-	if s.DisableMemo {
+	if s.disableMemo {
 		return
 	}
 	n := s.workers()
@@ -160,20 +161,13 @@ func (s *Scheduler) ensureEvals() {
 }
 
 // eval returns worker w's estimate path: its memoized Evaluator, or the
-// reference Simulator when DisableMemo is set.
+// reference Simulator when disableMemo is set.
 func (s *Scheduler) eval(w int) *Evaluator {
-	if s.DisableMemo {
+	if s.disableMemo {
 		return nil
 	}
 	return s.evs[w]
 }
-
-// ResetEvaluators drops the per-worker Evaluators and their memos so
-// the next search starts cold. Benchmarks use it to separate cold-start
-// from steady-state search cost; normal callers never need it (memos
-// hold only schedule-invariant state, so staying warm is always
-// correct).
-func (s *Scheduler) ResetEvaluators() { s.evs = nil }
 
 // point evaluates one configuration on ev (nil means the reference
 // Simulator path), counting the evaluation into the caller's
@@ -597,6 +591,10 @@ func (s *Scheduler) probeCorners(ev *Evaluator, j branch, axes []Axis, evals *in
 	return c, lo, hi, err
 }
 
+// errNaNBound rejects a NaN latency bound in every search entry point:
+// NaN satisfies no latency comparison, so it would read as a silent NS.
+var errNaNBound = errors.New("core: NaN latency bound")
+
 // FindBest runs Algorithm 1 for every policy in policies and every TP
 // choice and returns the highest-throughput schedule satisfying lbound.
 //
@@ -617,6 +615,9 @@ func (s *Scheduler) probeCorners(ev *Evaluator, j branch, axes []Axis, evals *in
 // corners at or above it are always evaluated, and the reduction walks
 // branches in canonical order with a total-order tie-break (better).
 func (s *Scheduler) FindBest(policies []sched.Policy, lbound float64) (Result, error) {
+	if math.IsNaN(lbound) {
+		return Result{}, errNaNBound
+	}
 	jobs := s.branches(policies)
 	s.ensureEvals()
 	outs := make([]branchOutcome, len(jobs))
@@ -716,28 +717,29 @@ func (s *Scheduler) resumeSearch(ev *Evaluator, j branch, lbound, seed float64, 
 // enumeration across bounds — the dominant cost once probes are
 // memoized — is therefore paid once.
 //
-// Determinism and equivalence: every seed is derived from completed
-// phases only (the fixed corner set plus fully reduced earlier bounds),
-// so the returned Results — including Evals — are identical across
-// worker counts and runs. Per bound, Best and Found are bit-identical
-// to a standalone FindBest at that bound under the same monotone-corner
-// assumption that makes FindBest optimal (see its doc): both searches
-// evaluate every point whose throughput can reach the bound's optimum,
-// and both reduce with the same canonical tie-break. Evals differs from
-// standalone FindBest by construction — that is the amortization —
-// but deterministically: probes are charged to the bound whose pass
-// issued them, with the shared corner probes charged to the tightest.
+// Determinism: every seed is derived from completed phases only (the
+// fixed corner set plus fully reduced earlier bounds), so the returned
+// Results — including Evals — are identical across worker counts and
+// runs. Probes are charged to the bound whose pass issued them, with
+// the shared corner probes charged to the tightest.
+//
+// Per bound, Best and Found match a standalone FindBest only under the
+// monotone-corner assumption (see FindBest): the Line 14 test defers
+// blocks FindBest splits, and the WAA Bm axis breaks the assumption at
+// small BD (Bm=8 is slower than Bm=1). On the Table 2 grid 15 of 280
+// per-bound selections differ: 6 equal-throughput ties, 6 throughput
+// differences in both directions, and 3 bounds where FindBestMany
+// reports NS and FindBest finds a WAA-M schedule
+// (TestFindBestManyMatchesFindBestTable2).
+//
 // The merged frontier is left in s.Frontier.
 func (s *Scheduler) FindBestMany(policies []sched.Policy, bounds []float64) ([]Result, error) {
 	if len(bounds) == 0 {
 		return nil, nil
 	}
 	for _, b := range bounds {
-		// NaN never satisfies a latency comparison and cannot key the
-		// per-bound result map; reject it instead of silently returning
-		// garbage for the whole sweep.
 		if math.IsNaN(b) {
-			return nil, fmt.Errorf("core: NaN latency bound")
+			return nil, errNaNBound
 		}
 	}
 	asc := append([]float64(nil), bounds...)
@@ -909,6 +911,9 @@ func (s *Scheduler) MinLatency(policies []sched.Policy) (float64, error) {
 // true optimum over the same search space. Branches scan concurrently;
 // no pruning is applied, so Evals is the full deterministic grid size.
 func (s *Scheduler) Exhaustive(policies []sched.Policy, lbound float64) (Result, error) {
+	if math.IsNaN(lbound) {
+		return Result{}, errNaNBound
+	}
 	jobs := s.branches(policies)
 	s.ensureEvals()
 	outs := make([]branchOutcome, len(jobs))

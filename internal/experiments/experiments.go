@@ -69,10 +69,10 @@ func NewQuickContext() *Context {
 }
 
 // Deployment bundles everything needed to evaluate one (model, cluster,
-// task) combination. Each Deployment owns its Simulator, Scheduler,
-// Evaluator and runner Engine, so separate Deployments can be driven
-// concurrently; the profile Table may be shared between them but is
-// immutable.
+// task) combination. Each Deployment owns its Simulator, Scheduler
+// (with the Scheduler's per-worker Evaluators) and runner Engine, so
+// separate Deployments can be driven concurrently; the profile Table
+// may be shared between them but is immutable.
 type Deployment struct {
 	Model   model.Model
 	Cluster hw.Cluster
@@ -81,12 +81,7 @@ type Deployment struct {
 	In, Out *seqdist.Dist
 	Sim     *core.Simulator
 	Sch     *core.Scheduler
-	// Eval is the deployment's memoized estimate fast path for direct
-	// Estimate calls outside the Scheduler (which keeps its own
-	// per-worker Evaluators). Like the Deployment itself it must be
-	// driven by one goroutine at a time.
-	Eval *core.Evaluator
-	Run  *runner.Engine
+	Run     *runner.Engine
 }
 
 // profileCachePath returns the on-disk cache file for a profile key, or
@@ -209,13 +204,12 @@ func (c *Context) Deploy(m model.Model, cluster hw.Cluster, gpus int, task workl
 	}
 	return &Deployment{
 		Model: m, Cluster: sub, Prof: prof, Task: task,
-		In: in, Out: out, Sim: sim, Sch: sch,
-		Eval: core.NewEvaluator(sim), Run: run,
+		In: in, Out: out, Sim: sim, Sch: sch, Run: run,
 	}, nil
 }
 
 // Redeploy derives a Deployment identical to d but with the estimate
-// path (Simulator, Scheduler, Evaluator) rebuilt around new length
+// path (Simulator and Scheduler) rebuilt around new length
 // distributions — typically empirical estimates observed online after
 // the workload drifted from the distributions the current schedule was
 // searched for. The profile table and runner engine are shared: both
@@ -232,7 +226,7 @@ func (d *Deployment) Redeploy(in, out *seqdist.Dist) (*Deployment, error) {
 	sch.MaxND = d.Sch.MaxND
 	nd := *d
 	nd.In, nd.Out = in, out
-	nd.Sim, nd.Sch, nd.Eval = sim, sch, core.NewEvaluator(sim)
+	nd.Sim, nd.Sch = sim, sch
 	return &nd, nil
 }
 

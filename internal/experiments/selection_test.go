@@ -1,14 +1,80 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"strconv"
 	"testing"
 
 	"exegpt/internal/core"
 	"exegpt/internal/sched"
 	"exegpt/internal/workload"
 )
+
+// goldenFindBestPath pins the selection FindBest makes on every Table 2
+// grid point, so the comparison below cannot turn into a tautology when
+// one search is rewritten in terms of the other. Regenerate with
+// UPDATE_GOLDEN=1 after an intentional search change.
+const goldenFindBestPath = "testdata/golden_findbest.json"
+
+// goldenSelection is one pinned selection. Floats are shortest
+// round-trip strings, so the comparison is bit for bit.
+type goldenSelection struct {
+	Case   string `json:"case"`
+	Found  bool   `json:"found"`
+	Config string `json:"config,omitempty"`
+	Tput   string `json:"tput,omitempty"`
+	Lat    string `json:"lat,omitempty"`
+}
+
+func goldenFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+func goldenSelectionOf(name string, r core.Result) goldenSelection {
+	g := goldenSelection{Case: name, Found: r.Found}
+	if r.Found {
+		g.Config = r.Best.Config.String()
+		g.Tput = goldenFloat(r.Best.Throughput)
+		g.Lat = goldenFloat(r.Best.Latency)
+	}
+	return g
+}
+
+// checkGoldenFindBest compares the single-bound selections with the
+// committed golden, rewriting it first under UPDATE_GOLDEN=1.
+func checkGoldenFindBest(t *testing.T, got []goldenSelection) {
+	t.Helper()
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFindBestPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(goldenFindBestPath)
+	if err != nil {
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create)", err)
+	}
+	var want []goldenSelection
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%d golden selections, %d searched", len(want), len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("selection diverged from the golden\ngot:  %+v\nwant: %+v", got[i], want[i])
+		}
+	}
+}
 
 // TestFindBestManyMatchesFindBestTable2 compares the sweep's multi-bound
 // selection with a standalone search on the whole Table 2 grid: every
@@ -20,7 +86,8 @@ import (
 // The two searches are not equivalent everywhere: FindBestMany's
 // Line-14 test defers blocks that FindBest splits, because the WAA Bm
 // axis is not monotone in latency at small BD. The bands hold today's
-// counts and only ever tighten.
+// counts and only ever tighten. Every FindBest selection must also
+// match the golden.
 func TestFindBestManyMatchesFindBestTable2(t *testing.T) {
 	const (
 		maxMismatches = 15
@@ -34,6 +101,7 @@ func TestFindBestManyMatchesFindBestTable2(t *testing.T) {
 	}
 	c := quick()
 	selections, mismatches, ties, manyNS := 0, 0, 0, 0
+	var golden []goldenSelection
 	for _, dep := range sched.DefaultDeployments {
 		for _, task := range workload.Tasks {
 			d, err := c.Deploy(dep.Model, dep.Cluster, dep.GPUs, task)
@@ -59,6 +127,8 @@ func TestFindBestManyMatchesFindBestTable2(t *testing.T) {
 						t.Fatal(err)
 					}
 					selections++
+					golden = append(golden, goldenSelectionOf(fmt.Sprintf("%s/%dx%s/%s/%s/%s",
+						dep.Model.Name, dep.GPUs, dep.Cluster.GPU.Name, task.ID, policyGroupName(group), goldenFloat(b)), one))
 					m := many[i]
 					if m.Found == one.Found && m.Best.Config == one.Best.Config &&
 						math.Float64bits(m.Best.Throughput) == math.Float64bits(one.Best.Throughput) &&
@@ -83,6 +153,7 @@ func TestFindBestManyMatchesFindBestTable2(t *testing.T) {
 	if selections != want {
 		t.Fatalf("compared %d selections, want %d", selections, want)
 	}
+	checkGoldenFindBest(t, golden)
 	t.Logf("%d of %d selections differ: %d equal-throughput ties, %d multi-bound NS",
 		mismatches, selections, ties, manyNS)
 	if mismatches > maxMismatches {

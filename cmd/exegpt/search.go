@@ -8,14 +8,15 @@ import (
 	"strconv"
 	"strings"
 
-	"exegpt/internal/experiments"
 	"exegpt/internal/model"
 	"exegpt/internal/sched"
 	"exegpt/internal/workload"
 )
 
-// cmdSearch finds the best schedule for one deployment and optionally
-// executes it on XRunner.
+// cmdSearch finds the best schedule for one deployment under each
+// latency bound in one amortized search, prints one selection per
+// bound, and with -run executes each distinct selected schedule once on
+// XRunner.
 func cmdSearch(args []string) error {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	newCtx := commonFlags(fs)
@@ -78,74 +79,26 @@ func cmdSearch(args []string) error {
 		d.Sch.MaxND = *maxND
 	}
 
-	bound := *lbound
-	if bound <= 0 {
-		bound = math.Inf(1)
+	bounds := []float64{*lbound}
+	if *lbounds != "" {
+		if bounds, err = parseBounds(*lbounds); err != nil {
+			return err
+		}
+	} else if *lbound <= 0 {
+		bounds[0] = math.Inf(1)
 	}
 	workers := d.Sch.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	if *lbounds != "" {
-		boundList, err := parseBounds(*lbounds)
-		if err != nil {
-			return err
-		}
-		return searchMany(ctx, d, policies, boundList, task, workers, *minLat, *execute)
+	spelled := make([]string, len(bounds))
+	for i, b := range bounds {
+		spelled[i] = fmtSeconds(b)
 	}
-
-	fmt.Printf("search: %s on %dx %s, task %s, bound %s, %d workers\n",
-		m.Name, nGPUs, cluster.Name, task.ID, fmtSeconds(bound), workers)
+	fmt.Printf("search: %s on %dx %s, task %s, bounds %s, %d workers\n",
+		m.Name, nGPUs, cluster.Name, task.ID, strings.Join(spelled, ","), workers)
 
 	if *minLat {
-		min, err := d.Sch.MinLatency(policies)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("lowest achievable latency: %.3f s\n", min)
-	}
-
-	res, err := d.Sch.FindBest(policies, bound)
-	if err != nil {
-		return err
-	}
-	if !res.Found {
-		fmt.Printf("no feasible schedule (NS) under bound %s after %d evaluations\n",
-			fmtSeconds(bound), res.Evals)
-		return nil
-	}
-	best := res.Best
-	fmt.Printf("selected: %s %s\n", best.Config.Policy, best.Config)
-	fmt.Printf("estimate: %.2f seq/s at %.3f s latency (%d evaluations)\n",
-		best.Throughput, best.Latency, res.Evals)
-	if best.Alloc.EncGPUs > 0 || best.Alloc.DecGPUs > 0 {
-		fmt.Printf("allocation: %d encode / %d decode GPUs\n",
-			best.Alloc.EncGPUs, best.Alloc.DecGPUs)
-	}
-
-	if *execute {
-		reqs, err := ctx.RequestStream(task, 0)
-		if err != nil {
-			return err
-		}
-		out, err := d.Run.Run(best.Config, best.Alloc, reqs)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("measured: %.2f seq/s total, %.2f seq/s steady, p99 latency %.3f s (%d requests)\n",
-			out.Stats.Throughput, out.Stats.SteadyTput, out.Stats.P99Lat, len(reqs))
-	}
-	return nil
-}
-
-// searchMany runs the amortized multi-bound search and prints one
-// selection per bound; with execute set, each distinct selected
-// schedule is run once on XRunner.
-func searchMany(ctx *experiments.Context, d *experiments.Deployment, policies []sched.Policy, bounds []float64, task workload.Task, workers int, minLat, execute bool) error {
-	fmt.Printf("search: %s on %dx %s, task %s, %d bounds (amortized), %d workers\n",
-		d.Model.Name, d.Cluster.TotalGPUs(), d.Cluster.Name, task.ID, len(bounds), workers)
-	if minLat {
 		min, err := d.Sch.MinLatency(policies)
 		if err != nil {
 			return err
@@ -158,15 +111,18 @@ func searchMany(ctx *experiments.Context, d *experiments.Deployment, policies []
 	}
 	for i, res := range ress {
 		if !res.Found {
-			fmt.Printf("bound %-10s NS after %d evaluations\n", fmtSeconds(bounds[i]), res.Evals)
+			fmt.Printf("bound %-10s NS after %d evaluations\n", spelled[i], res.Evals)
 			continue
 		}
+		best := res.Best
 		fmt.Printf("bound %-10s %s %s: %.2f seq/s at %.3f s latency (%d evaluations)\n",
-			fmtSeconds(bounds[i]), res.Best.Config.Policy, res.Best.Config,
-			res.Best.Throughput, res.Best.Latency, res.Evals)
+			spelled[i], best.Config.Policy, best.Config, best.Throughput, best.Latency, res.Evals)
+		if best.Alloc.EncGPUs > 0 || best.Alloc.DecGPUs > 0 {
+			fmt.Printf("%17sallocation: %d encode / %d decode GPUs\n", "", best.Alloc.EncGPUs, best.Alloc.DecGPUs)
+		}
 	}
 	fmt.Printf("total: %d evaluations, %d frontier points\n", d.Sch.Evals, d.Sch.Frontier.Len())
-	if !execute {
+	if !*execute {
 		return nil
 	}
 	reqs, err := ctx.RequestStream(task, 0)
@@ -183,8 +139,8 @@ func searchMany(ctx *experiments.Context, d *experiments.Deployment, policies []
 		if err != nil {
 			return err
 		}
-		fmt.Printf("measured %s (bound %s): %.2f seq/s total, %.2f seq/s steady, p99 latency %.3f s\n",
-			res.Best.Config, fmtSeconds(bounds[i]), out.Stats.Throughput, out.Stats.SteadyTput, out.Stats.P99Lat)
+		fmt.Printf("measured %s (bound %s): %.2f seq/s total, %.2f seq/s steady, p99 latency %.3f s (%d requests)\n",
+			res.Best.Config, spelled[i], out.Stats.Throughput, out.Stats.SteadyTput, out.Stats.P99Lat, len(reqs))
 	}
 	return nil
 }

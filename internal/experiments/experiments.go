@@ -312,10 +312,11 @@ type RunOutcome struct {
 // ScheduleAndRunMany finds the best schedule for every latency bound in
 // one amortized multi-bound search (core.Scheduler.FindBestMany) and
 // executes each selected schedule, returning one outcome per bound in
-// input order. Per-bound schedules are bit-identical to what a
-// standalone FindBest would select. Adjacent bounds often pick the same
-// schedule, so executions are memoized per config: each distinct
-// schedule runs once per call.
+// input order. A bound's schedule can differ from a one-bound search's
+// where Algorithm 1's monotone-corner assumption fails (see
+// FindBestMany). Adjacent bounds often pick the same schedule, so
+// executions are memoized per config: each distinct schedule runs once
+// per call.
 func (d *Deployment) ScheduleAndRunMany(policies []sched.Policy, bounds []float64, reqs []workload.Request) ([]RunOutcome, error) {
 	ress, err := d.Sch.FindBestMany(policies, bounds)
 	if err != nil {
@@ -346,18 +347,6 @@ func (d *Deployment) ScheduleAndRunMany(policies []sched.Policy, bounds []float6
 		outs[i] = out
 	}
 	return outs, nil
-}
-
-// ScheduleAndRun finds the best schedule under the bound for the given
-// policies and executes it, returning the measured throughput. ok=false
-// means no feasible schedule (the paper's "NS"). It is the single-bound
-// case of ScheduleAndRunMany.
-func (d *Deployment) ScheduleAndRun(policies []sched.Policy, bound float64, reqs []workload.Request) (tput float64, est core.Estimate, ok bool, err error) {
-	outs, err := d.ScheduleAndRunMany(policies, []float64{bound}, reqs)
-	if err != nil {
-		return 0, core.Estimate{}, false, err
-	}
-	return outs[0].Tput, outs[0].Est, outs[0].OK, nil
 }
 
 // tableWriter builds fixed-width text tables.

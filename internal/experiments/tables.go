@@ -176,8 +176,7 @@ func (c *Context) Table6() ([]CaseRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One amortized search across all four bounds (the schedules are
-	// bit-identical to per-bound FindBest calls).
+	// One amortized search across all four bounds.
 	ress, err := d.Sch.FindBestMany([]sched.Policy{sched.RRA, sched.WAAC, sched.WAAM}, bounds)
 	if err != nil {
 		return nil, err

@@ -25,6 +25,7 @@ package baselines
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"exegpt/internal/hw"
@@ -164,9 +165,17 @@ func (e *Engine) encTime(tokens int, meanSeq float64, microBatches int) (float64
 	return profile.PipelinePeriod(times, microBatches), nil
 }
 
-// decIterTime returns one decode-iteration period for the batch, with
-// microBatches decode micro-batches.
-func (e *Engine) decIterTime(batch int, ctx float64, microBatches int) (float64, error) {
+// decodePricer prices the decode iterations of one batch size, which
+// differ only in their attention context.
+type decodePricer struct {
+	fixed    profile.FixedDecode
+	m        int
+	overhead float64
+}
+
+// priceDecode returns the pricer for decode iterations of batch queries
+// in microBatches decode micro-batches.
+func (e *Engine) priceDecode(batch, microBatches int) (decodePricer, error) {
 	if microBatches < 1 {
 		microBatches = 1
 	}
@@ -174,20 +183,24 @@ func (e *Engine) decIterTime(batch int, ctx float64, microBatches int) (float64,
 	if per < 1 {
 		per = 1
 	}
-	var buf [8]float64
-	times, err := e.kern.Decode(buf[:0], per, ctx, e.layerScale(per < 32))
+	fixed, err := e.kern.DecodeFixed(per, e.layerScale(per < 32))
 	if err != nil {
-		return 0, err
+		return decodePricer{}, err
 	}
-	period := profile.PipelinePeriod(times, microBatches)
+	d := decodePricer{fixed: fixed, m: microBatches}
 	// ORCA is proprietary; the paper evaluates it through vLLM's
 	// iteration-level scheduling mode (§7.1), so both carry the vLLM
 	// executor overhead: a fixed engine cost plus a per-sequence cost
 	// over the whole running batch.
 	if e.System == VLLM || e.System == ORCA {
-		period += vllmIterOverhead + vllmPerSeqOverhead*float64(batch)
+		d.overhead = vllmIterOverhead + vllmPerSeqOverhead*float64(batch)
 	}
-	return period, nil
+	return d, nil
+}
+
+// iter returns one decode-iteration period at mean context ctx.
+func (d *decodePricer) iter(ctx float64) float64 {
+	return d.fixed.Period(ctx, d.m) + d.overhead
 }
 
 // microBatchesFor returns the encode/decode micro-batch counts per
@@ -204,16 +217,23 @@ func (e *Engine) microBatchesFor() (enc, dec int) {
 	}
 }
 
-// kvManager builds the per-GPU KV manager appropriate to the system:
-// vLLM pages; FT/DSI reserve worst case; ORCA allocates exactly.
-func (e *Engine) kvManager(mem *hw.MemTracker, perToken int64) kvcache.Manager {
+// newKV charges the most loaded stage GPU's weights to a fresh memory
+// tracker and returns it with the KV manager appropriate to the system
+// over it: vLLM pages; FT/DSI reserve worst case; ORCA allocates
+// exactly.
+func (e *Engine) newKV() (*hw.MemTracker, kvcache.Manager, error) {
+	weights, perToken := e.maxStageMem()
+	mem := hw.NewMemTracker(e.Cluster.GPU.MemoryBytes)
+	if err := mem.Alloc(weights); err != nil {
+		return nil, nil, fmt.Errorf("baselines: weights do not fit: %w", err)
+	}
 	switch e.System {
 	case VLLM:
-		return kvcache.NewPaged(mem, perToken, 16)
+		return mem, kvcache.NewPaged(mem, perToken, 16), nil
 	case ORCA:
-		return kvcache.NewCompacting(mem, perToken)
+		return mem, kvcache.NewCompacting(mem, perToken), nil
 	default:
-		return kvcache.NewReserved(mem, perToken)
+		return mem, kvcache.NewReserved(mem, perToken), nil
 	}
 }
 
@@ -240,11 +260,21 @@ func (e *Engine) Run(batch int, reqs []workload.Request, maxOut int) (Result, er
 	if len(reqs) == 0 {
 		return Result{}, fmt.Errorf("baselines: no requests")
 	}
+	mem, kv, err := e.newKV()
+	if err != nil {
+		return Result{}, err
+	}
+	return e.run(batch, reqs, maxOut, mem, kv)
+}
+
+// run executes the stream on the KV manager kv over mem, as built by
+// newKV.
+func (e *Engine) run(batch int, reqs []workload.Request, maxOut int, mem *hw.MemTracker, kv kvcache.Manager) (Result, error) {
 	switch e.System {
 	case FT, DSI:
-		return e.runFixedBatch(batch, reqs, maxOut)
+		return e.runFixedBatch(batch, reqs, maxOut, mem, kv)
 	case ORCA, VLLM:
-		return e.runIterationLevel(batch, reqs)
+		return e.runIterationLevel(batch, reqs, mem, kv)
 	}
 	return Result{}, fmt.Errorf("baselines: unknown system %v", e.System)
 }
@@ -268,18 +298,15 @@ type Result struct {
 // longer fits and is cut there — the largest feasible batch — instead
 // of failing the run. Batches that fit at the nominal size are
 // unaffected.
-func (e *Engine) runFixedBatch(batch int, reqs []workload.Request, maxOut int) (Result, error) {
+func (e *Engine) runFixedBatch(batch int, reqs []workload.Request, maxOut int, mem *hw.MemTracker, kv kvcache.Manager) (Result, error) {
 	encMB, decMB := e.microBatchesFor()
-	weights, perToken := e.maxStageMem()
-	mem := hw.NewMemTracker(e.Cluster.GPU.MemoryBytes)
-	if err := mem.Alloc(weights); err != nil {
-		return Result{}, fmt.Errorf("baselines: weights do not fit: %w", err)
-	}
-	kv := e.kvManager(mem, perToken)
 	rec := metrics.NewRecorder()
 	res := Result{}
 	now := 0.0
 	var ends []float64
+	// done[n] counts the current batch's queries of output length n,
+	// the ones that complete at its decode iteration n.
+	var done []int
 
 	for start := 0; start < len(reqs); {
 		limit := start + batch
@@ -309,7 +336,18 @@ func (e *Engine) runFixedBatch(batch int, reqs []workload.Request, maxOut int) (
 			meanIn += float64(r.InLen)
 		}
 		meanIn /= float64(len(cur))
+		done = slices.Grow(done[:0], longest+1)[:longest+1]
+		clear(done)
+		for _, r := range cur {
+			if r.OutLen > 0 {
+				done[r.OutLen]++
+			}
+		}
 		encT, err := e.encTime(tokens, meanIn, encMB)
+		if err != nil {
+			return Result{}, err
+		}
+		dec, err := e.priceDecode(len(cur), decMB)
 		if err != nil {
 			return Result{}, err
 		}
@@ -319,22 +357,15 @@ func (e *Engine) runFixedBatch(batch int, reqs []workload.Request, maxOut int) (
 		// (white boxes in Figure 1: completed queries keep computing).
 		for it := 0; it < longest; it++ {
 			// Combined self+cross context per query.
-			ctx := meanIn + float64(it) + 1
-			dt, err := e.decIterTime(len(cur), ctx, decMB)
-			if err != nil {
-				return Result{}, err
-			}
-			now += dt
+			now += dec.iter(meanIn + float64(it) + 1)
 			res.Iterations++
-			for _, r := range cur {
-				if r.OutLen == it+1 {
-					// The query's tokens are ready, but without early
-					// termination its latency runs to its own completion
-					// iteration; it keeps occupying compute until the
-					// batch ends.
-					rec.Add(now - batchStart)
-					ends = append(ends, now)
-				}
+			// The completed queries' tokens are ready, but without early
+			// termination their latency runs to their own completion
+			// iteration; they keep occupying compute until the batch
+			// ends.
+			for range done[it+1] {
+				rec.Add(now - batchStart)
+				ends = append(ends, now)
 			}
 		}
 		for _, r := range cur {
@@ -352,14 +383,8 @@ func (e *Engine) runFixedBatch(batch int, reqs []workload.Request, maxOut int) (
 // `batch` slots; each iteration first admits new queries (whose prefill
 // executes inside the iteration), then decodes one token for every
 // active query, early-terminating completed ones.
-func (e *Engine) runIterationLevel(batch int, reqs []workload.Request) (Result, error) {
+func (e *Engine) runIterationLevel(batch int, reqs []workload.Request, mem *hw.MemTracker, kv kvcache.Manager) (Result, error) {
 	_, decMB := e.microBatchesFor()
-	weights, perToken := e.maxStageMem()
-	mem := hw.NewMemTracker(e.Cluster.GPU.MemoryBytes)
-	if err := mem.Alloc(weights); err != nil {
-		return Result{}, fmt.Errorf("baselines: weights do not fit: %w", err)
-	}
-	kv := e.kvManager(mem, perToken)
 	rec := metrics.NewRecorder()
 	res := Result{}
 	now := 0.0
@@ -420,11 +445,11 @@ func (e *Engine) runIterationLevel(batch int, reqs []workload.Request) (Result, 
 		}
 		if len(active) > 0 {
 			ctx /= float64(len(active))
-			dt, err := e.decIterTime(len(active), ctx, decMB)
+			dec, err := e.priceDecode(len(active), decMB)
 			if err != nil {
 				return Result{}, err
 			}
-			iterT += dt
+			iterT += dec.iter(ctx)
 		}
 		now += iterT
 		res.Iterations++
@@ -484,13 +509,13 @@ func (e *Engine) LatencyForBound(batch int, meanIn, meanOut float64, boundLen in
 		prefillPerIter = one
 		encT = 0 // no separate up-front encoding phase
 	}
+	dec, err := e.priceDecode(batch, decMB)
+	if err != nil {
+		return 0, err
+	}
 	total := encT
 	for it := 0; it < boundLen; it++ {
-		dt, err := e.decIterTime(batch, meanIn+float64(it)+1, decMB)
-		if err != nil {
-			return 0, err
-		}
-		total += dt + prefillPerIter
+		total += dec.iter(meanIn+float64(it)+1) + prefillPerIter
 	}
 	return total, nil
 }

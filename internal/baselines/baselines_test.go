@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"exegpt/internal/hw"
+	"exegpt/internal/kvcache"
 	"exegpt/internal/model"
 	"exegpt/internal/profile"
 	"exegpt/internal/workload"
@@ -309,6 +310,46 @@ func TestRunInputValidation(t *testing.T) {
 	}
 	if _, err := e.Run(4, nil, 80); err == nil {
 		t.Fatal("no requests should fail")
+	}
+}
+
+// Every system completes every request of a long-tailed stream exactly
+// once, and its KV cache then holds nothing: no request is still
+// admitted, and after a final compaction the tracker holds only the
+// weights. Every completion is one request's: FT/DSI count a batch's
+// completions from its output lengths, and ORCA/vLLM release each
+// completed request's cache by ID, which fails for a request released
+// twice.
+func TestRunConservation(t *testing.T) {
+	for _, sys := range []System{FT, DSI, ORCA, VLLM} {
+		e := engine(t, sys, model.OPT13B, 4, hw.A40Cluster)
+		weights, _ := e.maxStageMem()
+		for _, task := range []workload.Task{workload.Summarization, workload.ConvQA2} {
+			rs := reqs(t, task, 240, 29)
+			mem, kv, err := e.newKV()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.run(24, rs, task.Out.Max, mem, kv)
+			if err != nil {
+				t.Fatalf("%v %s: %v", sys, task.ID, err)
+			}
+			if res.Stats.Completed != len(rs) {
+				t.Fatalf("%v %s: completed %d of %d", sys, task.ID, res.Stats.Completed, len(rs))
+			}
+			for _, r := range rs {
+				if kv.Release(r.ID) == nil {
+					t.Fatalf("%v %s: request %d still holds KV after the run", sys, task.ID, r.ID)
+				}
+			}
+			if c, ok := kv.(*kvcache.Compacting); ok {
+				c.Compact()
+			}
+			if mem.Used() != weights || kv.LiveTokens() != 0 {
+				t.Fatalf("%v %s: %d bytes (%d live tokens) after the run, want the weights only (%d)",
+					sys, task.ID, mem.Used(), kv.LiveTokens(), weights)
+			}
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"exegpt/internal/hw"
 	"exegpt/internal/metrics"
 	"exegpt/internal/model"
+	"exegpt/internal/sched"
 	"exegpt/internal/workload"
 )
 
@@ -192,4 +193,47 @@ func TestBaselinesGolden(t *testing.T) {
 		}
 	}
 	t.Fatal("baseline output diverged from " + goldenBaselinesPath)
+}
+
+// TestLatencyForBoundMonotoneInBatch guards PickBatch's binary search,
+// which assumes the bound latency never falls as the batch grows: on
+// every Table 2 deployment and task, for every system, at every
+// multiple of four up to the largest batch whose KV fits (uncapped, a
+// superset of the 512-capped range PickBatch searches).
+func TestLatencyForBoundMonotoneInBatch(t *testing.T) {
+	c := quick()
+	steps := 0
+	for _, dep := range sched.DefaultDeployments {
+		for _, task := range workload.Tasks {
+			d, err := c.Deploy(dep.Model, dep.Cluster, dep.GPUs, task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meanIn, meanOut := d.In.Mean(), d.Out.Mean()
+			for _, sys := range []baselines.System{baselines.FT, baselines.DSI, baselines.ORCA, baselines.VLLM} {
+				e, err := baselines.New(sys, d.Model, d.Cluster, d.Prof)
+				if err != nil {
+					t.Fatal(err)
+				}
+				boundLen := d.Task.Out.Max
+				if sys == baselines.ORCA || sys == baselines.VLLM {
+					boundLen = d.Out.Percentile(0.99)
+				}
+				prev := math.Inf(-1)
+				for b := 4; b <= e.MaxFeasibleBatch(meanIn, d.Task.Out.Max, 0); b += 4 {
+					lat, err := e.LatencyForBound(b, meanIn, meanOut, boundLen)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if lat < prev {
+						t.Errorf("%s/%dx%s %s %v: bound latency falls from %v at batch %d to %v at %d",
+							dep.Model.Name, dep.GPUs, dep.Cluster.GPU.Name, task.ID, sys, prev, b-4, lat, b)
+					}
+					prev = lat
+					steps++
+				}
+			}
+		}
+	}
+	t.Logf("%d batch steps checked", steps)
 }

@@ -110,8 +110,8 @@ type Table struct {
 	// pow2Token/Seq/Batch/Ctx record whether the corresponding grid is
 	// exactly {2^0, 2^1, ...} (geomGrid with a power-of-two maximum),
 	// enabling the O(1) exponent-indexed segment lookup. Set by
-	// initIndex from Run and Decode; the zero value falls back to binary
-	// search, so hand-built tables stay correct.
+	// initIndex from Run and Decode; the zero value falls back to
+	// walking the grid, so hand-built tables stay correct.
 	pow2Token, pow2Seq, pow2Batch, pow2Ctx bool
 }
 
@@ -131,7 +131,7 @@ func isPow2Grid(grid []int) bool {
 
 // initIndex precomputes the per-grid fast-path flags. It must run
 // before the table is shared (Run and Decode call it); lookups on a
-// table without the index fall back to binary search.
+// table without the index fall back to walking the grid.
 func (t *Table) initIndex() {
 	t.pow2Token = isPow2Grid(t.TokenGrid)
 	t.pow2Seq = isPow2Grid(t.SeqGrid)
@@ -275,81 +275,104 @@ func (t *Table) tpIndex(tp int) (int, error) {
 	return 0, fmt.Errorf("profile: TP degree %d not profiled (have %v)", tp, t.TPDegrees)
 }
 
-// segment returns lo such that grid[lo] <= x < grid[lo+1]. The caller
-// guarantees grid[0] < x < grid[last]. Power-of-two grids resolve in
-// O(1) from the float exponent (Ilogb is exact — no log rounding);
-// everything else binary-searches. Both paths return the same unique
-// lo, so the fast path is bit-identical to the slow one.
-func segment(grid []int, pow2 bool, x float64) int {
-	if pow2 {
-		// grid[i] == 2^i, so floor(log2 x) is the segment index.
-		return math.Ilogb(x)
-	}
-	lo := 0
-	hi := len(grid) - 1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if float64(grid[mid]) <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// axisMode is how interpolation resolves a point on one grid axis.
+type axisMode uint8
+
+const (
+	axisEmpty  axisMode = iota // empty grid: 0
+	axisFirst                  // at or below the first point, or a one-point grid: clamp
+	axisExtrap                 // at or above the last point: extend the last segment
+	axisBlend                  // inside segment lo: blend its two points
+)
+
+// axisPoint is one grid axis resolved at a point x. lo is the segment
+// (axisBlend) or the last one (axisExtrap). A point that is resolved
+// again starts its segment search from lo, so it doubles as a cursor.
+type axisPoint struct {
+	mode    axisMode
+	lo      int
+	f, omf  float64 // axisBlend: (x-x0)/(x1-x0) and 1-f
+	dx, den float64 // axisExtrap: x-x1 and x1-x0
 }
 
-// interp1 linearly interpolates vals over the integer grid at x,
-// clamping below the grid and extrapolating linearly above it.
-func interp1(grid []int, pow2 bool, vals []float64, x float64) float64 {
-	if len(grid) == 0 {
-		return 0
-	}
-	if x <= float64(grid[0]) {
-		return vals[0]
-	}
+// locate resolves a to grid at x. Below the grid it clamps; above it,
+// workloads beyond the sweep maximum scale linearly in the roofline
+// regime, so it extends the last segment. Inside, it finds lo with
+// grid[lo] <= x < grid[lo+1]: a power-of-two grid (grid[i] == 2^i) in
+// O(1) from the float exponent (Ilogb is exact, no log rounding), any
+// other grid by walking from the previous lo. Both find the same unique
+// lo, so the fast path is bit-identical to the walk.
+func (a *axisPoint) locate(grid []int, pow2 bool, x float64) {
 	last := len(grid) - 1
-	if x >= float64(grid[last]) {
-		// Extrapolate linearly from the last segment: workloads beyond
-		// the sweep maximum scale linearly in the roofline regime.
-		if last == 0 {
-			return vals[0]
-		}
+	switch {
+	case last < 0:
+		a.mode = axisEmpty
+	case x <= float64(grid[0]) || last == 0:
+		a.mode = axisFirst
+	case x >= float64(grid[last]):
 		x0, x1 := float64(grid[last-1]), float64(grid[last])
-		return vals[last] + (vals[last]-vals[last-1])*(x-x1)/(x1-x0)
+		a.mode, a.lo, a.dx, a.den = axisExtrap, last-1, x-x1, x1-x0
+	default:
+		lo := a.lo
+		if pow2 {
+			lo = math.Ilogb(x)
+		} else {
+			for float64(grid[lo+1]) <= x {
+				lo++
+			}
+			for float64(grid[lo]) > x {
+				lo--
+			}
+		}
+		x0, x1 := float64(grid[lo]), float64(grid[lo+1])
+		f := (x - x0) / (x1 - x0)
+		a.mode, a.lo, a.f, a.omf = axisBlend, lo, f, 1-f
 	}
-	lo := segment(grid, pow2, x)
-	hi := lo + 1
-	x0, x1 := float64(grid[lo]), float64(grid[hi])
-	f := (x - x0) / (x1 - x0)
-	return vals[lo]*(1-f) + vals[hi]*f
 }
 
-// interp2 bilinearly interpolates a [len(g1)][len(g2)] table. Only the
-// one or two rows the outer axis actually touches are interpolated, so
-// the lookup is allocation-free; the branch structure mirrors interp1
-// exactly, keeping results bit-identical to interpolating every row.
+// at linearly interpolates vals at the located point.
+func (a *axisPoint) at(vals []float64) float64 {
+	switch a.mode {
+	case axisFirst:
+		return vals[0]
+	case axisExtrap:
+		return vals[a.lo+1] + (vals[a.lo+1]-vals[a.lo])*a.dx/a.den
+	case axisBlend:
+		return vals[a.lo]*a.omf + vals[a.lo+1]*a.f
+	}
+	return 0
+}
+
+// at2 bilinearly interpolates rows, a [outer][inner] table, with a
+// located on the outer axis and inner on the rows' axis. Only the one
+// or two rows the outer axis touches are interpolated, so the lookup is
+// allocation-free, and each row is interpolated exactly as at would.
+func (a *axisPoint) at2(rows [][]float64, inner *axisPoint) float64 {
+	switch a.mode {
+	case axisFirst:
+		return inner.at(rows[0])
+	case axisExtrap:
+		vLast, vPrev := inner.at(rows[a.lo+1]), inner.at(rows[a.lo])
+		return vLast + (vLast-vPrev)*a.dx/a.den
+	case axisBlend:
+		return inner.at(rows[a.lo])*a.omf + inner.at(rows[a.lo+1])*a.f
+	}
+	return 0
+}
+
+// interp1 linearly interpolates vals over the integer grid at x.
+func interp1(grid []int, pow2 bool, vals []float64, x float64) float64 {
+	var a axisPoint
+	a.locate(grid, pow2, x)
+	return a.at(vals)
+}
+
+// interp2 bilinearly interpolates a [len(g1)][len(g2)] table at (x, y).
 func interp2(g1, g2 []int, p1, p2 bool, vals [][]float64, x, y float64) float64 {
-	if len(g1) == 0 {
-		return 0
-	}
-	if x <= float64(g1[0]) {
-		return interp1(g2, p2, vals[0], y)
-	}
-	last := len(g1) - 1
-	if x >= float64(g1[last]) {
-		if last == 0 {
-			return interp1(g2, p2, vals[0], y)
-		}
-		x0, x1 := float64(g1[last-1]), float64(g1[last])
-		vLast := interp1(g2, p2, vals[last], y)
-		vPrev := interp1(g2, p2, vals[last-1], y)
-		return vLast + (vLast-vPrev)*(x-x1)/(x1-x0)
-	}
-	lo := segment(g1, p1, x)
-	hi := lo + 1
-	x0, x1 := float64(g1[lo]), float64(g1[hi])
-	f := (x - x0) / (x1 - x0)
-	return interp1(g2, p2, vals[lo], y)*(1-f) + interp1(g2, p2, vals[hi], y)*f
+	var a, b axisPoint
+	a.locate(g1, p1, x)
+	b.locate(g2, p2, y)
+	return a.at2(vals, &b)
 }
 
 // EncodeRest returns the rest-of-layer encode time for totalTokens.

@@ -267,7 +267,7 @@ func TestQuickLookupMonotone(t *testing.T) {
 }
 
 // TestPow2FastPathMatchesBinarySearch: the O(1) exponent-indexed
-// segment lookup must be bit-identical to the binary-search fallback on
+// segment lookup must be bit-identical to the grid-walk fallback on
 // every lookup surface, including grid points, interior values,
 // fractional coordinates, and beyond-grid extrapolation.
 func TestPow2FastPathMatchesBinarySearch(t *testing.T) {

@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"fmt"
+
 	"exegpt/internal/hw"
 	"exegpt/internal/sched"
 )
@@ -140,6 +142,102 @@ func (k *Stages) fill(p *phase, dst []float64, n int, x, scale float64, enc bool
 		dst = append(dst, float64(s.layers)*layer[s.layer]+send[s.send])
 	}
 	return dst, nil
+}
+
+// maxFixedLayers bounds the distinct (TP degree, collective link) layer
+// lookups a FixedDecode holds inline. A profiled table has at most one
+// per profiled TP degree and link class: 8 on 8-GPU nodes.
+const maxFixedLayers = 8
+
+// FixedDecode prices the decode iterations of one fixed batch, where
+// only the attention context changes from one iteration to the next.
+// DecodeFixed resolves everything the batch alone decides: each layer
+// lookup's TP row, rest-of-layer and sync times, the handover times,
+// and the batch axis of DecAttn. Period then locates the context once,
+// for every lookup and both batch rows; on a grid that is not a power
+// of two, the search starts from the previous context's segment, a
+// cursor that advances as the context grows.
+//
+// Period(ctx, m) is bit-identical to PipelinePeriod of Decode(batch,
+// ctx, scale): both interpolate through the same axisPoint code, in the
+// same operation order. A FixedDecode is a per-caller value that
+// allocates nothing; its cursor moves, so it is not safe for concurrent
+// use.
+type FixedDecode struct {
+	stages     []stageCost
+	scale      float64
+	nl         int
+	layers     [maxFixedLayers]fixedLayer
+	send       [numLinkClasses]float64
+	ctxGrid    []int
+	pow2Ctx    bool
+	batch, ctx axisPoint
+}
+
+// fixedLayer is one layer lookup at the fixed batch.
+type fixedLayer struct {
+	rest, sync float64
+	rows       [][]float64 // DecAttn at the lookup's TP degree
+}
+
+// DecodeFixed returns the pricer for decode iterations of batch
+// queries over the stages holding decoding layers, with Decode's scale.
+// It fails where Decode would, and on a stage list with more than
+// maxFixedLayers distinct layer lookups.
+func (k *Stages) DecodeFixed(batch int, scale float64) (FixedDecode, error) {
+	if batch == 0 {
+		return FixedDecode{}, nil // no stages: every period is 0
+	}
+	p := &k.dec
+	d := FixedDecode{stages: p.stages, scale: scale, ctxGrid: k.tab.CtxGrid, pow2Ctx: k.tab.pow2Ctx}
+	if len(p.layers) > maxFixedLayers {
+		return FixedDecode{}, fmt.Errorf("profile: %d distinct decode layer lookups, the fixed-batch pricer holds %d", len(p.layers), maxFixedLayers)
+	}
+	tab := k.tab
+	if batch > 0 { // DecodeAttn is 0 below one query: leave the axis empty
+		d.batch.locate(tab.BatchGrid, tab.pow2Batch, float64(batch))
+	}
+	for i, lk := range p.layers {
+		rest, err := tab.DecodeRest(batch, lk.tp)
+		if err != nil {
+			return FixedDecode{}, err
+		}
+		sync, err := tab.SyncTime(false, batch, lk.tp, lk.lc)
+		if err != nil {
+			return FixedDecode{}, err
+		}
+		ti, _ := tab.tpIndex(lk.tp) // DecodeRest found it
+		d.layers[i] = fixedLayer{rest: rest, sync: sync, rows: tab.DecAttn[ti]}
+	}
+	d.nl = len(p.layers)
+	for i, lc := range p.sends {
+		v, err := tab.PPSend(batch, lc)
+		if err != nil {
+			return FixedDecode{}, err
+		}
+		d.send[i] = v
+	}
+	return d, nil
+}
+
+// Period returns the pipeline period of one decode iteration at mean
+// attention context ctx with m micro-batches in flight.
+func (d *FixedDecode) Period(ctx float64, m int) float64 {
+	d.ctx.locate(d.ctxGrid, d.pow2Ctx, ctx)
+	var layer [maxFixedLayers]float64
+	for i := range d.layers[:d.nl] {
+		l := &d.layers[i]
+		layer[i] = (l.rest + d.batch.at2(l.rows, &d.ctx) + l.sync) * d.scale
+	}
+	var sum, max float64
+	for _, s := range d.stages {
+		t := float64(s.layers)*layer[s.layer] + d.send[s.send]
+		sum += t
+		if t > max {
+			max = t
+		}
+	}
+	return PeriodOf(sum, max, m)
 }
 
 // PipelinePeriod returns the steady-state period of one pass over the

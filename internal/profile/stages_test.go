@@ -79,7 +79,7 @@ func tpSpecs(tab *Table, n int) []sched.TPSpec {
 
 // ftStages is FasterTransformer's stage list: TP at the largest
 // profiled degree within one node, pipelined over the whole groups.
-func ftStages(t *testing.T, m model.Model, c hw.Cluster, tab *Table) []sched.Stage {
+func ftStages(t testing.TB, m model.Model, c hw.Cluster, tab *Table) []sched.Stage {
 	t.Helper()
 	n, tp := c.TotalGPUs(), 1
 	for _, d := range tab.TPDegrees {

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"exegpt/internal/hw"
@@ -102,6 +103,8 @@ func TestOpenRunConservation(t *testing.T) {
 
 // The decoder's running context sum equals a rescan of the active
 // queries after every step, for decoder-only and encoder-decoder models.
+// The rescan counts each query's generated tokens as the steps taken
+// since its admission.
 func TestDecoderContextSum(t *testing.T) {
 	for _, m := range []model.Model{model.OPT13B, model.T511B} {
 		e := engine(t, m, 4, hw.A40Cluster)
@@ -112,25 +115,77 @@ func TestDecoderContextSum(t *testing.T) {
 		d := decoder{model: m, states: states}
 		var records []QueryRecord
 		rec := metrics.NewRecorder()
+		steps := 0
+		admittedAt := map[int]int{} // request ID -> steps before its admission
 		for i, r := range requests(t, workload.Translation, 200, 5) {
 			if err := admit(states, r.ID, r.InLen); err != nil {
 				t.Fatal(err)
 			}
 			d.add(r, 0)
+			admittedAt[r.ID] = steps
 			if i%3 != 0 {
 				continue
 			}
 			if _, err := d.step(float64(i), rec, &records); err != nil {
 				t.Fatal(err)
 			}
+			steps++
 			want := 0
 			for _, q := range d.active {
-				want += m.ContextLen(q.req.InLen, q.pos)
+				want += m.ContextLen(q.req.InLen, steps-admittedAt[q.req.ID])
 			}
 			if d.ctxSum != want {
 				t.Fatalf("%s: ctxSum %d, rescan %d", m.Name, d.ctxSum, want)
 			}
 		}
+	}
+}
+
+// Queries admitted at different iterations that reach their output
+// length in the same step complete in admission order, not in request
+// ID or output-length order.
+func TestDecoderCompletesInAdmissionOrder(t *testing.T) {
+	e := engine(t, model.OPT13B, 4, hw.A40Cluster)
+	states, err := e.newStageStates(rraAlloc(t, e, sched.TPSpec{Degree: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := decoder{model: e.Model, states: states}
+	rec := metrics.NewRecorder()
+	var records []QueryRecord
+	// Each wave is admitted after the previous step; every query
+	// except ID 8 completes at step 4.
+	waves := [][]workload.Request{
+		{{ID: 7, InLen: 16, OutLen: 4}, {ID: 8, InLen: 16, OutLen: 9}, {ID: 2, InLen: 16, OutLen: 4}},
+		{{ID: 3, InLen: 16, OutLen: 3}},
+		{{ID: 9, InLen: 16, OutLen: 2}, {ID: 1, InLen: 16, OutLen: 2}},
+		{{ID: 0, InLen: 16, OutLen: 1}, {ID: 5, InLen: 16, OutLen: 0}},
+	}
+	for step, wave := range waves {
+		for _, r := range wave {
+			if err := admit(states, r.ID, r.InLen); err != nil {
+				t.Fatal(err)
+			}
+			d.add(r, float64(step))
+		}
+		n, err := d.step(float64(step+1), rec, &records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{true: 7, false: 0}[step == 3]; n != want {
+			t.Fatalf("step %d completed %d queries, want %d", step+1, n, want)
+		}
+	}
+	var ids []int
+	for _, r := range records {
+		ids = append(ids, r.ID)
+	}
+	if want := []int{7, 2, 3, 9, 1, 0, 5}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("step 4 completed %v, want admission order %v", ids, want)
+	}
+	if len(d.active) != 1 || d.active[0].req.ID != 8 || d.ctxSum != model.OPT13B.ContextLen(16, 4) {
+		t.Fatalf("after step 4: %d active, ctxSum %d; want query 8 alone at context %d",
+			len(d.active), d.ctxSum, model.OPT13B.ContextLen(16, 4))
 	}
 }
 

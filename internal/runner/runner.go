@@ -112,24 +112,71 @@ type Result struct {
 
 // query is the in-flight state of one request.
 type query struct {
-	req   workload.Request
-	start float64
-	pos   int // generated tokens so far
+	req    workload.Request
+	start  float64
+	finish int // the decode iteration that generates its last token
+	seq    int // admission order
 }
 
 // decoder is the engine's decode side: the active queries, the running
 // sum of their context lengths, and the per-stage KV caches they occupy.
+// A query's output length fixes the iteration it completes at, so
+// active is a binary min-heap on (finish, seq) and a step touches only
+// the queries completing in it.
 type decoder struct {
 	model  model.Model
 	states []*stageState
 	active []query
 	ctxSum int
+	iter   int // decode iterations stepped
+	seq    int // queries added
 }
 
 // add makes an admitted request active, its latency counted from start.
+// It generates a token at each of the next max(OutLen, 1) steps.
 func (d *decoder) add(r workload.Request, start float64) {
 	d.ctxSum += d.model.ContextLen(r.InLen, 0)
-	d.active = append(d.active, query{req: r, start: start})
+	d.active = append(d.active, query{req: r, start: start, finish: d.iter + max(r.OutLen, 1), seq: d.seq})
+	d.seq++
+	d.siftUp(len(d.active) - 1)
+}
+
+// before orders the heap: earlier finish first, then admission order.
+func (d *decoder) before(i, j int) bool {
+	a, b := &d.active[i], &d.active[j]
+	return a.finish < b.finish || (a.finish == b.finish && a.seq < b.seq)
+}
+
+func (d *decoder) siftUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !d.before(i, parent) {
+			return
+		}
+		d.active[i], d.active[parent] = d.active[parent], d.active[i]
+		i = parent
+	}
+}
+
+// popMin removes the heap's first query.
+func (d *decoder) popMin() {
+	last := len(d.active) - 1
+	d.active[0] = d.active[last]
+	d.active = d.active[:last]
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l < last && d.before(l, least) {
+			least = l
+		}
+		if r := l + 1; r < last && d.before(r, least) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		d.active[i], d.active[least] = d.active[least], d.active[i]
+		i = least
+	}
 }
 
 // meanCtx returns the mean context length over the active queries.
@@ -142,32 +189,30 @@ func (d *decoder) meanCtx() float64 {
 
 // step applies one finished decode iteration at virtual time now: every
 // active query generates a token; queries that reach their output length
-// are released on every stage and appended to rec and records; the
-// survivors' contexts and caches then grow by that token, with one
-// AppendAll per stage. It returns the number of records appended.
-// Release never returns bytes to a stage's tracker, so the bulk charge
-// fails exactly when one of the per-query charges it replaces would have.
+// are released on every stage and appended to rec and records, in
+// admission order; the survivors' contexts and caches then grow by that
+// token, with one AppendAll per stage. It returns the number of records
+// appended. Release never returns bytes to a stage's tracker, so the
+// bulk charge fails exactly when one of the per-query charges it
+// replaces would have.
 func (d *decoder) step(now float64, rec *metrics.Recorder, records *[]QueryRecord) (int, error) {
-	kept := 0
-	for i := range d.active {
-		q := &d.active[i]
-		q.pos++
-		if q.pos < q.req.OutLen {
-			d.active[kept] = *q
-			kept++
-			continue
-		}
-		d.ctxSum -= d.model.ContextLen(q.req.InLen, q.pos-1)
+	d.iter++
+	done := 0
+	for len(d.active) > 0 && d.active[0].finish <= d.iter {
+		q := d.active[0]
+		d.popMin()
+		// Its last token was generated at context position
+		// max(OutLen, 1)-1.
+		d.ctxSum -= d.model.ContextLen(q.req.InLen, max(q.req.OutLen, 1)-1)
 		release(d.states, q.req.ID)
 		rec.Add(now - q.start)
 		*records = append(*records, QueryRecord{
 			ID: q.req.ID, Start: q.start, End: now,
 			InLen: q.req.InLen, OutLen: q.req.OutLen,
 		})
+		done++
 	}
-	done := len(d.active) - kept
-	d.active = d.active[:kept]
-	d.ctxSum += kept // ContextLen grows by one per generated token
+	d.ctxSum += len(d.active) // ContextLen grows by one per generated token
 	for _, st := range d.states {
 		if err := st.kv.AppendAll(); err != nil {
 			return done, err
@@ -312,6 +357,8 @@ func (e *Engine) runAll(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 	}
 	o.batchRun = true
 	o.res.EncStage, o.res.DecStage = metrics.NewRecorder(), metrics.NewRecorder()
+	// Every request completes once: one allocation holds the records.
+	o.res.Records = make([]QueryRecord, 0, len(reqs))
 	o.queue = newReqFIFO(reqs)
 	for _, r := range reqs {
 		o.totalIn += int64(r.InLen)

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench sweep-smoke sweep-golden serve-smoke serve-golden policy-conformance clean
+.PHONY: all build test race lint bench sweep-smoke sweep-golden figures-golden serve-smoke serve-golden policy-conformance clean
 
 all: build
 
@@ -35,6 +35,12 @@ sweep-smoke: build
 
 sweep-golden: build
 	./exegpt sweep $(SWEEP_FLAGS) -json GOLDEN_sweep.json > /dev/null
+
+# The stdout of the full `exegpt figures` and `exegpt tables` is pinned
+# byte for byte in cmd/exegpt/testdata by TestFiguresTablesMatchGolden
+# (tier-1). A deliberate behavior change regenerates it here.
+figures-golden:
+	UPDATE_GOLDEN=1 $(GO) test ./cmd/exegpt -run '^TestFiguresTablesMatchGolden$$'
 
 # Online-serving smoke: run a deterministic serving scenario — a rate
 # step that fires one schedule switch — and require the JSON artifact

@@ -343,12 +343,16 @@ func (c *Context) Figure10() ([]ThroughputCell, error) {
 			if err != nil {
 				return nil, err
 			}
-			d, err := c.Deploy(cb.m, cb.cl, cb.gpus, task)
+			td, err := c.Deploy(cb.m, cb.cl, cb.gpus, task)
 			if err != nil {
 				return nil, err
 			}
-			// Schedule against the observed distributions.
-			d.Sim.In, d.Sim.Out = inObs, outObs
+			// FT's bounds and batch pick and both searches see only the
+			// distributions observed on the 10% sample.
+			d, err := td.Redeploy(inObs, outObs)
+			if err != nil {
+				return nil, err
+			}
 			bounds, err := d.FTBounds()
 			if err != nil {
 				return nil, err

@@ -72,7 +72,7 @@ func TestEstimateRRABasic(t *testing.T) {
 	}
 	// BE derived from the completion distribution must satisfy the
 	// batch-consistency identity approximately.
-	comp, _ := seqdist.NewCompletionDist(sim.Out, cfg.ND)
+	comp, _ := seqdist.NewCompletionDist(sim.out, cfg.ND)
 	wantBE := int(math.Round(64 * comp.PerPhaseCompletion()))
 	if wantBE < 1 {
 		wantBE = 1
@@ -99,7 +99,7 @@ func TestEstimateWAABasic(t *testing.T) {
 		t.Fatalf("infeasible: %s", est.Reason)
 	}
 	// BD = BE * mean output length (§4.1).
-	wantBD := int(math.Round(4 * sim.Out.Mean()))
+	wantBD := int(math.Round(4 * sim.out.Mean()))
 	if est.Config.BD != wantBD {
 		t.Fatalf("BD = %d, want %d", est.Config.BD, wantBD)
 	}

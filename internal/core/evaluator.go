@@ -130,13 +130,6 @@ type Evaluator struct {
 	probeErr  error
 	probeDone bool
 
-	// pctl is the LatencyPctl the est memo was filled under. Latency is
-	// the only memoized output that depends on it, and only through the
-	// final whole-result memo (the phase/allocation memos are
-	// percentile-free), so a caller adjusting sim.LatencyPctl between
-	// calls just flushes est.
-	pctl float64
-
 	// times is the stage-time buffer every kernel fill reuses.
 	times []float64
 }
@@ -150,7 +143,6 @@ func NewEvaluator(sim *Simulator) *Evaluator {
 		rra:  map[sched.TPSpec]*allocEntry{},
 		waa:  map[waaKey]*waaEntry{},
 		est:  map[sched.Config]Estimate{},
-		pctl: sim.LatencyPctl,
 	}
 }
 
@@ -162,10 +154,6 @@ func (e *Evaluator) Sim() *Simulator { return e.sim }
 // shares its Allocation with other results from this Evaluator; treat
 // it as read-only (Simulator.Estimate results already are).
 func (e *Evaluator) Estimate(cfg sched.Config) (Estimate, error) {
-	if e.pctl != e.sim.LatencyPctl {
-		clear(e.est)
-		e.pctl = e.sim.LatencyPctl
-	}
 	if est, ok := e.est[cfg]; ok {
 		return est, nil
 	}
@@ -193,7 +181,7 @@ func (e *Evaluator) completion(nd int) (*compEntry, error) {
 		return ce, ce.err
 	}
 	ce := &compEntry{}
-	comp, err := seqdist.NewCompletionDist(e.sim.Out, nd)
+	comp, err := seqdist.NewCompletionDist(e.sim.out, nd)
 	if err != nil {
 		ce.err = err
 	} else {

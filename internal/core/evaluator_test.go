@@ -207,42 +207,6 @@ func TestEvaluatorMatchesSlowPathExactly(t *testing.T) {
 	}
 }
 
-// TestEvaluatorTracksLatencyPctl: changing Simulator.LatencyPctl
-// between calls must flush the whole-result memo so the Evaluator never
-// serves a latency computed under the old percentile.
-func TestEvaluatorTracksLatencyPctl(t *testing.T) {
-	base := optSim(t, workload.Summarization)
-	ev := NewEvaluator(base)
-	cfg := sched.Config{Policy: sched.RRA, BD: 64, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 1}}
-	at99, err := ev.Estimate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.LatencyPctl = 0.5
-	ref, err := base.Estimate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ev.Estimate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Latency != ref.Latency {
-		t.Fatalf("evaluator served stale percentile: %v, reference %v", got.Latency, ref.Latency)
-	}
-	if got.Latency >= at99.Latency {
-		t.Fatalf("p50 latency %v should be below p99 %v", got.Latency, at99.Latency)
-	}
-	base.LatencyPctl = 0.99
-	back, err := ev.Estimate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Latency != at99.Latency {
-		t.Fatalf("restoring the percentile diverged: %v vs %v", back.Latency, at99.Latency)
-	}
-}
-
 // TestFindBestMemoMatchesReference: the whole search must return an
 // identical Result (including Evals) whether probes run through the
 // per-worker Evaluators or the reference Simulator.

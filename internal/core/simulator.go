@@ -23,9 +23,14 @@ const KVMemMargin = 1.25
 // workspace and allocator slack.
 const MemReserve = 0.05
 
+// LatencyPctl is the output-length percentile the latency estimate
+// targets; the paper uses the 99th percentile sequence (§7.1).
+const LatencyPctl = 0.99
+
 // Simulator is XSimulator: it constructs execution timelines for
 // candidate schedules from profiled layer times and the input/output
-// sequence-length distributions.
+// sequence-length distributions. The distributions are fixed at
+// construction: a search for other distributions needs a new Simulator.
 //
 // Simulator.Estimate is the reference evaluation path; the Evaluator
 // type wraps a Simulator with memoization and scratch reuse for the
@@ -34,10 +39,7 @@ type Simulator struct {
 	Model   model.Model
 	Cluster hw.Cluster // the deployment sub-cluster
 	Profile *profile.Table
-	In, Out *seqdist.Dist
-	// LatencyPctl is the output-length percentile the latency estimate
-	// targets; the paper uses the 99th percentile sequence (§7.1).
-	LatencyPctl float64
+	in, out *seqdist.Dist
 
 	// Schedule-invariant scalars hoisted at construction so the
 	// Estimate hot path never rescans the O(Max) distributions.
@@ -45,8 +47,7 @@ type Simulator struct {
 	inMeanRounded   int     // int(round(inMean)), the per-query prompt tokens
 	ctxMean         float64 // meanCtx()
 	steadyKV        float64 // steadyKVTokensPerQuery()
-	s99             int     // Out.Percentile(s99Pctl)
-	s99Pctl         float64 // the percentile s99 was computed at
+	s99             int     // out.Percentile(LatencyPctl)
 	capBytes        int64   // capacity()
 }
 
@@ -67,7 +68,7 @@ func NewSimulator(m model.Model, cluster hw.Cluster, tab *profile.Table, in, out
 	if in == nil || out == nil {
 		return nil, fmt.Errorf("core: nil sequence distribution")
 	}
-	s := &Simulator{Model: m, Cluster: cluster, Profile: tab, In: in, Out: out, LatencyPctl: 0.99}
+	s := &Simulator{Model: m, Cluster: cluster, Profile: tab, in: in, out: out}
 	s.inMean = in.Mean()
 	s.outMean = out.Mean()
 	s.inMeanRounded = int(math.Round(s.inMean))
@@ -78,8 +79,7 @@ func NewSimulator(m model.Model, cluster hw.Cluster, tab *profile.Table, in, out
 	// Mean cached tokens an active query holds (prompt for decoder-only
 	// or cross cache for enc-dec, plus generated-so-far).
 	s.steadyKV = s.inMean + pos + 1
-	s.s99Pctl = s.LatencyPctl
-	s.s99 = out.Percentile(s.s99Pctl)
+	s.s99 = out.Percentile(LatencyPctl)
 	s.capBytes = int64(float64(cluster.GPU.MemoryBytes) * (1 - MemReserve))
 	return s, nil
 }
@@ -122,16 +122,9 @@ func (s *Simulator) meanCtx() float64 { return s.ctxMean }
 // generated-so-far), precomputed at construction.
 func (s *Simulator) steadyKVTokensPerQuery() float64 { return s.steadyKV }
 
-// pctlLen returns the LatencyPctl output length, served from the
-// construction-time cache when the percentile is unchanged (callers may
-// still adjust LatencyPctl after construction; that path recomputes
-// without mutating the shared Simulator).
-func (s *Simulator) pctlLen() float64 {
-	if s.LatencyPctl == s.s99Pctl {
-		return float64(s.s99)
-	}
-	return float64(s.Out.Percentile(s.LatencyPctl))
-}
+// pctlLen returns the LatencyPctl output length, precomputed at
+// construction.
+func (s *Simulator) pctlLen() float64 { return float64(s.s99) }
 
 // kvBytes returns the KV bytes for tokens cached tokens across layers
 // layers, sharded over tp.
@@ -163,7 +156,7 @@ const rraMicroBatches = 2
 // estimateRRA simulates the RRA schedule: one encoding phase then ND
 // decoding iterations, repeated (§4.1, §6).
 func (s *Simulator) estimateRRA(cfg sched.Config) (Estimate, error) {
-	comp, err := seqdist.NewCompletionDist(s.Out, cfg.ND)
+	comp, err := seqdist.NewCompletionDist(s.out, cfg.ND)
 	if err != nil {
 		return Estimate{}, err
 	}

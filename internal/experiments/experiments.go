@@ -212,7 +212,9 @@ func (c *Context) Deploy(m model.Model, cluster hw.Cluster, gpus int, task workl
 // path (Simulator and Scheduler) rebuilt around new length
 // distributions — typically empirical estimates observed online after
 // the workload drifted from the distributions the current schedule was
-// searched for. The profile table and runner engine are shared: both
+// searched for. It is the one way to re-target a search: a Simulator's
+// distributions and the scalars derived from them are fixed at
+// construction. The profile table and runner engine are shared: both
 // are distribution-agnostic. Scheduler knobs (Workers, MaxBatch, MaxND)
 // carry over so a re-search explores the same space.
 func (d *Deployment) Redeploy(in, out *seqdist.Dist) (*Deployment, error) {

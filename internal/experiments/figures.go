@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"exegpt/internal/baselines"
-	"exegpt/internal/core"
 	"exegpt/internal/hw"
 	"exegpt/internal/model"
 	"exegpt/internal/sched"
@@ -15,33 +14,22 @@ import (
 	"exegpt/internal/workload"
 )
 
-// ThroughputCell is one bar of Figures 6, 7, 8 and 10.
-type ThroughputCell struct {
-	Model  string
-	Task   string
-	Bound  float64
-	System string
-	Tput   float64
-	// Feasible is false for the paper's "NS" entries.
-	Feasible bool
-}
-
 // speedupVs returns the per-(model,task,bound) throughput ratio of
 // ExeGPT's best policy over the named baseline.
-func speedupVs(cells []ThroughputCell, baseline string) []float64 {
+func speedupVs(rows []SweepRow, baseline string) []float64 {
 	type key struct {
 		m, t string
 		b    float64
 	}
 	base := map[key]float64{}
 	best := map[key]float64{}
-	for _, c := range cells {
-		k := key{c.Model, c.Task, c.Bound}
-		if c.System == baseline && c.Feasible {
-			base[k] = c.Tput
+	for _, r := range rows {
+		k := key{r.Model, r.Task, r.Bound}
+		if r.System == baseline && r.Feasible {
+			base[k] = r.Tput
 		}
-		if (c.System == "ExeGPT-RRA" || c.System == "ExeGPT-WAA") && c.Feasible && c.Tput > best[k] {
-			best[k] = c.Tput
+		if (r.System == "ExeGPT-RRA" || r.System == "ExeGPT-WAA") && r.Feasible && r.Tput > best[k] {
+			best[k] = r.Tput
 		}
 	}
 	var out []float64
@@ -53,9 +41,9 @@ func speedupVs(cells []ThroughputCell, baseline string) []float64 {
 	return out
 }
 
-// GeoMeanSpeedup summarizes ExeGPT's gain over FT across cells.
-func GeoMeanSpeedup(cells []ThroughputCell) float64 {
-	sp := speedupVs(cells, "FT")
+// GeoMeanSpeedup summarizes ExeGPT's gain over FT across rows.
+func GeoMeanSpeedup(rows []SweepRow) float64 {
+	sp := speedupVs(rows, "FT")
 	if len(sp) == 0 {
 		return 0
 	}
@@ -66,10 +54,10 @@ func GeoMeanSpeedup(cells []ThroughputCell) float64 {
 	return math.Exp(logSum / float64(len(sp)))
 }
 
-// MaxSpeedup returns the largest per-cell gain over FT.
-func MaxSpeedup(cells []ThroughputCell) float64 {
+// MaxSpeedup returns the largest per-(model, task, bound) gain over FT.
+func MaxSpeedup(rows []SweepRow) float64 {
 	max := 0.0
-	for _, s := range speedupVs(cells, "FT") {
+	for _, s := range speedupVs(rows, "FT") {
 		if s > max {
 			max = s
 		}
@@ -77,71 +65,10 @@ func MaxSpeedup(cells []ThroughputCell) float64 {
 	return max
 }
 
-// throughputFigure runs one Figure 6/8-style comparison for the given
-// deployments, tasks, and ExeGPT policy sets. Each policy family is
-// scheduled across all bounds in one amortized multi-bound search
-// (ScheduleAndRunMany); cells come out in the same per-bound order the
-// paper's bar groups use.
-func (c *Context) throughputFigure(deps []sched.Deployment, tasks []workload.Task, rra, waa bool) ([]ThroughputCell, error) {
-	var cells []ThroughputCell
-	for _, dply := range deps {
-		for _, task := range tasks {
-			d, err := c.Deploy(dply.Model, dply.Cluster, dply.GPUs, task)
-			if err != nil {
-				return nil, err
-			}
-			bounds, err := d.FTBounds()
-			if err != nil {
-				return nil, err
-			}
-			if c.Quick {
-				bounds = []float64{bounds[1], math.Inf(1)}
-			}
-			reqs, err := c.RequestStream(task, 0)
-			if err != nil {
-				return nil, err
-			}
-			var rraOuts, waaOuts []RunOutcome
-			if rra {
-				if rraOuts, err = d.ScheduleAndRunMany([]sched.Policy{sched.RRA}, bounds, reqs); err != nil {
-					return nil, err
-				}
-			}
-			if waa {
-				if waaOuts, err = d.ScheduleAndRunMany([]sched.Policy{sched.WAAC, sched.WAAM}, bounds, reqs); err != nil {
-					return nil, err
-				}
-			}
-			for bi, bound := range bounds {
-				ftTput, err := d.RunBaseline(baselines.FT, bound, reqs)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, ThroughputCell{
-					Model: dply.Model.Name, Task: task.ID, Bound: bound,
-					System: "FT", Tput: ftTput, Feasible: ftTput > 0,
-				})
-				if rra {
-					cells = append(cells, ThroughputCell{
-						Model: dply.Model.Name, Task: task.ID, Bound: bound,
-						System: "ExeGPT-RRA", Tput: rraOuts[bi].Tput, Feasible: rraOuts[bi].OK,
-					})
-				}
-				if waa {
-					cells = append(cells, ThroughputCell{
-						Model: dply.Model.Name, Task: task.ID, Bound: bound,
-						System: "ExeGPT-WAA", Tput: waaOuts[bi].Tput, Feasible: waaOuts[bi].OK,
-					})
-				}
-			}
-		}
-	}
-	return cells, nil
-}
-
 // Figure6 compares ExeGPT (RRA and WAA) against FT on small to mid-sized
-// LLMs with tasks S, T and C1 under four latency bounds (§7.3).
-func (c *Context) Figure6() ([]ThroughputCell, error) {
+// LLMs with tasks S, T and C1 under four latency bounds (§7.3): a sweep
+// over those deployments and tasks.
+func (c *Context) Figure6() ([]SweepRow, error) {
 	deps := []sched.Deployment{
 		{Model: model.T511B, Cluster: hw.A40Cluster, GPUs: 8},
 		{Model: model.OPT13B, Cluster: hw.A40Cluster, GPUs: 4},
@@ -155,13 +82,13 @@ func (c *Context) Figure6() ([]ThroughputCell, error) {
 	if c.Quick {
 		tasks = tasks[:2]
 	}
-	return c.throughputFigure(deps, tasks, true, true)
+	return c.Sweep(SweepGrid{Deployments: deps, Tasks: tasks, Workers: c.Workers})
 }
 
 // Figure7 compares the existing systems (FT, DSI, ORCA, vLLM) on
 // OPT-13B with four A40 GPUs (§7.2).
-func (c *Context) Figure7() ([]ThroughputCell, error) {
-	var cells []ThroughputCell
+func (c *Context) Figure7() ([]SweepRow, error) {
+	var rows []SweepRow
 	tasks := []workload.Task{workload.Summarization, workload.Translation, workload.ConvQA1}
 	if c.Quick {
 		tasks = tasks[:1]
@@ -188,19 +115,20 @@ func (c *Context) Figure7() ([]ThroughputCell, error) {
 				if err != nil {
 					return nil, err
 				}
-				cells = append(cells, ThroughputCell{
-					Model: "OPT-13B", Task: task.ID, Bound: bound,
-					System: sys.String(), Tput: tput, Feasible: tput > 0,
+				rows = append(rows, SweepRow{
+					Model: d.Model.Name, Cluster: d.Cluster.Name, GPUs: d.Cluster.TotalGPUs(),
+					Task: task.ID, Bound: bound, System: sys.String(), Tput: tput, Feasible: tput > 0,
 				})
 			}
 		}
 	}
-	return cells, nil
+	return rows, nil
 }
 
 // Figure8 compares ExeGPT (RRA only; WAA exceeds memory, §7.4) against
-// FT on the large models with tasks G, C1 and C2.
-func (c *Context) Figure8() ([]ThroughputCell, error) {
+// FT on the large models with tasks G, C1 and C2: a sweep with the RRA
+// group alone.
+func (c *Context) Figure8() ([]SweepRow, error) {
 	deps := []sched.Deployment{
 		{Model: model.GPT3101B, Cluster: hw.A100Cluster, GPUs: 16},
 		{Model: model.GPT3175B, Cluster: hw.A100Cluster, GPUs: 16},
@@ -213,7 +141,8 @@ func (c *Context) Figure8() ([]ThroughputCell, error) {
 	if c.Quick {
 		tasks = tasks[:1]
 	}
-	return c.throughputFigure(deps, tasks, true, false)
+	return c.Sweep(SweepGrid{Deployments: deps, Tasks: tasks,
+		Policies: [][]sched.Policy{{sched.RRA}}, Workers: c.Workers})
 }
 
 // MemoryCell is one bar group of Figure 9.
@@ -315,8 +244,8 @@ func waaWeightBytes(d *Deployment, alloc sched.Allocation) (enc, dec int64) {
 // Figure10 evaluates FT and ExeGPT on the real-world dataset emulations
 // (WMT, Alpaca, CNN/DailyMail) with two latency bounds, estimating the
 // distribution from 10% of the data and evaluating on the rest (§7.5).
-func (c *Context) Figure10() ([]ThroughputCell, error) {
-	var cells []ThroughputCell
+func (c *Context) Figure10() ([]SweepRow, error) {
+	var rows []SweepRow
 	type combo struct {
 		m    model.Model
 		cl   hw.Cluster
@@ -357,39 +286,15 @@ func (c *Context) Figure10() ([]ThroughputCell, error) {
 			if err != nil {
 				return nil, err
 			}
-			use := []float64{bounds[1], math.Inf(1)} // 30% and infinity
-			pols := []struct {
-				name     string
-				policies []sched.Policy
-			}{
-				{"ExeGPT-RRA", []sched.Policy{sched.RRA}},
-				{"ExeGPT-WAA", []sched.Policy{sched.WAAC, sched.WAAM}},
+			// 30% and infinity.
+			cr, err := d.measureCell([]float64{bounds[1], math.Inf(1)}, eval, defaultPolicyGroups())
+			if err != nil {
+				return nil, err
 			}
-			outsByPol := make([][]RunOutcome, len(pols))
-			for pi, pol := range pols {
-				if outsByPol[pi], err = d.ScheduleAndRunMany(pol.policies, use, eval); err != nil {
-					return nil, err
-				}
-			}
-			for bi, bound := range use {
-				ftTput, err := d.RunBaseline(baselines.FT, bound, eval)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, ThroughputCell{
-					Model: cb.m.Name, Task: task.ID, Bound: bound,
-					System: "FT", Tput: ftTput, Feasible: ftTput > 0,
-				})
-				for pi, pol := range pols {
-					cells = append(cells, ThroughputCell{
-						Model: cb.m.Name, Task: task.ID, Bound: bound,
-						System: pol.name, Tput: outsByPol[pi][bi].Tput, Feasible: outsByPol[pi][bi].OK,
-					})
-				}
-			}
+			rows = append(rows, cr.Rows...)
 		}
 	}
-	return cells, nil
+	return rows, nil
 }
 
 // ShiftCell is one bar group of Figure 11: the throughput of the
@@ -506,17 +411,11 @@ func (c *Context) Figure11() ([]ShiftCell, error) {
 			p99 = staleRun.Stats.P99Lat
 		}
 		// Optimal: re-schedule for the shifted distribution.
-		simShift, err := core.NewSimulator(d.Model, d.Cluster, d.Prof, d.In, v.out)
+		shift, err := d.Redeploy(d.In, v.out)
 		if err != nil {
 			return nil, err
 		}
-		schShift := core.NewScheduler(simShift)
-		schShift.Workers = c.Workers
-		if c.Quick {
-			schShift.MaxBatch = 512
-			schShift.MaxND = 32
-		}
-		opt, err := schShift.FindBest([]sched.Policy{sched.WAAC, sched.WAAM}, bound)
+		opt, err := shift.Sch.FindBest([]sched.Policy{sched.WAAC, sched.WAAM}, bound)
 		if err != nil {
 			return nil, err
 		}

@@ -340,28 +340,36 @@ func fold(fingerprint string, cells []CellResult) *SweepResult {
 // schedWorkers overrides the cell scheduler's pool size so the sweep
 // controls the total parallelism budget.
 func (c *Context) sweepCell(cl SweepCell, groups [][]sched.Policy, schedWorkers int) (CellResult, error) {
-	var cr CellResult
-	dep, task := cl.Dep, cl.Task
-	d, err := c.Deploy(dep.Model, dep.Cluster, dep.GPUs, task)
+	d, err := c.Deploy(cl.Dep.Model, cl.Dep.Cluster, cl.Dep.GPUs, cl.Task)
 	if err != nil {
-		return cr, err
+		return CellResult{}, err
 	}
 	d.Sch.Workers = schedWorkers
 	bounds, err := d.FTBounds()
 	if err != nil {
-		return cr, err
+		return CellResult{}, err
 	}
 	if c.Quick {
 		bounds = []float64{bounds[1], bounds[3]}
 	}
-	reqs, err := c.RequestStream(task, 0)
+	reqs, err := c.RequestStream(cl.Task, 0)
 	if err != nil {
-		return cr, err
+		return CellResult{}, err
 	}
-	// Schedule each policy group across every bound in one amortized
-	// multi-bound search before assembling rows in per-bound order.
-	// Each search leaves its eval count and merged Pareto frontier on
-	// the scheduler; the cell carries both for the fold.
+	return d.measureCell(bounds, reqs, groups)
+}
+
+// measureCell runs FT and every ExeGPT policy group on reqs at each
+// latency bound. Rows come out bound-major: FT, then the groups in
+// order. Each group is scheduled across every bound in one amortized
+// multi-bound search; each search leaves its eval count and merged
+// Pareto frontier on the scheduler, and the cell carries both.
+func (d *Deployment) measureCell(bounds []float64, reqs []workload.Request, groups [][]sched.Policy) (CellResult, error) {
+	var cr CellResult
+	base := SweepRow{
+		Model: d.Model.Name, Cluster: d.Cluster.Name,
+		GPUs: d.Cluster.TotalGPUs(), Task: d.Task.ID,
+	}
 	outsByGroup := make([][]RunOutcome, len(groups))
 	for gi, group := range groups {
 		// WAA needs a dedicated decode side; groups that cannot apply
@@ -374,13 +382,9 @@ func (c *Context) sweepCell(cl SweepCell, groups [][]sched.Policy, schedWorkers 
 		outsByGroup[gi] = outs
 		cr.Evals += d.Sch.Evals
 		cr.Frontiers = append(cr.Frontiers, GroupFrontier{
-			Model: dep.Model.Name, Cluster: dep.Cluster.Name, GPUs: dep.GPUs,
-			Task: task.ID, Group: policyGroupName(group), Frontier: d.Sch.Frontier,
+			Model: base.Model, Cluster: base.Cluster, GPUs: base.GPUs,
+			Task: base.Task, Group: policyGroupName(group), Frontier: d.Sch.Frontier,
 		})
-	}
-	base := SweepRow{
-		Model: dep.Model.Name, Cluster: dep.Cluster.Name,
-		GPUs: dep.GPUs, Task: task.ID,
 	}
 	for bi, bound := range bounds {
 		ftTput, err := d.RunBaseline(baselines.FT, bound, reqs)

@@ -326,16 +326,15 @@ func FormatSchedulingCost(rows []SchedCostRow) string {
 	return t.String()
 }
 
-// FormatThroughput renders Figure 6/7/8/10-style cells as a table.
-func FormatThroughput(title string, cells []ThroughputCell) string {
+// FormatThroughput renders Figure 6/7/8/10 rows as a table.
+func FormatThroughput(title string, rows []SweepRow) string {
 	t := newTable("Model", "Task", "LB", "System", "Tput (seq/s)")
-	for _, cell := range cells {
-		t.addRow(cell.Model, cell.Task, fmtBound(cell.Bound), cell.System,
-			fmtTput(cell.Tput, cell.Feasible))
+	for _, r := range rows {
+		t.addRow(r.Model, r.Task, fmtBound(r.Bound), r.System, fmtTput(r.Tput, r.Feasible))
 	}
 	s := title + "\n" + t.String()
-	if g := GeoMeanSpeedup(cells); g > 0 {
-		s += fmt.Sprintf("ExeGPT vs FT: geo-mean %.2fx, max %.2fx\n", g, MaxSpeedup(cells))
+	if g := GeoMeanSpeedup(rows); g > 0 {
+		s += fmt.Sprintf("ExeGPT vs FT: geo-mean %.2fx, max %.2fx\n", g, MaxSpeedup(rows))
 	}
 	return s
 }

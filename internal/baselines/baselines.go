@@ -264,7 +264,12 @@ func (e *Engine) Run(batch int, reqs []workload.Request, maxOut int) (Result, er
 	if err != nil {
 		return Result{}, err
 	}
-	return e.run(batch, reqs, maxOut, mem, kv)
+	res, err := e.run(batch, reqs, maxOut, mem, kv)
+	if err != nil {
+		return Result{}, err
+	}
+	res.WeightBytes, _ = e.maxStageMem()
+	return res, nil
 }
 
 // run executes the stream on the KV manager kv over mem, as built by
@@ -281,9 +286,12 @@ func (e *Engine) run(batch int, reqs []workload.Request, maxOut int, mem *hw.Mem
 
 // Result is a baseline execution summary.
 type Result struct {
-	Stats      metrics.RunStats
-	PeakMem    int64
-	Iterations int
+	Stats   metrics.RunStats
+	PeakMem int64
+	// WeightBytes is what newKV charged for the most loaded stage GPU's
+	// weights; PeakMem includes it.
+	WeightBytes int64
+	Iterations  int
 }
 
 // runFixedBatch implements FT/DSI: take a batch, encode it, decode with

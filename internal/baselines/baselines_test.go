@@ -90,6 +90,27 @@ func TestFTCompletesAll(t *testing.T) {
 	}
 }
 
+// Result.WeightBytes is exactly what newKV charged before the run, so
+// PeakMem - WeightBytes is the run's KV peak (Figure 9's split). T5-11B
+// on 8 A40s is a deployment where a TP-within-node, PP-across-nodes
+// formula disagrees with the engine's stages.
+func TestRunReportsChargedWeights(t *testing.T) {
+	for _, sys := range []System{FT, VLLM} {
+		e := engine(t, sys, model.T511B, 8, hw.A40Cluster)
+		mem, _, err := e.newKV()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(8, reqs(t, workload.Translation, 40, 3), workload.Translation.Out.Max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WeightBytes != mem.Peak() || res.PeakMem <= res.WeightBytes {
+			t.Fatalf("%v: weights %d, charged %d, peak %d", sys, res.WeightBytes, mem.Peak(), res.PeakMem)
+		}
+	}
+}
+
 // FT pays for completed queries: iterations per batch equal the batch's
 // longest output, so a long-tailed batch wastes compute (the
 // diminishing-batches problem, §2).

@@ -189,10 +189,9 @@ func (c *Context) Figure9() ([]MemoryCell, error) {
 			if err != nil {
 				return nil, err
 			}
-			ftWeights := ftWeightBytes(d)
 			cell := MemoryCell{
 				Model: cb.m.Name, Task: task.ID,
-				FTWeights: ftWeights, FTKV: ftRes.PeakMem - ftWeights,
+				FTWeights: ftRes.WeightBytes, FTKV: ftRes.PeakMem - ftRes.WeightBytes,
 			}
 
 			// WAA at its unconstrained optimum.
@@ -213,15 +212,6 @@ func (c *Context) Figure9() ([]MemoryCell, error) {
 		}
 	}
 	return cells, nil
-}
-
-// ftWeightBytes returns the weight bytes on FT's most loaded GPU: all
-// layers sharded over TP within the node and PP across nodes.
-func ftWeightBytes(d *Deployment) int64 {
-	tp := min(d.Cluster.GPUsPerNode, d.Cluster.TotalGPUs())
-	pp := d.Cluster.TotalGPUs() / tp
-	layers := (d.Model.TotalLayers() + pp - 1) / pp
-	return int64(layers) * d.Model.DecLayerBytes() / int64(tp)
 }
 
 func waaWeightBytes(d *Deployment, alloc sched.Allocation) (enc, dec int64) {

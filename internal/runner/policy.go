@@ -44,7 +44,7 @@ func (e *Engine) formation() BatchFormation {
 	if e.Formation != nil {
 		return e.Formation
 	}
-	return adaptiveFormation{eng: e}
+	return adaptiveFormation{}
 }
 
 // victims returns the engine's victim-selection policy.
@@ -57,29 +57,26 @@ func (e *Engine) victims() VictimSelector {
 
 // adaptiveFormation is the default formation policy: dynamic workload
 // adjustment (§5.2). The number taken starts from want and is adjusted
-// so that (a) the summed input length stays within Theta of the average
+// so that (a) the summed input length stays within theta of the average
 // workload and (b) the decoder batch is pulled back toward targetBD.
-type adaptiveFormation struct{ eng *Engine }
+type adaptiveFormation struct{}
 
-func (f adaptiveFormation) Take(q Queue, want int, meanIn float64, activeNow, targetBD int) []workload.Request {
-	e := f.eng
+func (adaptiveFormation) Take(q Queue, want int, meanIn float64, activeNow, targetBD int) []workload.Request {
 	if want < 1 {
 		want = 1
 	}
 	take := want
-	if e.DynamicAdjust {
-		// Decoder under/over target: top up or back off (§5.2).
-		deficit := targetBD - activeNow
-		if deficit > 0 {
-			take = max(take, min(deficit, take*2))
-		} else if float64(activeNow) > float64(targetBD)*(1+e.Theta) {
-			take = max(1, take/2)
-		}
+	// Decoder under/over target: top up or back off (§5.2).
+	deficit := targetBD - activeNow
+	if deficit > 0 {
+		take = max(take, min(deficit, take*2))
+	} else if float64(activeNow) > float64(targetBD)*(1+theta) {
+		take = max(1, take/2)
 	}
 	batch := q.Peek(take)
-	if e.DynamicAdjust && len(batch) > 1 {
+	if len(batch) > 1 {
 		// Trim so the encoder token workload stays within the threshold.
-		budget := float64(want) * meanIn * (1 + e.Theta)
+		budget := float64(want) * meanIn * (1 + theta)
 		tokens := 0
 		cut := len(batch)
 		for i, r := range batch {

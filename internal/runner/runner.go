@@ -35,6 +35,14 @@ import (
 	"exegpt/internal/workload"
 )
 
+// theta is the workload threshold of §5.2: the fractional deviation
+// from the average workload tolerated before adjusting.
+const theta = 0.1
+
+// compactFrac triggers KV compaction when fragmentation exceeds this
+// fraction of live bytes.
+const compactFrac = 0.10
+
 // Engine executes schedules for one model deployment.
 //
 // Concurrency: Run and Open read the Engine's fields and the profile
@@ -49,14 +57,6 @@ type Engine struct {
 	Model   model.Model
 	Cluster hw.Cluster
 	Prof    *profile.Table
-	// DynamicAdjust enables §5.2 runtime workload adjustment.
-	DynamicAdjust bool
-	// Theta is the workload threshold of §5.2 (fractional deviation
-	// tolerated before adjusting), default 0.1.
-	Theta float64
-	// CompactFrac triggers KV compaction when fragmentation exceeds this
-	// fraction of live bytes.
-	CompactFrac float64
 	// Formation overrides the batch-formation policy; nil selects the
 	// §5.2 adaptive default (see policy.go).
 	Formation BatchFormation
@@ -77,8 +77,7 @@ func New(m model.Model, cluster hw.Cluster, prof *profile.Table) (*Engine, error
 	if prof == nil {
 		return nil, fmt.Errorf("runner: nil profile")
 	}
-	return &Engine{Model: m, Cluster: cluster, Prof: prof,
-		DynamicAdjust: true, Theta: 0.1, CompactFrac: 0.10}, nil
+	return &Engine{Model: m, Cluster: cluster, Prof: prof}, nil
 }
 
 // QueryRecord is the per-query outcome. Start is when the query's
@@ -285,7 +284,7 @@ func (e *Engine) maybeCompact(states []*stageState) (float64, bool) {
 		if live < 1 {
 			live = 1
 		}
-		if float64(st.kv.FragBytes()) > e.CompactFrac*float64(live) {
+		if float64(st.kv.FragBytes()) > compactFrac*float64(live) {
 			moved := st.kv.Compact()
 			cost = math.Max(cost, float64(moved)/e.Cluster.GPU.MemBandwidth)
 			ran = true
@@ -325,7 +324,7 @@ func (e *Engine) Run(cfg sched.Config, alloc sched.Allocation, reqs []workload.R
 		return Result{}, err
 	}
 	res := o.Result()
-	// Keep only RRA decode iterations where the decoder ran within Theta
+	// Keep only RRA decode iterations where the decoder ran within theta
 	// of the largest batch it achieved: that is the schedule's operating
 	// point, whether or not the request stream ever filled the nominal
 	// BD. The achieved batch is only known once the run is over.
@@ -333,7 +332,7 @@ func (e *Engine) Run(cfg sched.Config, alloc sched.Allocation, reqs []workload.R
 	for _, a := range o.decActive {
 		peakActive = max(peakActive, a)
 	}
-	floor := float64(peakActive) * (1 - e.Theta)
+	floor := float64(peakActive) * (1 - theta)
 	stride := len(o.dec.states) // one decode time per decode stage
 	for i, a := range o.decActive {
 		if float64(a) >= floor {

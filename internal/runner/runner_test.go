@@ -194,6 +194,16 @@ func TestCompactionHappens(t *testing.T) {
 	}
 }
 
+// fixedTake is the default formation with §5.2 adjustment off: every
+// batch takes the scheduled encoder batch size.
+type fixedTake struct{}
+
+func (fixedTake) Take(q Queue, want int, _ float64, _, _ int) []workload.Request {
+	batch := q.Peek(max(want, 1))
+	q.Advance(len(batch))
+	return batch
+}
+
 // Dynamic adjustment (§5.2) reduces decoder-workload variance.
 func TestDynamicAdjustmentReducesVariance(t *testing.T) {
 	reqs := requests(t, workload.Translation, 500, 19)
@@ -201,7 +211,9 @@ func TestDynamicAdjustmentReducesVariance(t *testing.T) {
 
 	run := func(adjust bool) *Result {
 		e := engine(t, model.OPT13B, 4, hw.A40Cluster)
-		e.DynamicAdjust = adjust
+		if !adjust {
+			e.Formation = fixedTake{}
+		}
 		res, err := e.Run(cfg, rraAlloc(t, e, sched.TPSpec{Degree: 1}), reqs)
 		if err != nil {
 			t.Fatal(err)

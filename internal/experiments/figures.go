@@ -86,7 +86,8 @@ func (c *Context) Figure6() ([]SweepRow, error) {
 }
 
 // Figure7 compares the existing systems (FT, DSI, ORCA, vLLM) on
-// OPT-13B with four A40 GPUs (§7.2).
+// OPT-13B with four A40 GPUs (§7.2). It is not a sweep: it runs no
+// policy groups, and it labels FT by its full name.
 func (c *Context) Figure7() ([]SweepRow, error) {
 	var rows []SweepRow
 	tasks := []workload.Task{workload.Summarization, workload.Translation, workload.ConvQA1}

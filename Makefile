@@ -15,8 +15,8 @@ test:
 
 # Race-detect the concurrency-critical packages: the parallel scheduler
 # search, the runner engines, the parallel experiment sweep (cells on a
-# worker pool sharing one profile memo and on-disk cache), the atomic
-# file writes, and the serving loop.
+# worker pool sharing one profile memo), the atomic file writes, and the
+# serving loop.
 race:
 	$(GO) test -race ./internal/core/... ./internal/runner/... ./internal/experiments/... ./internal/par/... ./internal/atomicfile/... ./internal/serve/...
 

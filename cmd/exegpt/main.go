@@ -16,8 +16,8 @@
 //	exegpt tables  [flags]   regenerate paper tables (1-7, cost)
 //
 // Every subcommand accepts -seed, -workers, -requests, -quick,
-// -profile-cache, -cpuprofile and -memprofile; run `exegpt <command> -h`
-// for the full flag list.
+// -cpuprofile and -memprofile; run `exegpt <command> -h` for the full
+// flag list.
 package main
 
 import (
@@ -95,8 +95,6 @@ func commonFlags(fs *flag.FlagSet) func() *experiments.Context {
 	workers := fs.Int("workers", 0, "scheduler/sweep worker count (0 = GOMAXPROCS)")
 	requests := fs.Int("requests", 0, "requests per measured run (0 = context default)")
 	quick := fs.Bool("quick", false, "shrink sweeps for fast runs")
-	profileCache := fs.String("profile-cache", "",
-		"directory for the on-disk profile.Table JSON cache, keyed by (model, GPU); empty disables")
 	prof.register(fs)
 	return func() *experiments.Context {
 		c := experiments.NewContext()
@@ -108,7 +106,6 @@ func commonFlags(fs *flag.FlagSet) func() *experiments.Context {
 		if *requests > 0 {
 			c.Requests = *requests
 		}
-		c.ProfileCacheDir = *profileCache
 		return c
 	}
 }

@@ -11,15 +11,15 @@ import (
 	"exegpt/internal/sched"
 )
 
-// commonFlags must plumb -profile-cache (and friends) into the context.
+// commonFlags must plumb the shared flags into the context.
 func TestCommonFlagsPlumbContext(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	newCtx := commonFlags(fs)
-	if err := fs.Parse([]string{"-profile-cache", "/tmp/pc", "-quick", "-seed", "7", "-workers", "3"}); err != nil {
+	if err := fs.Parse([]string{"-quick", "-seed", "7", "-workers", "3", "-requests", "9"}); err != nil {
 		t.Fatal(err)
 	}
 	c := newCtx()
-	if c.ProfileCacheDir != "/tmp/pc" || !c.Quick || c.Seed != 7 || c.Workers != 3 {
+	if !c.Quick || c.Seed != 7 || c.Workers != 3 || c.Requests != 9 {
 		t.Fatalf("context not plumbed: %+v", c)
 	}
 }

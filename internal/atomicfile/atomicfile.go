@@ -1,8 +1,7 @@
 // Package atomicfile writes files atomically via a same-directory temp
 // file and rename, so concurrent readers only ever observe complete
-// files — the contract the shared profile cache relies on when multiple
-// sweep worker processes touch one directory. The sweep and serve JSON
-// artifacts are written the same way.
+// files. The sweep and serve JSON artifacts are written this way, so an
+// interrupted run never leaves a torn artifact behind.
 package atomicfile
 
 import (
@@ -25,11 +24,9 @@ func Write(path string, data []byte, perm os.FileMode) error {
 	}
 	// Every error path — a failed write, chmod, close, or rename (e.g.
 	// the target is blocked by an existing directory, or a permission
-	// error) — must remove the temp file: the cache directory this
-	// package serves is scanned by other processes,
-	// and leaked temp files would accumulate across runs. After a
-	// successful rename the name no longer exists and the remove is a
-	// no-op.
+	// error) — must remove the temp file, or leaked temp files would
+	// accumulate beside the artifact across runs. After a successful
+	// rename the name no longer exists and the remove is a no-op.
 	defer os.Remove(tmp.Name())
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()

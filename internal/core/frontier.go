@@ -7,9 +7,8 @@
 // answers "best schedule under latency bound L" for ANY L covered by
 // the explored region with a single lookup, which is what lets
 // FindBestMany reuse one branch enumeration across a whole ascending
-// bound sweep. The frontier is also a compact, JSON-serializable
-// summary of a search, suitable as the per-shard result of a future
-// multi-process sweep (see ROADMAP).
+// bound sweep. The frontier is also a compact summary of a search,
+// which the sweep's -json artifact writes per deployment.
 package core
 
 import (

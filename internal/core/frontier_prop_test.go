@@ -1,13 +1,12 @@
-// Property tests for Frontier.Merge and its JSON round trip: the sweep
-// fold (internal/experiments) merges every cell's per-group frontier
-// into one frontier per deployment and writes it into the -json
-// artifact, so merge must behave as a set union — commutative,
-// associative, idempotent — and serialization must not change any
-// BestUnder answer.
+// Property tests for Frontier.Merge: the sweep fold
+// (internal/experiments) merges every cell's per-group frontier into
+// one frontier per deployment and writes it into the -json artifact,
+// so merge must behave as a set union — commutative, associative,
+// idempotent — and answer every BestUnder query as the better of its
+// operands' answers.
 package core
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -90,40 +89,6 @@ func TestFrontierMergeIsSetUnion(t *testing.T) {
 	}
 }
 
-func TestFrontierJSONRoundTripPreservesBestUnder(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 100; trial++ {
-		f := buildFrontier(randEsts(r, 1+r.Intn(30)))
-		data, err := json.Marshal(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back := &Frontier{}
-		if err := json.Unmarshal(data, back); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(f, back) {
-			t.Fatalf("trial %d: round trip changed the frontier\n got %+v\nwant %+v", trial, back, f)
-		}
-		// Every query must answer identically, including bounds below,
-		// between, at and above the stored latencies.
-		bounds := []float64{0, math.Inf(1)}
-		for _, p := range f.Points {
-			bounds = append(bounds, p.Latency, p.Latency+0.01, p.Latency-0.01)
-		}
-		for i := 0; i < 20; i++ {
-			bounds = append(bounds, 8*r.Float64())
-		}
-		for _, lb := range bounds {
-			e1, ok1 := f.BestUnder(lb)
-			e2, ok2 := back.BestUnder(lb)
-			if ok1 != ok2 || !reflect.DeepEqual(e1, e2) {
-				t.Fatalf("trial %d: BestUnder(%v) diverged after round trip", trial, lb)
-			}
-		}
-	}
-}
-
 // FuzzFrontierMerge drives the same union properties from fuzzed seeds,
 // so `go test -fuzz` can hunt for orderings the fixed-seed property
 // test misses; the seed corpus runs as a regular unit test.
@@ -142,22 +107,22 @@ func FuzzFrontierMerge(f *testing.F) {
 		if union := buildFrontier(append(append([]*Estimate(nil), pa...), pb...)); !reflect.DeepEqual(ab, union) {
 			t.Fatal("merge != frontier of pooled points")
 		}
-		data, err := json.Marshal(ab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back := &Frontier{}
-		if err := json.Unmarshal(data, back); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ab, back) {
-			t.Fatal("JSON round trip changed the merged frontier")
-		}
+		// The best schedule under any bound in a ∪ b is the better of
+		// the best under it in a and in b.
 		for lb := 0.0; lb < 8; lb += 0.25 {
-			e1, ok1 := ab.BestUnder(lb)
-			e2, ok2 := back.BestUnder(lb)
-			if ok1 != ok2 || !reflect.DeepEqual(e1, e2) {
-				t.Fatalf("BestUnder(%v) diverged after round trip", lb)
+			e, ok := ab.BestUnder(lb)
+			ea, oka := a.BestUnder(lb)
+			eb, okb := b.BestUnder(lb)
+			want := math.Inf(-1)
+			if oka {
+				want = ea.Throughput
+			}
+			if okb {
+				want = math.Max(want, eb.Throughput)
+			}
+			if ok != (oka || okb) || (ok && e.Throughput != want) {
+				t.Fatalf("BestUnder(%v) = %v (ok %v); a gives %v (ok %v), b gives %v (ok %v)",
+					lb, e.Throughput, ok, ea.Throughput, oka, eb.Throughput, okb)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -148,22 +147,5 @@ func TestFrontierMergeMatchesUnion(t *testing.T) {
 	a.Merge(&b)
 	if !reflect.DeepEqual(a, all) {
 		t.Fatalf("merge != union\n got %+v\nwant %+v", a, all)
-	}
-}
-
-func TestFrontierSerializes(t *testing.T) {
-	var f Frontier
-	f.Add(fp(2, 5, 1))
-	f.Add(fp(4, 9, 2))
-	data, err := json.Marshal(&f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Frontier
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f, back) {
-		t.Fatalf("round trip diverged\n got %+v\nwant %+v", back, f)
 	}
 }

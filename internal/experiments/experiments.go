@@ -7,12 +7,9 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 
-	"exegpt/internal/atomicfile"
 	"exegpt/internal/baselines"
 	"exegpt/internal/core"
 	"exegpt/internal/hw"
@@ -37,13 +34,6 @@ type Context struct {
 	// Workers sizes the scheduler worker pool of every deployment built
 	// through Deploy; 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// ProfileCacheDir, when non-empty, persists profile Tables as JSON
-	// keyed by (model, GPU, GPUs-per-node) in that directory: runs load
-	// matching tables instead of re-profiling and save fresh ones for
-	// the next process (the in-memory memo still deduplicates within a
-	// run). Corrupt or mismatched cache files are re-profiled and
-	// overwritten.
-	ProfileCacheDir string
 
 	mu       sync.Mutex
 	profiles map[string]*profileEntry
@@ -84,45 +74,7 @@ type Deployment struct {
 	Run     *runner.Engine
 }
 
-// profileCachePath returns the on-disk cache file for a profile key, or
-// "" when caching is off. The key folds in everything Profiler.Run
-// depends on: model, GPU type, and the node shape that fixes the
-// profiled TP degrees and link fits.
-func (c *Context) profileCachePath(m model.Model, sub hw.Cluster) string {
-	if c.ProfileCacheDir == "" {
-		return ""
-	}
-	name := fmt.Sprintf("profile_%s_%s_%s_%dpn.json",
-		m.Name, sub.GPU.Name, sub.Name, sub.GPUsPerNode)
-	clean := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
-			return r
-		}
-		return '-'
-	}, name)
-	return filepath.Join(c.ProfileCacheDir, clean)
-}
-
-// loadCachedProfile returns a valid cached table for the key or nil
-// (missing, corrupt, describing a different model/GPU, or profiled by
-// an older table schema — all treated as cache misses).
-func loadCachedProfile(path string, m model.Model, sub hw.Cluster) *profile.Table {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	tab, err := profile.Decode(data)
-	if err != nil || tab.Version != profile.TableVersion ||
-		tab.ModelName != m.Name || tab.GPUName != sub.GPU.Name {
-		return nil
-	}
-	return tab
-}
-
-// profileFor memoizes profiling per (model, sub-cluster), backed by the
-// optional on-disk cache.
+// profileFor memoizes profiling per (model, sub-cluster).
 func (c *Context) profileFor(m model.Model, sub hw.Cluster) (*profile.Table, error) {
 	key := m.Name + "/" + sub.Name + "/" + fmt.Sprint(sub.TotalGPUs())
 	c.mu.Lock()
@@ -136,41 +88,14 @@ func (c *Context) profileFor(m model.Model, sub hw.Cluster) (*profile.Table, err
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		cachePath := c.profileCachePath(m, sub)
-		if cachePath != "" {
-			if tab := loadCachedProfile(cachePath, m, sub); tab != nil {
-				e.tab = tab
-				return
-			}
-		}
 		p, err := profile.New(m, sub)
 		if err != nil {
 			e.err = err
 			return
 		}
 		e.tab = p.Run()
-		if cachePath != "" {
-			// Best-effort: a failed cache write (read-only dir, disk
-			// full) must not fail the run — the table in hand is valid.
-			if err := saveProfile(cachePath, e.tab); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: profile cache save skipped: %v\n", err)
-			}
-		}
 	})
 	return e.tab, e.err
-}
-
-// saveProfile writes a freshly profiled table to the cache atomically:
-// the cache directory is shared by concurrent sweep worker processes,
-// and a reader racing a plain truncate-then-write could observe a torn
-// file. With atomicfile.Write, a concurrent loadCachedProfile sees
-// either the old complete table or the new one, never a partial write.
-func saveProfile(path string, tab *profile.Table) error {
-	data, err := tab.Encode()
-	if err != nil {
-		return err
-	}
-	return atomicfile.Write(path, data, 0o644)
 }
 
 // Deploy sets up a deployment for a model on gpus of cluster running

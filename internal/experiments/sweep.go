@@ -164,8 +164,8 @@ func (r *SweepResult) WriteFile(path string) error {
 
 // gridFingerprint hashes everything that determines a sweep's output:
 // the resolved grid (deployments, tasks, policy groups) and the
-// context's sampling/search settings. Worker counts and cache paths are
-// deliberately excluded: they change only wall time, never results.
+// context's sampling/search settings. Worker counts are deliberately
+// excluded: they change only wall time, never results.
 func (c *Context) gridFingerprint(grid SweepGrid) (string, error) {
 	deps, tasks, groups := grid.resolved()
 	type depKey struct {

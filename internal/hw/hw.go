@@ -270,6 +270,3 @@ func (m *MemTracker) Used() int64 { return m.used }
 
 // Peak returns the high-water mark.
 func (m *MemTracker) Peak() int64 { return m.peak }
-
-// Free bytes remaining.
-func (m *MemTracker) Available() int64 { return m.Capacity - m.used }

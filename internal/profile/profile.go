@@ -11,13 +11,13 @@
 // (internal/costmodel) instead of CUDA kernels; everything downstream
 // (XSimulator, XScheduler, XRunner, the baselines) consumes only the
 // resulting Table, exactly as in the paper, and prices pipeline stages
-// from it through one kernel, Stages. Tables serialize to JSON so
-// profiles can be captured once per model and cluster (§7.7) and
-// reused.
+// from it through one kernel, Stages. Sampling the cost model is cheap
+// (BenchmarkProfilerRun: under 0.1 ms for OPT-13B on the A40 cluster),
+// so callers rebuild a Table per process instead of capturing it once
+// per model and cluster as the paper's GPU profiler does (§7.7).
 package profile
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -39,8 +39,8 @@ const (
 // AlphaBeta is a fitted latency/inverse-bandwidth communication cost:
 // time(bytes) = Alpha + Beta*bytes.
 type AlphaBeta struct {
-	Alpha float64 `json:"alpha"`
-	Beta  float64 `json:"beta"`
+	Alpha float64
+	Beta  float64
 }
 
 // Time evaluates the model for n bytes.
@@ -54,64 +54,55 @@ func (c AlphaBeta) Time(n int64) float64 {
 // Table holds the measured per-layer kernel times and communication
 // costs for one model on one cluster's GPU type.
 //
-// A Table is immutable once built by Profiler.Run or Decode: every
-// lookup (EncodeLayer, DecodeLayer, PPSend, KVTransfer, ...) only reads
-// the grids, so one Table may be shared freely between concurrent
+// A Table is immutable once built by Profiler.Run: every lookup
+// (EncodeLayer, DecodeLayer, PPSend, KVTransfer, ...) only reads the
+// grids, so one Table may be shared freely between concurrent
 // simulators, schedulers, and runner Engines. Callers that memoize
 // Tables must guard the memo itself (see internal/experiments.Context).
-// TableVersion stamps serialized Tables. Bump it whenever the profiler
-// sweep or the underlying cost model changes shape or semantics, so
-// on-disk caches (experiments.Context.ProfileCacheDir) of older builds
-// miss instead of silently serving stale kernel times.
-const TableVersion = 1
-
 type Table struct {
-	// Version is TableVersion at profiling time; zero in hand-built or
-	// pre-versioning tables.
-	Version   int    `json:"version,omitempty"`
-	ModelName string `json:"model"`
-	GPUName   string `json:"gpu"`
+	ModelName string
+	GPUName   string
 
 	// TPDegrees lists the profiled tensor-parallel degrees (ascending).
-	TPDegrees []int `json:"tp_degrees"`
+	TPDegrees []int
 	// TokenGrid / SeqGrid / BatchGrid / CtxGrid are the sweep points.
-	TokenGrid []int `json:"token_grid"`
-	SeqGrid   []int `json:"seq_grid"`
-	BatchGrid []int `json:"batch_grid"`
-	CtxGrid   []int `json:"ctx_grid"`
+	TokenGrid []int
+	SeqGrid   []int
+	BatchGrid []int
+	CtxGrid   []int
 
 	// EncRest[tp][tok]: rest-of-layer encode time.
-	EncRest [][]float64 `json:"enc_rest"`
+	EncRest [][]float64
 	// EncAttn[tp][tok][seq]: encode attention-kernel time.
-	EncAttn [][][]float64 `json:"enc_attn"`
+	EncAttn [][][]float64
 	// DecRest[tp][batch]: rest-of-layer decode time.
-	DecRest [][]float64 `json:"dec_rest"`
+	DecRest [][]float64
 	// DecAttn[tp][batch][ctx]: decode attention-kernel time; ctx is the
 	// combined self+cross attention context per query.
-	DecAttn [][][]float64 `json:"dec_attn"`
+	DecAttn [][][]float64
 
 	// AllReduce[tp][linkClass] is the fitted tensor-parallel
 	// synchronization cost per all-reduce of n bytes.
-	AllReduce [][]AlphaBeta `json:"all_reduce"`
+	AllReduce [][]AlphaBeta
 	// P2P[linkClass] is the fitted pipeline-parallel handover cost.
-	P2P []AlphaBeta `json:"p2p"`
+	P2P []AlphaBeta
 	// HostDMA is the fitted GPU<->host staging cost (KV handover, §3).
-	HostDMA AlphaBeta `json:"host_dma"`
+	HostDMA AlphaBeta
 
 	// ActTokenBytes is the activation bytes per token (Hidden *
 	// BytesPerParam), used to size sync messages.
-	ActTokenBytes int64 `json:"act_token_bytes"`
+	ActTokenBytes int64
 	// KVTokenBytes is the full-model KV-cache bytes per token.
-	KVTokenBytes int64 `json:"kv_token_bytes"`
+	KVTokenBytes int64
 	// EncSyncsPerLayer/DecSyncsPerLayer: all-reduces per layer (2 and 3).
-	EncSyncsPerLayer int `json:"enc_syncs_per_layer"`
-	DecSyncsPerLayer int `json:"dec_syncs_per_layer"`
+	EncSyncsPerLayer int
+	DecSyncsPerLayer int
 
 	// pow2Token/Seq/Batch/Ctx record whether the corresponding grid is
 	// exactly {2^0, 2^1, ...} (geomGrid with a power-of-two maximum),
 	// enabling the O(1) exponent-indexed segment lookup. Set by
-	// initIndex from Run and Decode; the zero value falls back to
-	// walking the grid, so hand-built tables stay correct.
+	// initIndex from Run; the zero value falls back to walking the
+	// grid, so hand-built tables stay correct.
 	pow2Token, pow2Seq, pow2Batch, pow2Ctx bool
 }
 
@@ -130,8 +121,8 @@ func isPow2Grid(grid []int) bool {
 }
 
 // initIndex precomputes the per-grid fast-path flags. It must run
-// before the table is shared (Run and Decode call it); lookups on a
-// table without the index fall back to walking the grid.
+// before the table is shared (Run calls it); lookups on a table
+// without the index fall back to walking the grid.
 func (t *Table) initIndex() {
 	t.pow2Token = isPow2Grid(t.TokenGrid)
 	t.pow2Seq = isPow2Grid(t.SeqGrid)
@@ -189,7 +180,6 @@ func (p *Profiler) Run() *Table {
 	m := p.Engine.Model
 	tps := p.feasibleTPs()
 	t := &Table{
-		Version:   TableVersion,
 		ModelName: m.Name,
 		GPUName:   p.Engine.GPU.Name,
 		TPDegrees: tps,
@@ -500,27 +490,9 @@ func (t *Table) KVTransfer(tokens int) float64 {
 	return 2 * t.HostDMA.Time(int64(tokens)*t.KVTokenBytes)
 }
 
-// MarshalJSON / round-trip helpers.
-
-// Encode serializes the table to JSON.
-func (t *Table) Encode() ([]byte, error) { return json.Marshal(t) }
-
-// Decode parses a table from JSON.
-func Decode(data []byte) (*Table, error) {
-	var t Table
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("profile: decode: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	t.initIndex()
-	return &t, nil
-}
-
 // Validate checks everything a lookup relies on, so that a table that
-// passes (from Run, or from Decode of any bytes) answers every lookup
-// at every profiled TP degree without panicking:
+// passes answers every lookup at every profiled TP degree without
+// panicking:
 //   - TPDegrees and every sweep grid are non-empty, positive and
 //     strictly ascending (a repeated grid point would divide by zero
 //     in interp1);

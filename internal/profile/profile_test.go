@@ -210,35 +210,6 @@ func TestPPSendAndKVTransfer(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	tab := table(t, model.T511B, hw.A40Cluster)
-	data, err := tab.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := tab.DecodeLayer(32, 128, 2, IntraNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := back.DecodeLayer(32, 128, 2, IntraNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("round trip changed lookup: %v vs %v", a, b)
-	}
-	if _, err := Decode([]byte("{")); err == nil {
-		t.Fatal("bad JSON should error")
-	}
-	if _, err := Decode([]byte("{}")); err == nil {
-		t.Fatal("empty table should fail validation")
-	}
-}
-
 // Property: interpolated lookups are monotone in batch/tokens for any
 // profiled TP degree.
 func TestQuickLookupMonotone(t *testing.T) {
@@ -332,23 +303,6 @@ func TestIsPow2Grid(t *testing.T) {
 		if got := isPow2Grid(c.grid); got != c.want {
 			t.Fatalf("isPow2Grid(%v) = %v, want %v", c.grid, got, c.want)
 		}
-	}
-}
-
-// Decoded tables must re-enable the fast path (the flags are unexported
-// and not serialized).
-func TestDecodeRestoresFastPath(t *testing.T) {
-	tab := table(t, model.OPT13B, hw.A40Cluster)
-	data, err := tab.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.pow2Token || !back.pow2Seq || !back.pow2Batch || !back.pow2Ctx {
-		t.Fatal("Decode should rebuild the pow2 index")
 	}
 }
 

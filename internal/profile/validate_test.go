@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -40,7 +39,8 @@ func lookupAll(t *testing.T, tab *Table) {
 
 // TestProfilerTablesValidate: Validate accepts every table the
 // profiler produces, for every model on every cluster size whose TP
-// degrees and links differ.
+// degrees and links differ, and every such table answers every lookup
+// at every profiled TP degree.
 func TestProfilerTablesValidate(t *testing.T) {
 	for _, c := range []hw.Cluster{hw.A40Cluster, hw.A100Cluster} {
 		for _, n := range []int{1, 2, 4, 8, 16} {
@@ -53,38 +53,34 @@ func TestProfilerTablesValidate(t *testing.T) {
 				if err := tab.Validate(); err != nil {
 					t.Fatalf("%s on %s/%d: %v", m.Name, c.Name, n, err)
 				}
+				lookupAll(t, tab)
 			}
 		}
 	}
 }
 
-// TestDecodeRejectsMalformedTables: a table whose shapes, grids or
+// TestValidateRejectsMalformedTables: a table whose shapes, grids or
 // values would make a lookup panic or divide by zero fails Validate.
-// Decode used to accept a table whose dec_attn rows were empty, and the
+// A table whose decode-attention rows were empty once passed, and the
 // first DecodeAttn then indexed past the end of a row.
-func TestDecodeRejectsMalformedTables(t *testing.T) {
+func TestValidateRejectsMalformedTables(t *testing.T) {
 	sub, err := hw.A40Cluster.Sub(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := table(t, model.OPT13B, sub)
-	good, err := tab.Encode()
-	if err != nil {
-		t.Fatal(err)
+	if err := (&Table{}).Validate(); err == nil {
+		t.Fatal("empty table accepted")
 	}
 
-	// The reported file: every dec_attn row empty.
+	// Every dec_attn row empty.
+	tab := table(t, model.OPT13B, sub)
 	for _, rows := range tab.DecAttn {
 		for j := range rows {
 			rows[j] = []float64{}
 		}
 	}
-	data, err := tab.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "decode attention") {
-		t.Fatalf("empty dec_attn rows decoded: %v", err)
+	if err := tab.Validate(); err == nil || !strings.Contains(err.Error(), "decode attention") {
+		t.Fatalf("empty dec_attn rows accepted: %v", err)
 	}
 
 	cases := map[string]func(*Table){
@@ -104,59 +100,10 @@ func TestDecodeRejectsMalformedTables(t *testing.T) {
 		"negative sync count":    func(t *Table) { t.DecSyncsPerLayer = -3 },
 	}
 	for name, mutate := range cases {
-		tab, err := Decode(good)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := table(t, model.OPT13B, sub)
 		mutate(tab)
 		if err := tab.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-}
-
-// FuzzProfileDecode: Decode either rejects the bytes or returns a table
-// on which every lookup at every profiled TP degree returns without
-// panicking, and whose Encode→Decode round trip is stable.
-func FuzzProfileDecode(f *testing.F) {
-	for _, n := range []int{1, 2} {
-		sub, err := hw.A40Cluster.Sub(n)
-		if err != nil {
-			f.Fatal(err)
-		}
-		p, err := New(model.OPT13B, sub)
-		if err != nil {
-			f.Fatal(err)
-		}
-		data, err := p.Run().Encode()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	f.Add([]byte(`{"tp_degrees":[1],"token_grid":[1,3],"seq_grid":[2],"batch_grid":[1],"ctx_grid":[1,2],` +
-		`"enc_rest":[[0,1]],"enc_attn":[[[0],[1]]],"dec_rest":[[1]],"dec_attn":[[[0,1]]],` +
-		`"all_reduce":[[{},{}]],"p2p":[{},{}]}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tab, err := Decode(data)
-		if err != nil {
-			return
-		}
-		lookupAll(t, tab)
-		enc, err := tab.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("re-decoding an encoded table: %v", err)
-		}
-		again, err := back.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(enc, again) {
-			t.Fatal("Encode→Decode round trip is not stable")
-		}
-	})
 }

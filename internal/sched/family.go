@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"exegpt/internal/hw"
 	"exegpt/internal/model"
@@ -65,7 +64,7 @@ type SplitHints struct {
 type Family struct {
 	Policy Policy
 	// Name is the canonical render of the policy (Policy.String and the
-	// JSON encoding) and the spelling ParsePolicy accepts.
+	// JSON encoding).
 	Name string
 	// Group labels the policy's sweep system row (policies searched
 	// together report under one group label).
@@ -130,51 +129,10 @@ func DefaultPolicies() []Policy {
 	return out
 }
 
-// ParsePolicy resolves a policy from its family name (case-insensitive)
-// or a legacy integer spelling ("1" or "Policy(1)").
-func ParsePolicy(s string) (Policy, error) {
-	for _, f := range families {
-		if strings.EqualFold(s, f.Name) {
-			return f.Policy, nil
-		}
-	}
-	num := s
-	if strings.HasPrefix(s, "Policy(") && strings.HasSuffix(s, ")") {
-		num = s[len("Policy(") : len(s)-1]
-	}
-	if n, err := strconv.Atoi(num); err == nil {
-		return Policy(n), nil
-	}
-	return 0, fmt.Errorf("sched: unknown policy %q", s)
-}
-
 // MarshalJSON encodes the policy as its family name, so JSON artifacts
 // stay meaningful as families become pluggable.
 func (p Policy) MarshalJSON() ([]byte, error) {
 	return []byte(strconv.Quote(p.String())), nil
-}
-
-// UnmarshalJSON accepts the family-name encoding or the legacy integer
-// enum value.
-func (p *Policy) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		s, err := strconv.Unquote(string(data))
-		if err != nil {
-			return err
-		}
-		got, err := ParsePolicy(s)
-		if err != nil {
-			return err
-		}
-		*p = got
-		return nil
-	}
-	n, err := strconv.Atoi(string(data))
-	if err != nil {
-		return fmt.Errorf("sched: cannot decode policy from %s", data)
-	}
-	*p = Policy(n)
-	return nil
 }
 
 // admitAnyTP admits every valid TP spec (shared-pool families).

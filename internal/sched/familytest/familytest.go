@@ -1,5 +1,5 @@
 // Package familytest is the conformance suite every execution-policy
-// family must pass: identity round-trips (String/ParsePolicy/JSON),
+// family must pass: identity (String and the JSON name encoding),
 // allocation shape against the family's capability flags, bit-identical
 // Simulator and Evaluator estimates (cold and warm, feasible and
 // infeasible), worker-count-independent B&B search, and deterministic
@@ -12,8 +12,6 @@ package familytest
 
 import (
 	"reflect"
-	"strconv"
-	"strings"
 	"testing"
 
 	"exegpt/internal/core"
@@ -122,18 +120,11 @@ func Run(t *testing.T, f sched.Family) {
 	t.Run("OpenRun", func(t *testing.T) { testOpenRun(t, f) })
 }
 
-// testIdentity pins the name and JSON encodings: String renders the
-// registered name, ParsePolicy inverts it case-insensitively, JSON
-// round-trips through the name and still decodes the legacy integer.
+// testIdentity pins the name and JSON encodings: String and
+// MarshalJSON both render the registered name.
 func testIdentity(t *testing.T, f sched.Family) {
 	if got := f.Policy.String(); got != f.Name {
 		t.Fatalf("String() = %q, want %q", got, f.Name)
-	}
-	for _, spelling := range []string{f.Name, strings.ToLower(f.Name)} {
-		p, err := sched.ParsePolicy(spelling)
-		if err != nil || p != f.Policy {
-			t.Fatalf("ParsePolicy(%q) = %v, %v; want %v", spelling, p, err, f.Policy)
-		}
 	}
 	data, err := f.Policy.MarshalJSON()
 	if err != nil {
@@ -141,14 +132,6 @@ func testIdentity(t *testing.T, f sched.Family) {
 	}
 	if want := `"` + f.Name + `"`; string(data) != want {
 		t.Fatalf("MarshalJSON = %s, want %s", data, want)
-	}
-	var back sched.Policy
-	if err := back.UnmarshalJSON(data); err != nil || back != f.Policy {
-		t.Fatalf("UnmarshalJSON(%s) = %v, %v; want %v", data, back, err, f.Policy)
-	}
-	var legacy sched.Policy
-	if err := legacy.UnmarshalJSON([]byte(strconv.Itoa(int(f.Policy)))); err != nil || legacy != f.Policy {
-		t.Fatalf("legacy int decode = %v, %v; want %v", legacy, err, f.Policy)
 	}
 }
 

@@ -4,7 +4,8 @@
 # Policy value or IsWAA() call sites belong in internal/sched (the
 # registry and its allocators) or a per-family file; everywhere else
 # must go through sched.FamilyOf capabilities or the estimator/driver
-# registries. Test files are exempt (they pin legacy spellings).
+# registries. Test files are exempt (they enumerate policies to pin
+# per-family behavior).
 set -eu
 cd "$(dirname "$0")/.."
 

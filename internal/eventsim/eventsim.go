@@ -3,7 +3,17 @@
 //
 // Time is virtual and measured in seconds (float64). Events scheduled at
 // the same instant are executed in scheduling order (FIFO), which makes
-// every simulation run bit-for-bit reproducible.
+// every simulation run bit-for-bit reproducible. Scheduling order is a
+// sequence number that At takes when it is called; Reserve takes one
+// early for an event that AtSeq schedules later, so a caller can keep
+// a queue of future events outside the heap and still fire each in the
+// order At would have given it. The runner does this for arrivals: an
+// engine holds one pending arrival event, for the earliest arrival,
+// instead of one per request pushed.
+//
+// The pending events sit in a typed binary heap whose entries carry
+// their firing time and sequence number inline, so sifting compares
+// entries without interface calls or loads through the event pointers.
 //
 // Event structs are pooled: fired and lazily drained cancelled events
 // return to a per-Sim free list and are reused by later At/After calls,
@@ -15,7 +25,6 @@
 package eventsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -24,7 +33,6 @@ import (
 // never holds *Event directly; it gets a Handle.
 type Event struct {
 	at   float64
-	seq  uint64
 	gen  uint64
 	fn   func()
 	dead bool
@@ -32,6 +40,11 @@ type Event struct {
 	// count exact without walking the heap.
 	sim *Sim
 }
+
+// Seq is an event's place among events due at the same instant: the
+// lower number fires first. Numbers increase in the order they are
+// taken, by At or by Reserve.
+type Seq uint64
 
 // Handle refers to a scheduled event. The zero Handle is valid and
 // refers to nothing. Handles stay safe after the event fires: the pool
@@ -62,30 +75,73 @@ func (h Handle) Cancel() {
 	}
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// entry is one heap slot. It carries its event's firing key inline, so
+// sifting compares entries without loading the events.
+type entry struct {
+	at  float64
+	seq Seq
+	ev  *Event
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// before is the pop order: firing time, then sequence number. Sequence
+// numbers are unique, so the order is total and every run pops the same
+// events in the same order.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventHeap is a binary min-heap of entries under before.
+type eventHeap []entry
+
+func (h *eventHeap) push(e entry) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	*h = q
+}
+
+// pop removes and returns the earliest entry's event.
+func (h *eventHeap) pop() *Event {
+	q := *h
+	top := q[0].ev
+	n := len(q) - 1
+	last := q[n]
+	q[n] = entry{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // Sim is a discrete-event simulator. The zero value is not usable; use New.
 type Sim struct {
 	now     float64
-	seq     uint64
+	seq     Seq
 	pending eventHeap
 	steps   uint64
 	// dead counts cancelled events still parked in the heap awaiting
@@ -137,6 +193,21 @@ func (s *Sim) recycle(ev *Event) {
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics, because it indicates a logic error in the caller.
 func (s *Sim) At(t float64, fn func()) Handle {
+	return s.AtSeq(t, s.Reserve(), fn)
+}
+
+// Reserve takes the next sequence number without scheduling anything.
+// An event that AtSeq later schedules with it fires among same-time
+// events as if At had scheduled it at the time of Reserve.
+func (s *Sim) Reserve() Seq {
+	seq := s.seq
+	s.seq++
+	return seq
+}
+
+// AtSeq schedules fn at absolute virtual time t with a sequence number
+// from Reserve. Each reserved number is for one event.
+func (s *Sim) AtSeq(t float64, seq Seq, fn func()) Handle {
 	if t < s.now {
 		panic(fmt.Sprintf("eventsim: schedule at %v before now %v", t, s.now))
 	}
@@ -144,9 +215,8 @@ func (s *Sim) At(t float64, fn func()) Handle {
 		panic("eventsim: schedule at NaN")
 	}
 	ev := s.alloc()
-	ev.at, ev.seq, ev.fn, ev.sim = t, s.seq, fn, s
-	s.seq++
-	heap.Push(&s.pending, ev)
+	ev.at, ev.fn, ev.sim = t, fn, s
+	s.pending.push(entry{at: t, seq: seq, ev: ev})
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -169,7 +239,7 @@ func (s *Sim) Pending() int { return len(s.pending) - s.dead }
 // a follow-up event.
 func (s *Sim) Step() bool {
 	for len(s.pending) > 0 {
-		ev := heap.Pop(&s.pending).(*Event)
+		ev := s.pending.pop()
 		if ev.dead {
 			s.recycle(ev)
 			continue
@@ -201,8 +271,8 @@ func (s *Sim) Run() float64 {
 func (s *Sim) RunUntil(deadline float64) float64 {
 	for len(s.pending) > 0 {
 		next := s.pending[0]
-		if next.dead {
-			s.recycle(heap.Pop(&s.pending).(*Event))
+		if next.ev.dead {
+			s.recycle(s.pending.pop())
 			continue
 		}
 		if next.at > deadline {

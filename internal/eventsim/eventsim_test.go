@@ -3,6 +3,7 @@ package eventsim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -45,6 +46,25 @@ func TestTieBreakFIFO(t *testing.T) {
 		if order[i] != i {
 			t.Fatalf("same-time events ran out of order: %v", order)
 		}
+	}
+}
+
+// TestReserveOrdersLikeAt: an event scheduled through AtSeq with a
+// number from Reserve fires among same-time events as if At had
+// scheduled it at the Reserve, whenever it is actually scheduled.
+func TestReserveOrdersLikeAt(t *testing.T) {
+	s := New()
+	var order []string
+	s.At(5, func() { order = append(order, "before") })
+	seq := s.Reserve()
+	s.At(5, func() { order = append(order, "after") })
+	s.At(1, func() {
+		s.AtSeq(5, seq, func() { order = append(order, "reserved") })
+	})
+	s.Run()
+	want := []string{"before", "reserved", "after"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 
@@ -374,5 +394,54 @@ func TestPendingCancelThenPoll(t *testing.T) {
 	}
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending = %d, want 0 after drain", got)
+	}
+}
+
+// simChurnPending is the mean number of events pending at each push in
+// one pass of the serve-ladder benchmark workload before arrivals held
+// one event per engine.
+const simChurnPending = 58
+
+// churn fills s with n pending events whose callbacks each schedule a
+// successor a pseudo-random delay later, so the pending count stays n
+// while the simulation steps.
+func churn(s *Sim, n int) {
+	var x uint32 = 1
+	var fire func()
+	fire = func() {
+		x = x*1664525 + 1013904223
+		s.After(float64(x>>16)/65536, fire)
+	}
+	for i := 0; i < n; i++ {
+		s.At(float64(i)/float64(n), fire)
+	}
+}
+
+// TestSteadyStateAllocs pins the typed heap and the Event pool: once
+// warm, scheduling and firing events with about 60 pending allocates
+// nothing.
+func TestSteadyStateAllocs(t *testing.T) {
+	s := New()
+	churn(s, simChurnPending)
+	for i := 0; i < 1000; i++ {
+		s.Step()
+	}
+	if got := testing.AllocsPerRun(1000, func() { s.Step() }); got != 0 {
+		t.Fatalf("steady-state At+Step allocates %v objects, want 0", got)
+	}
+	if s.Pending() != simChurnPending {
+		t.Fatalf("Pending = %d, want %d", s.Pending(), simChurnPending)
+	}
+}
+
+// BenchmarkSimChurn measures one At+Step pair with simChurnPending
+// events pending, the heap depth of the serve-ladder workload.
+func BenchmarkSimChurn(b *testing.B) {
+	s := New()
+	churn(s, simChurnPending)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
 	}
 }

@@ -60,9 +60,6 @@ func (c AlphaBeta) Time(n int64) float64 {
 // simulators, schedulers, and runner Engines. Callers that memoize
 // Tables must guard the memo itself (see internal/experiments.Context).
 type Table struct {
-	ModelName string
-	GPUName   string
-
 	// TPDegrees lists the profiled tensor-parallel degrees (ascending).
 	TPDegrees []int
 	// TokenGrid / SeqGrid / BatchGrid / CtxGrid are the sweep points.
@@ -180,8 +177,6 @@ func (p *Profiler) Run() *Table {
 	m := p.Engine.Model
 	tps := p.feasibleTPs()
 	t := &Table{
-		ModelName: m.Name,
-		GPUName:   p.Engine.GPU.Name,
 		TPDegrees: tps,
 		TokenGrid: geomGrid(1 << 17),
 		SeqGrid:   geomGrid(1 << 12),

@@ -31,9 +31,6 @@ func TestNewValidates(t *testing.T) {
 
 func TestRunShape(t *testing.T) {
 	tab := table(t, model.OPT13B, hw.A40Cluster)
-	if tab.ModelName != "OPT-13B" || tab.GPUName != "A40" {
-		t.Fatalf("names: %s %s", tab.ModelName, tab.GPUName)
-	}
 	// Powers of two up to 8 GPUs per node.
 	want := []int{1, 2, 4, 8}
 	if len(tab.TPDegrees) != len(want) {

@@ -34,6 +34,58 @@ type Arrival struct {
 	At  float64
 }
 
+// futureArrival is a pushed arrival that is not due yet, with the
+// simulator sequence number it took at Push.
+type futureArrival struct {
+	Arrival
+	seq eventsim.Seq
+}
+
+// arrivalFIFO holds an engine's future arrivals in firing order: by
+// arrival time, then push order. Serving pushes arrivals in time order,
+// so an insert is an append. A full backing array whose consumed prefix
+// is at least as long as the live items shifts them to its front
+// instead of growing, so once it has grown to twice the most arrivals
+// ever pending, inserting allocates nothing.
+type arrivalFIFO struct {
+	items []futureArrival
+	head  int
+}
+
+func (q *arrivalFIFO) len() int { return len(q.items) - q.head }
+
+// insert places a after every queued arrival due at or before a.At and
+// returns its position, 0 when it is the new head.
+func (q *arrivalFIFO) insert(a futureArrival) int {
+	if q.head > 0 && q.head >= q.len() && len(q.items) == cap(q.items) {
+		q.items = q.items[:copy(q.items, q.items[q.head:])]
+		q.head = 0
+	}
+	live := q.items[q.head:]
+	i := len(live)
+	for i > 0 && live[i-1].At > a.At {
+		i--
+	}
+	q.items = append(q.items, a)
+	if i < len(live) {
+		live = q.items[q.head:]
+		copy(live[i+1:], live[i:])
+		live[i] = a
+	}
+	return i
+}
+
+func (q *arrivalFIFO) peek() futureArrival { return q.items[q.head] }
+
+func (q *arrivalFIFO) pop() futureArrival {
+	a := q.items[q.head]
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return a
+}
+
 // OpenRun is one schedule's live execution. It is not safe for
 // concurrent use; the serving loop drives it from one goroutine.
 type OpenRun struct {
@@ -47,6 +99,11 @@ type OpenRun struct {
 	arrivedAt map[int]float64 // request ID -> arrival time
 	totalIn   int64
 	arrivals  int64
+
+	// future holds the pushed arrivals not due yet. Only its head has a
+	// simulator event, nextArrival; arrive fires it and arms the next.
+	future      arrivalFIFO
+	nextArrival eventsim.Handle
 
 	rec     *metrics.Recorder
 	res     Result
@@ -81,9 +138,9 @@ type OpenRun struct {
 	kern  *profile.Stages
 	times []float64
 
-	// Event callbacks, bound once by the driver's openInit so that
-	// scheduling an event allocates nothing.
-	onDecode, onStep, onEncode func()
+	// Event callbacks, bound once (onArrive by Open, the rest by the
+	// driver's openInit) so that scheduling an event allocates nothing.
+	onArrive, onDecode, onStep, onEncode func()
 
 	// rraIter is the decode iteration of the current RRA cycle.
 	rraIter int
@@ -129,6 +186,7 @@ func (e *Engine) Open(cfg sched.Config, alloc sched.Allocation, startAt float64)
 		kern:      profile.NewStages(e.Prof, e.Cluster, alloc.Stages),
 	}
 	o.sim.MaxSteps = 500_000_000
+	o.onArrive = o.arrive
 	drv, err := driverFor(cfg.Policy)
 	if err != nil {
 		return nil, err
@@ -190,8 +248,13 @@ func (o *OpenRun) meanIn() float64 {
 // Push delivers a request to the engine. An arrival at or before the
 // engine's clock is applied immediately (the serving loop replays
 // backlog from a predecessor engine this way — at keeps the original
-// arrival time so queueing latency carries across a schedule switch);
-// a future arrival is scheduled as a simulator event.
+// arrival time so queueing latency carries across a schedule switch).
+// A future arrival waits in the engine's arrival queue and is applied
+// when the clock reaches at: arrivals apply in time order whatever the
+// push order, and arrivals at the same time in push order. Against the
+// engine's own events an arrival ties as if it were scheduled at Push:
+// at the same instant it applies after events scheduled before the
+// Push and before events scheduled after it.
 func (o *OpenRun) Push(req workload.Request, at float64) {
 	if o.err != nil {
 		return
@@ -200,7 +263,21 @@ func (o *OpenRun) Push(req workload.Request, at float64) {
 		o.applyArrival(req, at)
 		return
 	}
-	o.sim.At(at, func() { o.applyArrival(req, at) })
+	a := futureArrival{Arrival: Arrival{Req: req, At: at}, seq: o.sim.Reserve()}
+	if o.future.insert(a) == 0 {
+		o.nextArrival.Cancel()
+		o.nextArrival = o.sim.AtSeq(at, a.seq, o.onArrive)
+	}
+}
+
+// arrive applies the earliest future arrival and arms the next one.
+func (o *OpenRun) arrive() {
+	a := o.future.pop()
+	if o.future.len() > 0 {
+		n := o.future.peek()
+		o.nextArrival = o.sim.AtSeq(n.At, n.seq, o.onArrive)
+	}
+	o.applyArrival(a.Req, a.At)
 }
 
 func (o *OpenRun) applyArrival(req workload.Request, at float64) {

@@ -2,10 +2,13 @@ package runner
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"exegpt/internal/core"
+	"exegpt/internal/eventsim"
 	"exegpt/internal/hw"
 	"exegpt/internal/model"
 	"exegpt/internal/sched"
@@ -313,6 +316,268 @@ func TestOpenMatchesBatchThroughput(t *testing.T) {
 						task.ID, est.Config, open.Stats.Throughput, batch.Stats.Throughput, ratio, band[0], band[1])
 				}
 			}
+		}
+	}
+}
+
+type openSchedule struct {
+	cfg   sched.Config
+	alloc sched.Allocation
+}
+
+// openConfigs are one RRA and one WAA schedule on openEngine, for the
+// arrival-order tests. Their expected orders were recorded with one
+// simulator event per pushed arrival, so they pin that the arrival
+// queue, with one event per engine, applies arrivals in that order.
+func openConfigs(t *testing.T, e *Engine) []openSchedule {
+	rra := rraConfig(4, 2)
+	waa := sched.Config{Policy: sched.WAAM, BE: 2, BD: 16, Bm: 2, ND: 1, TP: sched.TPSpec{Degree: 1}}
+	return []openSchedule{
+		{rra, rraAlloc(t, e, rra.TP)},
+		{waa, waaAlloc(t, e, 1, 3, waa.TP)},
+	}
+}
+
+// completionOrder returns the record IDs in completion order and checks
+// that each record's Start is the time its request was pushed for.
+func completionOrder(t *testing.T, recs []QueryRecord, pushedAt map[int]float64) []int {
+	t.Helper()
+	ids := make([]int, len(recs))
+	for i, r := range recs {
+		if r.Start != pushedAt[r.ID] {
+			t.Errorf("record %d Start = %v, want its arrival %v", r.ID, r.Start, pushedAt[r.ID])
+		}
+		ids[i] = r.ID
+	}
+	return ids
+}
+
+// TestOpenOutOfOrderPush pushes future arrivals earlier than the queued
+// tail and earlier than the armed head, before and after the clock
+// moves. Arrivals apply in time order, ties in push order.
+func TestOpenOutOfOrderPush(t *testing.T) {
+	e := openEngine(t)
+	reqs := requests(t, workload.Summarization, 10, 21)
+	want := map[string][]int{
+		"RRA":   {0, 8, 6, 4, 5, 1, 3, 9, 7, 2},
+		"WAA-M": {0, 8, 6, 4, 5, 1, 3, 9, 7, 2},
+	}
+	for _, c := range openConfigs(t, e) {
+		o, err := e.Open(c.cfg, c.alloc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushedAt := map[int]float64{}
+		push := func(i int, at float64) {
+			pushedAt[reqs[i].ID] = at
+			o.Push(reqs[i], at)
+		}
+		push(0, 0) // applied now
+		push(1, 2) // head
+		push(2, 4) // tail
+		push(3, 3) // before the tail
+		push(4, 1) // before the armed head
+		push(5, 1) // ties the new head: after it
+		if err := o.RunUntil(1.5); err != nil {
+			t.Fatal(err)
+		}
+		push(6, 1.7) // before the armed head, after the clock moved
+		push(7, 5)
+		push(8, 1.7)
+		push(9, 3)
+		if err := o.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		got := completionOrder(t, o.Records(), pushedAt)
+		if name := c.cfg.Policy.String(); !reflect.DeepEqual(got, want[name]) {
+			t.Errorf("%s: completion order %v, want %v", name, got, want[name])
+		}
+	}
+}
+
+// TestOpenEqualTimePushes pushes batches of arrivals at one instant,
+// including a later batch at an earlier instant: each batch applies in
+// push order.
+func TestOpenEqualTimePushes(t *testing.T) {
+	e := openEngine(t)
+	reqs := requests(t, workload.Summarization, 16, 23)
+	want := map[string][]int{
+		"RRA":   {7, 6, 0, 5, 11, 8, 10, 2, 1, 3, 4, 9, 12, 14, 15, 13},
+		"WAA-M": {6, 7, 0, 5, 11, 10, 8, 4, 2, 3, 1, 9, 14, 12, 15, 13},
+	}
+	for _, c := range openConfigs(t, e) {
+		o, err := e.Open(c.cfg, c.alloc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushedAt := map[int]float64{}
+		for i, at := range []float64{1, 1, 1, 1, 1, 1, 0.5, 0.5, 0.5, 0.5, 1, 1, 2, 2, 0.5, 2} {
+			pushedAt[reqs[i].ID] = at
+			o.Push(reqs[i], at)
+		}
+		if err := o.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		got := completionOrder(t, o.Records(), pushedAt)
+		if name := c.cfg.Policy.String(); !reflect.DeepEqual(got, want[name]) {
+			t.Errorf("%s: completion order %v, want %v", name, got, want[name])
+		}
+	}
+}
+
+// TestOpenDrainDeliversFutureArrivals drains an engine with future
+// arrivals still queued, pushed out of order and with ties: Drain
+// applies every one of them in order and hands them all back.
+func TestOpenDrainDeliversFutureArrivals(t *testing.T) {
+	e := openEngine(t)
+	reqs := requests(t, workload.Summarization, 10, 25)
+	type left struct {
+		id int
+		at float64
+	}
+	want := map[string][]left{
+		"RRA":   {{1, 0}, {2, 0}, {3, 0}, {8, 1}, {5, 3}, {6, 3}, {4, 5}, {9, 5}, {7, 7}},
+		"WAA-M": {{8, 1}, {5, 3}, {6, 3}, {4, 5}, {9, 5}, {7, 7}},
+	}
+	for _, c := range openConfigs(t, e) {
+		o, err := e.Open(c.cfg, c.alloc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range reqs[:4] {
+			o.Push(r, 0)
+		}
+		if err := o.RunUntil(0.1); err != nil {
+			t.Fatal(err)
+		}
+		for i, at := range []float64{5, 3, 3, 7, 1, 5} {
+			o.Push(reqs[4+i], at)
+		}
+		leftover, err := o.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Now() < 7 {
+			t.Errorf("%s: clock %v after Drain, before the last arrival at 7", c.cfg.Policy, o.Now())
+		}
+		var got []left
+		for _, a := range leftover {
+			got = append(got, left{a.Req.ID, a.At})
+		}
+		if name := c.cfg.Policy.String(); !reflect.DeepEqual(got, want[name]) {
+			t.Errorf("%s: leftovers %v, want %v", name, got, want[name])
+		}
+	}
+}
+
+// TestOpenArrivalTiesEngineEvent pins the tie between an arrival and an
+// engine event at the same instant: the arrival was pushed before the
+// engine scheduled the event, so it applies first. Here the event is
+// the RRA decode step that ends a cycle, and the arrival X at that
+// instant joins the next cycle's encode batch with Y, which arrived
+// mid-cycle; both have the same lengths, so they complete together.
+// X is not the earliest future arrival when pushed, so only its place
+// in the push order puts it before the step.
+func TestOpenArrivalTiesEngineEvent(t *testing.T) {
+	e := openEngine(t)
+	cfg := sched.Config{Policy: sched.RRA, BE: 2, BD: 4, ND: 2, TP: sched.TPSpec{Degree: 1}}
+	alloc := rraAlloc(t, e, cfg.TP)
+	long := workload.Request{ID: 0, InLen: 64, OutLen: 32}
+	y := workload.Request{ID: 1, InLen: 64, OutLen: 4}
+	x := workload.Request{ID: 2, InLen: 64, OutLen: 4}
+
+	// Probe the decode step instants of the long request alone.
+	probe, err := e.Open(cfg, alloc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps []float64
+	step := probe.onStep
+	probe.onStep = func() {
+		steps = append(steps, probe.Now())
+		step()
+	}
+	probe.Push(long, 0)
+	if err := probe.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if len(steps) < 4 {
+		t.Fatalf("probe ran %d decode steps, want at least 4", len(steps))
+	}
+	// The step at steps[3] ends the second cycle; it was scheduled at
+	// steps[2], before Y (pushed first, so the head) arrives.
+	o, err := e.Open(cfg, alloc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Push(long, 0)
+	o.Push(y, (steps[2]+steps[3])/2)
+	o.Push(x, steps[3])
+	if err := o.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	end := map[int]float64{}
+	for _, r := range o.Records() {
+		end[r.ID] = r.End
+	}
+	if len(end) != 3 || end[x.ID] != end[y.ID] {
+		t.Fatalf("X completed at %v, Y at %v; want one batch (records %+v)", end[x.ID], end[y.ID], o.Records())
+	}
+}
+
+// TestOpenFuturePushAllocs pins the arrival queue's cost: once its
+// backing array has grown, a future-arrival Push allocates nothing.
+func TestOpenFuturePushAllocs(t *testing.T) {
+	e := openEngine(t)
+	cfg := rraConfig(4, 2)
+	o, err := e.Open(cfg, rraAlloc(t, e, cfg.TP), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := requests(t, workload.Summarization, 1, 27)[0]
+	at := 1.0
+	for i := 0; i < 256; i++ {
+		o.Push(req, at)
+		at += 1e-3
+	}
+	if err := o.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	at = o.Now() + 1
+	if got := testing.AllocsPerRun(200, func() {
+		o.Push(req, at)
+		at += 1e-3
+	}); got != 0 {
+		t.Fatalf("future-arrival Push allocates %v objects, want 0", got)
+	}
+}
+
+// TestArrivalFIFO checks the arrival queue against a stable sort by
+// time under random interleavings of inserts and pops, including
+// out-of-order and equal-time inserts and the shift-down of the live
+// items.
+func TestArrivalFIFO(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var q arrivalFIFO
+	var ref []futureArrival
+	for op := 0; op < 5000; op++ {
+		if len(ref) > 0 && rng.Intn(20) < 9 {
+			got, want := q.pop(), ref[0]
+			ref = ref[1:]
+			if got != want {
+				t.Fatalf("op %d: pop %+v, want %+v", op, got, want)
+			}
+			continue
+		}
+		a := futureArrival{Arrival: Arrival{Req: workload.Request{ID: op}, At: float64(rng.Intn(16))}, seq: eventsim.Seq(op)}
+		pos := q.insert(a)
+		i := sort.Search(len(ref), func(k int) bool { return ref[k].At > a.At })
+		ref = append(ref[:i], append([]futureArrival{a}, ref[i:]...)...)
+		if pos != i {
+			t.Fatalf("op %d: insert at %d, want %d", op, pos, i)
+		}
+		if q.len() != len(ref) || q.peek() != ref[0] {
+			t.Fatalf("op %d: len %d head %+v, want %d %+v", op, q.len(), q.peek(), len(ref), ref[0])
 		}
 	}
 }

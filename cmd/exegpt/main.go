@@ -137,6 +137,53 @@ func flattenPolicies(groups [][]sched.Policy) []sched.Policy {
 	return out
 }
 
+// target is a resolved -model/-cluster/-gpus/-task deployment.
+type target struct {
+	model   model.Model
+	cluster hw.Cluster
+	gpus    int
+	task    workload.Task
+}
+
+// targetFlags registers -model, -cluster, -gpus and -task and returns
+// their resolver.
+func targetFlags(fs *flag.FlagSet) func() (target, error) {
+	modelName := fs.String("model", "OPT-13B", "model name (Table 1)")
+	clusterName := fs.String("cluster", "", "cluster (A40 or A100; default: the model's Table 2 cluster)")
+	gpus := fs.Int("gpus", 0, "GPUs to deploy on (default: the model's Table 2 count)")
+	taskID := fs.String("task", "S", "task ID (S, T, G, C1, C2, wmt, alpaca, cnn)")
+	return func() (target, error) {
+		return resolveTarget(*modelName, *clusterName, *gpus, *taskID)
+	}
+}
+
+// resolveTarget resolves a deployment's flag values. The cluster and
+// GPU count default to the model's Table 2 deployment; a model without
+// one needs both given explicitly.
+func resolveTarget(modelName, clusterName string, gpus int, taskID string) (target, error) {
+	m, err := model.ByName(modelName)
+	if err != nil {
+		return target{}, err
+	}
+	dep, err := sched.DeploymentFor(m.Name)
+	if err != nil && (clusterName == "" || gpus == 0) {
+		return target{}, err
+	}
+	t := target{model: m, cluster: dep.Cluster, gpus: dep.GPUs}
+	if clusterName != "" {
+		if t.cluster, err = clusterByName(clusterName); err != nil {
+			return target{}, err
+		}
+	}
+	if gpus > 0 {
+		t.gpus = gpus
+	}
+	if t.task, err = workload.ByID(taskID); err != nil {
+		return target{}, err
+	}
+	return t, nil
+}
+
 // clusterByName resolves a cluster flag value.
 func clusterByName(name string) (hw.Cluster, error) {
 	switch strings.ToUpper(name) {

@@ -5,9 +5,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"exegpt/internal/hw"
 	"exegpt/internal/sched"
 )
 
@@ -58,15 +60,48 @@ func TestParsePolicies(t *testing.T) {
 	if err != nil || len(waa) != 1 || len(waa[0]) != 2 {
 		t.Fatalf("waa: %v %v", waa, err)
 	}
-	all, err := parsePolicies("all")
-	if err != nil || len(all) != 2 {
-		t.Fatalf("all: %v %v", all, err)
-	}
-	if got := flattenPolicies(all); len(got) != 3 {
-		t.Fatalf("flatten: %v", got)
+	// "all" (and the empty spelling) is exactly the paper's three
+	// families: the experimental DISAGG family is opt-in only.
+	want := []sched.Policy{sched.RRA, sched.WAAC, sched.WAAM}
+	for _, name := range []string{"all", ""} {
+		groups, err := parsePolicies(name)
+		if err != nil || len(groups) != 2 {
+			t.Fatalf("%q: %v %v", name, groups, err)
+		}
+		if got := flattenPolicies(groups); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q flattened = %v, want %v", name, got, want)
+		}
 	}
 	if _, err := parsePolicies("bogus"); err == nil {
 		t.Fatal("bogus policy set should error")
+	}
+}
+
+// resolveTarget fills the cluster and GPU count from the model's
+// Table 2 deployment, takes explicit overrides, and names whatever it
+// cannot resolve.
+func TestResolveTarget(t *testing.T) {
+	tgt, err := resolveTarget("OPT-13B", "", 0, "S")
+	if err != nil || tgt.model.Name != "OPT-13B" || tgt.cluster.Name != hw.A40Cluster.Name || tgt.gpus != 4 || tgt.task.ID != "S" {
+		t.Fatalf("defaults: %+v %v", tgt, err)
+	}
+	tgt, err = resolveTarget("OPT-13B", "a100", 8, "T")
+	if err != nil || tgt.cluster.Name != hw.A100Cluster.Name || tgt.gpus != 8 || tgt.task.ID != "T" {
+		t.Fatalf("overrides: %+v %v", tgt, err)
+	}
+	for _, c := range []struct {
+		name, model, cluster string
+		gpus                 int
+		task, want           string
+	}{
+		{"unknown model", "GPT-9000", "", 0, "S", "GPT-9000"},
+		{"unknown model with cluster and gpus", "GPT-9000", "A40", 4, "S", "GPT-9000"},
+		{"unknown cluster", "OPT-13B", "H100", 0, "S", "H100"},
+		{"unknown task", "OPT-13B", "", 0, "nope", "nope"},
+	} {
+		if _, err := resolveTarget(c.model, c.cluster, c.gpus, c.task); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -8,9 +8,7 @@ import (
 	"strconv"
 	"strings"
 
-	"exegpt/internal/model"
 	"exegpt/internal/sched"
-	"exegpt/internal/workload"
 )
 
 // cmdSearch finds the best schedule for one deployment under each
@@ -20,10 +18,7 @@ import (
 func cmdSearch(args []string) error {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	newCtx := commonFlags(fs)
-	modelName := fs.String("model", "OPT-13B", "model name (Table 1)")
-	clusterName := fs.String("cluster", "", "cluster (A40 or A100; default: the model's Table 2 cluster)")
-	gpus := fs.Int("gpus", 0, "GPUs to deploy on (default: the model's Table 2 count)")
-	taskID := fs.String("task", "S", "task ID (S, T, G, C1, C2, wmt, alpaca, cnn)")
+	resolve := targetFlags(fs)
 	policySet := fs.String("policies", "all", "policy set: rra, waa, disagg or all")
 	lbound := fs.Float64("lbound", 0, "latency bound in seconds (0 = unconstrained)")
 	lbounds := fs.String("lbounds", "",
@@ -36,28 +31,7 @@ func cmdSearch(args []string) error {
 		return err
 	}
 
-	m, err := model.ByName(*modelName)
-	if err != nil {
-		return err
-	}
-	dep, err := sched.DeploymentFor(m.Name)
-	if err != nil {
-		// No Table 2 entry: cluster and gpus must be given explicitly.
-		if *clusterName == "" || *gpus == 0 {
-			return err
-		}
-	}
-	cluster := dep.Cluster
-	if *clusterName != "" {
-		if cluster, err = clusterByName(*clusterName); err != nil {
-			return err
-		}
-	}
-	nGPUs := dep.GPUs
-	if *gpus > 0 {
-		nGPUs = *gpus
-	}
-	task, err := workload.ByID(*taskID)
+	tgt, err := resolve()
 	if err != nil {
 		return err
 	}
@@ -68,7 +42,7 @@ func cmdSearch(args []string) error {
 	policies := flattenPolicies(groups)
 
 	ctx := newCtx()
-	d, err := ctx.Deploy(m, cluster, nGPUs, task)
+	d, err := ctx.Deploy(tgt.model, tgt.cluster, tgt.gpus, tgt.task)
 	if err != nil {
 		return err
 	}
@@ -96,7 +70,7 @@ func cmdSearch(args []string) error {
 		spelled[i] = fmtSeconds(b)
 	}
 	fmt.Printf("search: %s on %dx %s, task %s, bounds %s, %d workers\n",
-		m.Name, nGPUs, cluster.Name, task.ID, strings.Join(spelled, ","), workers)
+		tgt.model.Name, tgt.gpus, tgt.cluster.Name, tgt.task.ID, strings.Join(spelled, ","), workers)
 
 	if *minLat {
 		min, err := d.Sch.MinLatency(policies)
@@ -125,7 +99,7 @@ func cmdSearch(args []string) error {
 	if !*execute {
 		return nil
 	}
-	reqs, err := ctx.RequestStream(task, 0)
+	reqs, err := ctx.RequestStream(tgt.task, 0)
 	if err != nil {
 		return err
 	}

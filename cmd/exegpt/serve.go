@@ -6,10 +6,7 @@ import (
 	"fmt"
 
 	"exegpt/internal/atomicfile"
-	"exegpt/internal/model"
-	"exegpt/internal/sched"
 	"exegpt/internal/serve"
-	"exegpt/internal/workload"
 )
 
 // cmdServe runs the online serving loop: open-loop arrivals into the
@@ -17,10 +14,7 @@ import (
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	newCtx := commonFlags(fs)
-	modelName := fs.String("model", "OPT-13B", "model name (Table 1)")
-	clusterName := fs.String("cluster", "", "cluster (A40 or A100; default: the model's Table 2 cluster)")
-	gpus := fs.Int("gpus", 0, "GPUs to deploy on (default: the model's Table 2 count)")
-	taskID := fs.String("task", "S", "task ID (S, T, G, C1, C2, wmt, alpaca, cnn)")
+	resolve := targetFlags(fs)
 	policySet := fs.String("policies", "all", "policy set: rra, waa, disagg or all")
 	arrival := fs.String("arrival", "poisson", "arrival process: poisson, mmpp, diurnal or step")
 	rate := fs.Float64("rate", 2, "mean arrival rate in requests/second")
@@ -37,27 +31,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 
-	m, err := model.ByName(*modelName)
-	if err != nil {
-		return err
-	}
-	dep, err := sched.DeploymentFor(m.Name)
-	if err != nil {
-		if *clusterName == "" || *gpus == 0 {
-			return err
-		}
-	}
-	cluster := dep.Cluster
-	if *clusterName != "" {
-		if cluster, err = clusterByName(*clusterName); err != nil {
-			return err
-		}
-	}
-	nGPUs := dep.GPUs
-	if *gpus > 0 {
-		nGPUs = *gpus
-	}
-	task, err := workload.ByID(*taskID)
+	tgt, err := resolve()
 	if err != nil {
 		return err
 	}
@@ -67,7 +41,7 @@ func cmdServe(args []string) error {
 	}
 
 	ctx := newCtx()
-	d, err := ctx.Deploy(m, cluster, nGPUs, task)
+	d, err := ctx.Deploy(tgt.model, tgt.cluster, tgt.gpus, tgt.task)
 	if err != nil {
 		return err
 	}

@@ -261,7 +261,7 @@ func TestBBMatchesExhaustive(t *testing.T) {
 		if !bb.Found {
 			continue
 		}
-		if bb.Best.Throughput < ex.Best.Throughput*(1-s.TolT-0.02) {
+		if bb.Best.Throughput < ex.Best.Throughput*(1-tolT-0.02) {
 			t.Fatalf("bound %v: B&B tput %v far below exhaustive %v",
 				bound, bb.Best.Throughput, ex.Best.Throughput)
 		}

@@ -1,10 +1,11 @@
 // Per-family estimator registry: the core half of the execution-policy
 // seam. Each sched.Family registers its reference (Simulator) and fast
 // (Evaluator) estimate implementations here — in a family_<name>.go
-// file alongside the runner driver selection — and both Estimate entry
-// points dispatch through the registry. Adding a family never grows a
-// switch in this package; the sched/familytest conformance suite pins
-// the two paths bit-identical for every registration.
+// file, which calls the family's sched allocation builder — and both
+// Estimate entry points dispatch through the registry. Adding a family
+// never grows a switch in this package; the sched/familytest
+// conformance suite pins the two paths bit-identical for every
+// registration.
 package core
 
 import (

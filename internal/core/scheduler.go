@@ -101,10 +101,6 @@ type perf struct {
 // Evaluator.
 type Scheduler struct {
 	Sim *Simulator
-	// TolT and TolL are the throughput/latency tolerances of
-	// Algorithm 1; they absorb small non-monotonicities (§5.1).
-	// Expressed as fractions of the latency bound / running best.
-	TolT, TolL float64
 	// MaxBatch and MaxND bound the search space.
 	MaxBatch, MaxND, MaxBm int
 	// Workers is the number of concurrent branch workers; 0 means
@@ -135,11 +131,14 @@ type Scheduler struct {
 	evs []*Evaluator
 }
 
-// NewScheduler returns a scheduler with the paper's default tolerances
-// (5%, Table 5).
+// tolT and tolL are the throughput/latency tolerances of Algorithm 1,
+// the paper's 5% (Table 5); they absorb small non-monotonicities
+// (§5.1). Expressed as fractions of the running best / latency bound.
+const tolT, tolL = 0.05, 0.05
+
+// NewScheduler returns a scheduler over the full search space.
 func NewScheduler(sim *Simulator) *Scheduler {
-	return &Scheduler{Sim: sim, TolT: 0.05, TolL: 0.05,
-		MaxBatch: 4096, MaxND: 64, MaxBm: 8}
+	return &Scheduler{Sim: sim, MaxBatch: 4096, MaxND: 64, MaxBm: 8}
 }
 
 // workers resolves the effective worker-pool size.
@@ -417,7 +416,7 @@ func (s *Scheduler) epsLat(lbound float64) float64 {
 	if math.IsInf(lbound, 1) {
 		return 0
 	}
-	return s.TolL * lbound
+	return tolL * lbound
 }
 
 // bbLoop drains the block queue of Algorithm 1 for branch j under
@@ -430,10 +429,10 @@ func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound floa
 	epsL := s.epsLat(lbound)
 
 	// canBeat reports whether a block with throughput upper bound upp
-	// could still improve on the incumbent T* (within the TolT
+	// could still improve on the incumbent T* (within the tolT
 	// tolerance, Line 18).
 	canBeat := func(upp float64) bool {
-		return inc.bound == 0 || upp+s.TolT*inc.bound >= inc.bound
+		return inc.bound == 0 || upp+tolT*inc.bound >= inc.bound
 	}
 
 	for len(queue) > 0 {
@@ -655,7 +654,7 @@ func (s *Scheduler) resumeSearch(ev *Evaluator, j branch, lbound, seed float64, 
 // The selections are the grid optimum as long as a block's top-corner
 // throughput upper-bounds its interior and its bottom-corner latency
 // lower-bounds it (the §4.2 monotonicity Algorithm 1 assumes, with
-// TolT and TolL absorbing small violations — Table 5 measures how well
+// tolT and tolL absorbing small violations — Table 5 measures how well
 // it holds). The WAA Bm axis breaks it at small BD (Bm=8 is slower
 // than Bm=1), so a selection can fall below the Exhaustive optimum and
 // can depend on which other bounds share the pass: on the Table 2 grid

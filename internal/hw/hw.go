@@ -9,10 +9,7 @@
 // the specs defined here.
 package hw
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // GPUSpec describes one GPU model.
 type GPUSpec struct {
@@ -151,14 +148,6 @@ func (c Cluster) Sub(n int) (Cluster, error) {
 // NodeOf returns the node index hosting the given GPU rank.
 func (c Cluster) NodeOf(rank int) int { return rank / c.GPUsPerNode }
 
-// LinkBetween returns the link connecting two GPU ranks.
-func (c Cluster) LinkBetween(a, b int) Link {
-	if c.NodeOf(a) == c.NodeOf(b) {
-		return c.IntraNode
-	}
-	return c.InterNode
-}
-
 // GroupLink returns the slowest link among a tensor-parallel group of
 // consecutive ranks [first, first+size); collectives are bottlenecked by
 // the slowest participating link.
@@ -191,16 +180,6 @@ func P2PTime(link Link, n int64) float64 {
 		return 0
 	}
 	return link.Time(n)
-}
-
-// BroadcastTime returns the time to broadcast n bytes to groupSize-1
-// peers using a binomial tree.
-func BroadcastTime(link Link, groupSize int, n int64) float64 {
-	if groupSize <= 1 || n <= 0 {
-		return 0
-	}
-	rounds := math.Ceil(math.Log2(float64(groupSize)))
-	return rounds * link.Time(n)
 }
 
 // LoadTime returns the time to load modelBytes onto the given number of

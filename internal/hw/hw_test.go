@@ -51,12 +51,6 @@ func TestNodeOfAndLinks(t *testing.T) {
 	if c.NodeOf(0) != 0 || c.NodeOf(7) != 0 || c.NodeOf(8) != 1 {
 		t.Fatal("NodeOf wrong")
 	}
-	if got := c.LinkBetween(0, 7); got.Name != c.IntraNode.Name {
-		t.Fatalf("intra link = %v", got.Name)
-	}
-	if got := c.LinkBetween(7, 8); got.Name != c.InterNode.Name {
-		t.Fatalf("inter link = %v", got.Name)
-	}
 	if got := c.GroupLink(0, 8); got.Name != c.IntraNode.Name {
 		t.Fatalf("group link in-node = %v", got.Name)
 	}
@@ -95,18 +89,13 @@ func TestAllReduce(t *testing.T) {
 	}
 }
 
-func TestBroadcastAndP2P(t *testing.T) {
+func TestP2PTime(t *testing.T) {
 	l := Link{Latency: 1e-6, Bandwidth: 1e9}
 	if P2PTime(l, 0) != 0 {
 		t.Fatal("p2p of 0 bytes should be free")
 	}
-	if BroadcastTime(l, 1, 100) != 0 {
-		t.Fatal("broadcast to self should be free")
-	}
-	b2 := BroadcastTime(l, 2, 1000)
-	b8 := BroadcastTime(l, 8, 1000)
-	if b8 <= b2 {
-		t.Fatalf("broadcast should grow with group: %v <= %v", b8, b2)
+	if got, want := P2PTime(l, 1000), l.Time(1000); got != want {
+		t.Fatalf("p2p of 1000 bytes = %v, want link time %v", got, want)
 	}
 }
 

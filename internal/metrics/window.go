@@ -66,9 +66,6 @@ func NewWindowed(width, sloBound float64) (*Windowed, error) {
 	return &Windowed{width: width, bound: sloBound}, nil
 }
 
-// Width returns the window width in seconds.
-func (w *Windowed) Width() float64 { return w.width }
-
 // WindowOf returns the index of the window containing time t.
 func (w *Windowed) WindowOf(t float64) int {
 	if t <= 0 {

@@ -89,11 +89,10 @@ func (q *arrivalFIFO) pop() futureArrival {
 // OpenRun is one schedule's live execution. It is not safe for
 // concurrent use; the serving loop drives it from one goroutine.
 type OpenRun struct {
-	eng   *Engine
-	cfg   sched.Config
-	alloc sched.Allocation
-	sim   *eventsim.Sim
-	dec   decoder // query.start is the arrival (admission under Engine.Run)
+	eng *Engine
+	cfg sched.Config
+	sim *eventsim.Sim
+	dec decoder // query.start is the arrival (admission under Engine.Run)
 
 	queue     reqFIFO
 	arrivedAt map[int]float64 // request ID -> arrival time
@@ -131,22 +130,20 @@ type OpenRun struct {
 	// (the serving loop feeds windowed recorders from it).
 	OnComplete func(QueryRecord)
 
-	// drv is the execution driver the policy's family selected.
-	drv driver
-
 	// kern prices the allocation's stages into the reused times buffer.
 	kern  *profile.Stages
 	times []float64
 
-	// Event callbacks, bound once (onArrive by Open, the rest by the
-	// driver's openInit) so that scheduling an event allocates nothing.
-	onArrive, onDecode, onStep, onEncode func()
+	// Event callbacks, bound once by Open so that scheduling an event
+	// allocates nothing. wake restarts admission when work arrives at a
+	// parked engine: rraCycle for shared-pool families, startEncode for
+	// dedicated-pool ones.
+	onArrive, onDecode, onStep, onEncode, wake func()
 
 	// rraIter is the decode iteration of the current RRA cycle.
 	rraIter int
 
-	// Dedicated-pool pipeline state; populated by the pooled driver's
-	// openInit.
+	// Dedicated-pool pipeline state; populated by Open.
 	bm           int
 	inbox        []encoded
 	inflight     int // encoder batches not yet fully merged
@@ -175,7 +172,7 @@ func (e *Engine) Open(cfg sched.Config, alloc sched.Allocation, startAt float64)
 		return nil, err
 	}
 	o := &OpenRun{
-		eng: e, cfg: cfg, alloc: alloc,
+		eng: e, cfg: cfg,
 		sim:       eventsim.New(),
 		dec:       decoder{model: e.Model, states: states},
 		arrivedAt: map[int]float64{},
@@ -187,13 +184,24 @@ func (e *Engine) Open(cfg sched.Config, alloc sched.Allocation, startAt float64)
 	}
 	o.sim.MaxSteps = 500_000_000
 	o.onArrive = o.arrive
-	drv, err := driverFor(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	o.drv = drv
-	if err := drv.openInit(o); err != nil {
-		return nil, err
+	// The family's capabilities pick the execution loop (Validate has
+	// checked that the policy is registered): shared pools run the
+	// synchronized phase loop, dedicated pools the asynchronous encoder
+	// and decoder pipelines.
+	if f, _ := sched.FamilyOf(cfg.Policy); f.Caps.DedicatedPools {
+		encStages, decStages := alloc.EncStages(), alloc.DecStages()
+		if len(encStages) == 0 || len(decStages) == 0 {
+			return nil, fmt.Errorf("runner: WAA needs dedicated encode and decode stages")
+		}
+		o.bm = min(cfg.Bm, len(decStages))
+		// The encoder pipeline naturally holds one batch per stage, and
+		// the KV handover keeps more in flight; bound the buffer so the
+		// encoder is never throttled below its steady issue rate but
+		// cannot run unboundedly ahead of the decoder.
+		o.maxInflight = len(encStages) + 3
+		o.onEncode, o.onStep, o.wake = o.startEncode, o.waaStep, o.startEncode
+	} else {
+		o.onDecode, o.onStep, o.wake = o.rraDecode, o.rraStep, o.rraCycle
 	}
 	if startAt > 0 {
 		o.sim.RunUntil(startAt)
@@ -204,14 +212,8 @@ func (e *Engine) Open(cfg sched.Config, alloc sched.Allocation, startAt float64)
 // Now returns the engine's current virtual time.
 func (o *OpenRun) Now() float64 { return o.sim.Now() }
 
-// Err returns the first execution error, if any.
-func (o *OpenRun) Err() error { return o.err }
-
 // Config returns the schedule being executed.
 func (o *OpenRun) Config() sched.Config { return o.cfg }
-
-// Queued returns the number of arrived requests not yet admitted.
-func (o *OpenRun) Queued() int { return o.queue.Len() }
 
 // QueueDepth returns all requests in the system: queued, encoded
 // in-flight (WAA handover), and actively decoding.
@@ -287,7 +289,7 @@ func (o *OpenRun) applyArrival(req workload.Request, at float64) {
 	o.totalIn += int64(req.InLen)
 	if o.parked {
 		o.parked = false
-		o.drv.openWake(o)
+		o.wake()
 	}
 }
 
@@ -334,7 +336,7 @@ func (o *OpenRun) hasEncodeWork() bool {
 
 // takeBatch forms the next encode batch from the live queue through the
 // engine's batch-formation policy — the single admission call site both
-// drivers share.
+// execution loops share.
 func (o *OpenRun) takeBatch() []workload.Request {
 	return o.eng.formation().Take(&o.queue, o.cfg.BE, o.meanIn(), len(o.dec.active), o.cfg.BD)
 }
@@ -378,9 +380,9 @@ func (o *OpenRun) rraCycle() {
 	var encDur float64
 	if o.hasEncodeWork() {
 		batch := o.takeBatch()
-		admitted, tokens, deferred := o.eng.admitBatch(o.dec.states, batch)
+		admitted, tokens, deferred := admitBatch(o.dec.states, batch)
 		if deferred > 0 {
-			// Out of memory: the deferred victims return to the queue
+			// Out of memory: the deferred tail returns to the queue
 			// front and the phase proceeds with what fits.
 			o.queue.Rewind(deferred)
 		}
@@ -523,7 +525,7 @@ func (o *OpenRun) iterate() {
 	waiting := o.inbox[:0]
 	merged := false
 	for _, a := range o.inbox {
-		admitted, _, deferred := o.eng.admitBatch(o.dec.states, a.batch)
+		admitted, _, deferred := admitBatch(o.dec.states, a.batch)
 		for _, r := range admitted {
 			o.activate(r, a.issued)
 			o.inflightReqs--

@@ -1,23 +1,20 @@
-// The runner half of the execution-policy seam: batch formation and
-// victim/admission selection, split out of the execution drivers so a
-// policy family (or an experiment) can swap either without touching the
-// engine. The defaults reproduce the paper's behavior exactly: §5.2
-// dynamic workload adjustment for formation, FIFO defer-the-tail for
-// admission.
+// The runner half of the execution-policy seam: batch formation, split
+// out of the execution loops so a policy family (or an experiment) can
+// swap it without touching the engine. The default reproduces the
+// paper's §5.2 dynamic workload adjustment. Admission of a formed batch
+// is FIFO: the longest prefix that fits in KV memory is admitted and
+// the tail is deferred.
 package runner
 
 import "exegpt/internal/workload"
 
 // Queue is the admission-side view of the request FIFO that a
 // BatchFormation policy draws from. Peek returns up to n queued
-// requests without consuming them; Advance consumes from the front;
-// Rewind un-consumes (a deferred admission returns requests to the
-// front in their original order).
+// requests without consuming them; Advance consumes from the front.
 type Queue interface {
 	Len() int
 	Peek(n int) []workload.Request
 	Advance(n int)
-	Rewind(n int)
 }
 
 // BatchFormation forms the next encode batch from the pending queue.
@@ -28,31 +25,12 @@ type BatchFormation interface {
 	Take(q Queue, want int, meanIn float64, activeNow, targetBD int) []workload.Request
 }
 
-// VictimSelector decides the admission order of a formed batch and
-// which requests yield (become victims) when KV admission fails.
-type VictimSelector interface {
-	// Admit tries requests from batch in policy order via tryAdmit,
-	// which reserves KV for one request or reports failure. It returns
-	// the admitted requests in admission order and the number of batch
-	// entries the caller must defer (rewind to its queue or hold for
-	// the next merge).
-	Admit(batch []workload.Request, tryAdmit func(workload.Request) error) (admitted []workload.Request, deferred int)
-}
-
 // formation returns the engine's batch-formation policy.
 func (e *Engine) formation() BatchFormation {
 	if e.Formation != nil {
 		return e.Formation
 	}
 	return adaptiveFormation{}
-}
-
-// victims returns the engine's victim-selection policy.
-func (e *Engine) victims() VictimSelector {
-	if e.Victims != nil {
-		return e.Victims
-	}
-	return deferTail{}
 }
 
 // adaptiveFormation is the default formation policy: dynamic workload
@@ -92,29 +70,19 @@ func (adaptiveFormation) Take(q Queue, want int, meanIn float64, activeNow, targ
 	return batch
 }
 
-// deferTail is the default victim selector: admit the longest prefix
-// that fits in order; the entire unadmitted tail yields. FIFO, no
-// preemption, no reordering — an SLO-aware selector would reorder here.
-type deferTail struct{}
-
-func (deferTail) Admit(batch []workload.Request, tryAdmit func(workload.Request) error) ([]workload.Request, int) {
+// admitBatch reserves KV memory on states for the longest prefix of
+// batch that fits, in order (FIFO, no preemption, no reordering). It
+// returns that prefix, its summed input tokens, and the number of tail
+// entries the caller must defer (rewind to its queue or hold for the
+// next merge). Decoder-only models (self-attention over the prompt) and
+// encoder-decoder models (cross-attention memoization) alike cache one
+// entry per input token.
+func admitBatch(states []*stageState, batch []workload.Request) (admitted []workload.Request, tokens, deferred int) {
 	for i, r := range batch {
-		if err := tryAdmit(r); err != nil {
-			return batch[:i], len(batch) - i
+		if admit(states, r.ID, r.InLen) != nil {
+			return batch[:i], tokens, len(batch) - i
 		}
-	}
-	return batch, 0
-}
-
-// admitBatch admits batch onto states through the engine's victim
-// selector, returning the admitted prefix, its summed input tokens, and
-// the deferred count the caller must rewind or hold.
-func (e *Engine) admitBatch(states []*stageState, batch []workload.Request) (admitted []workload.Request, tokens, deferred int) {
-	admitted, deferred = e.victims().Admit(batch, func(r workload.Request) error {
-		return admit(states, r.ID, e.promptTokens(r))
-	})
-	for _, r := range admitted {
 		tokens += r.InLen
 	}
-	return admitted, tokens, deferred
+	return batch, tokens, 0
 }

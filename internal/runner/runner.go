@@ -60,10 +60,6 @@ type Engine struct {
 	// Formation overrides the batch-formation policy; nil selects the
 	// §5.2 adaptive default (see policy.go).
 	Formation BatchFormation
-	// Victims overrides victim/admission selection; nil selects the
-	// FIFO defer-tail default (admit in order, the unadmitted tail
-	// yields).
-	Victims VictimSelector
 }
 
 // New returns an engine with paper-default runtime options.
@@ -303,15 +299,6 @@ func peakMem(states []*stageState) int64 {
 	return peak
 }
 
-// promptTokens returns the tokens a request pins in the decode-side KV
-// cache after prefill.
-func (e *Engine) promptTokens(r workload.Request) int {
-	// Both decoder-only (self-attention over the prompt) and
-	// encoder-decoder models (cross-attention memoization) cache one
-	// entry per input token.
-	return r.InLen
-}
-
 // Run executes the schedule on a pre-drawn request stream and drains
 // it to empty. It is the open engine with every request queued at t=0
 // before its one wake, plus two rules of its own: a query's latency
@@ -364,7 +351,7 @@ func (e *Engine) runAll(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 	}
 	o.arrivals = int64(len(reqs))
 	o.parked = false
-	o.drv.openWake(o)
+	o.wake()
 	if err := o.Finish(); err != nil {
 		return nil, err
 	}

@@ -204,6 +204,30 @@ func (fixedTake) Take(q Queue, want int, _ float64, _, _ int) []workload.Request
 	return batch
 }
 
+// admitBatch admits the longest prefix that fits in KV memory, in
+// order: the first request that does not fit and everything behind it
+// are deferred, even requests that would fit on their own.
+func TestAdmitBatchDefersTail(t *testing.T) {
+	e := engine(t, model.OPT13B, 4, hw.A40Cluster)
+	states, err := e.newStageStates(rraAlloc(t, e, sched.TPSpec{Degree: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []workload.Request{{ID: 1, InLen: 100}, {ID: 2, InLen: 200}, {ID: 3, InLen: 1 << 30}, {ID: 4, InLen: 50}}
+	admitted, tokens, deferred := admitBatch(states, batch)
+	if len(admitted) != 2 || admitted[0].ID != 1 || admitted[1].ID != 2 || tokens != 300 || deferred != 2 {
+		t.Fatalf("admitted %v, %d tokens, %d deferred; want IDs 1,2, 300 tokens, 2 deferred", admitted, tokens, deferred)
+	}
+	for i, st := range states {
+		if got := st.kv.LiveTokens(); got != 300 {
+			t.Fatalf("stage %d caches %d tokens after the failed admission, want 300", i, got)
+		}
+	}
+	if admitted, tokens, deferred = admitBatch(states, batch[3:]); len(admitted) != 1 || tokens != 50 || deferred != 0 {
+		t.Fatalf("fitting batch: admitted %v, %d tokens, %d deferred", admitted, tokens, deferred)
+	}
+}
+
 // Dynamic adjustment (§5.2) reduces decoder-workload variance.
 func TestDynamicAdjustmentReducesVariance(t *testing.T) {
 	reqs := requests(t, workload.Translation, 500, 19)

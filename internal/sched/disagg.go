@@ -4,8 +4,8 @@
 // workload-aware, and the KV handover is modeled on the critical path
 // (pool-to-pool pull, no host staging overlap). It registers here and
 // in core's per-family estimator registry; no switch anywhere grows an
-// arm for it. Experimental: excluded from default policy sets, opt in
-// with `-policies disagg`.
+// arm for it. Experimental: the CLI's `all` policy set and serve's
+// default set leave it out; select it with `-policies disagg`.
 package sched
 
 import (
@@ -46,7 +46,7 @@ func init() {
 		Policy: Disagg,
 		Name:   "DISAGG",
 		Group:  "ExeGPT-PD",
-		Caps:   Caps{DedicatedPools: true, UsesBm: true, Experimental: true},
+		Caps:   Caps{DedicatedPools: true, UsesBm: true},
 		Axes:   []AxisKind{AxisBE, AxisBm},
 		Validate: func(c Config, totalGPUs int) error {
 			if c.Bm < 1 {
@@ -58,8 +58,5 @@ func init() {
 			return nil
 		},
 		AdmitTP: admitPoolTP,
-		Allocate: func(m model.Model, cluster hw.Cluster, cfg Config, _ SplitHints) (Allocation, error) {
-			return AllocateDisagg(m, cluster, cfg.TP)
-		},
 	})
 }

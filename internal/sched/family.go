@@ -1,19 +1,18 @@
 // Execution-policy family registry: the single seam through which the
 // runner, the simulator/evaluator estimate paths, and the B&B schedule
 // search learn about a policy. A family registers its name, capability
-// flags, search axes, and allocation builder here; the other layers ask
-// the registry instead of switching on Policy values. Adding a policy
-// means registering a Family (plus per-family estimators in core) — no
-// switch in core or runner grows a new arm.
+// flags, search axes, config validation and TP branch admission here;
+// the other layers ask the registry instead of switching on Policy
+// values. Its allocation builder (AllocateRRA, AllocateWAA,
+// AllocateDisagg) is called by the family's own estimators in core.
+// Adding a policy means registering a Family (plus per-family
+// estimators in core) — no switch in core or runner grows a new arm.
 package sched
 
 import (
 	"fmt"
 	"sort"
 	"strconv"
-
-	"exegpt/internal/hw"
-	"exegpt/internal/model"
 )
 
 // Caps are a family's capability flags, replacing ad-hoc IsWAA checks.
@@ -29,9 +28,6 @@ type Caps struct {
 	// UsesBm: the Bm control variable (decoder micro-batches) is
 	// meaningful for this family.
 	UsesBm bool
-	// Experimental families are excluded from default policy sets; they
-	// must be selected explicitly (e.g. `exegpt sweep -policies disagg`).
-	Experimental bool
 }
 
 // AxisKind names a B&B root-branch search axis; the scheduler maps each
@@ -51,15 +47,6 @@ const (
 	AxisBm
 )
 
-// SplitHints carries the workload probes an allocation builder may
-// consult when dividing GPUs between pools (§4.1): estimated per-batch
-// encode/decode stage times and per-side memory footprints. Families
-// that split by a fixed rule ignore them.
-type SplitHints struct {
-	CE, CD             float64
-	EncBytes, DecBytes int64
-}
-
 // Family describes one execution-policy family to every layer.
 type Family struct {
 	Policy Policy
@@ -78,8 +65,6 @@ type Family struct {
 	// AdmitTP reports whether a (policy, TP) pair can root a B&B branch
 	// on a cluster of totalGPUs.
 	AdmitTP func(tp TPSpec, totalGPUs int) bool
-	// Allocate maps a validated config onto the cluster.
-	Allocate func(m model.Model, cluster hw.Cluster, cfg Config, hints SplitHints) (Allocation, error)
 }
 
 var families = map[Policy]Family{}
@@ -90,7 +75,7 @@ func Register(f Family) {
 	if _, dup := families[f.Policy]; dup {
 		panic(fmt.Sprintf("sched: duplicate family for policy %d", int(f.Policy)))
 	}
-	if f.Name == "" || f.Validate == nil || f.AdmitTP == nil || f.Allocate == nil {
+	if f.Name == "" || f.Validate == nil || f.AdmitTP == nil {
 		panic(fmt.Sprintf("sched: incomplete family %q", f.Name))
 	}
 	for _, g := range families {
@@ -114,18 +99,6 @@ func Families() []Family {
 		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Policy < out[j].Policy })
-	return out
-}
-
-// DefaultPolicies returns the non-experimental policies in canonical
-// order — the set "search everything" spellings expand to.
-func DefaultPolicies() []Policy {
-	var out []Policy
-	for _, f := range Families() {
-		if !f.Caps.Experimental {
-			out = append(out, f.Policy)
-		}
-	}
 	return out
 }
 
@@ -167,14 +140,6 @@ func waaFamily(p Policy, name string) Family {
 			return validatePoolConfig(c, totalGPUs)
 		},
 		AdmitTP: admitPoolTP,
-		Allocate: func(m model.Model, cluster hw.Cluster, cfg Config, hints SplitHints) (Allocation, error) {
-			encGPUs, decGPUs, err := WAASplit(cluster.TotalGPUs(), cfg.Policy,
-				hints.CE, hints.CD, hints.EncBytes, hints.DecBytes)
-			if err != nil {
-				return Allocation{}, err
-			}
-			return AllocateWAA(m, cluster, cfg.Policy, encGPUs, decGPUs, cfg.TP)
-		},
 	}
 }
 
@@ -192,9 +157,6 @@ func init() {
 			return nil
 		},
 		AdmitTP: admitAnyTP,
-		Allocate: func(m model.Model, cluster hw.Cluster, cfg Config, _ SplitHints) (Allocation, error) {
-			return AllocateRRA(m, cluster, cfg.TP)
-		},
 	})
 	Register(waaFamily(WAAC, "WAA-C"))
 	Register(waaFamily(WAAM, "WAA-M"))

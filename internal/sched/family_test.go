@@ -42,9 +42,7 @@ func TestRegisterContracts(t *testing.T) {
 	}
 	ok := func(c Config, n int) error { return nil }
 	admit := func(tp TPSpec, n int) bool { return true }
-	mustPanic("duplicate policy", Family{Policy: RRA, Name: "RRA-2", Validate: ok, AdmitTP: admit,
-		Allocate: families[RRA].Allocate})
-	mustPanic("duplicate name", Family{Policy: Policy(99), Name: "RRA", Validate: ok, AdmitTP: admit,
-		Allocate: families[RRA].Allocate})
+	mustPanic("duplicate policy", Family{Policy: RRA, Name: "RRA-2", Validate: ok, AdmitTP: admit})
+	mustPanic("duplicate name", Family{Policy: Policy(99), Name: "RRA", Validate: ok, AdmitTP: admit})
 	mustPanic("incomplete", Family{Policy: Policy(99), Name: "HOLLOW"})
 }

@@ -135,15 +135,14 @@ func testIdentity(t *testing.T, f sched.Family) {
 	}
 }
 
-// testAllocate checks the family's allocation builder produces a shape
-// matching its capability flags on the fixture cluster.
+// testAllocate checks that the allocation of the family's feasible
+// estimate — the one the runner executes — has the shape its capability
+// flags promise on the fixture cluster.
 func testAllocate(t *testing.T, f sched.Family) {
 	fx := newFixture(t)
-	cfg := grid(f, fx.cluster.TotalGPUs())[0]
-	hints := sched.SplitHints{CE: 2, CD: 1, EncBytes: 1 << 30, DecBytes: 1 << 30}
-	alloc, err := f.Allocate(fx.model, fx.cluster, cfg, hints)
-	if err != nil {
-		t.Fatalf("Allocate %+v: %v", cfg, err)
+	alloc := feasible(t, fx, f).Alloc
+	if alloc.Policy != f.Policy {
+		t.Fatalf("allocation policy %v, want %v", alloc.Policy, f.Policy)
 	}
 	if len(alloc.Stages) == 0 {
 		t.Fatal("allocation has no stages")
@@ -151,6 +150,9 @@ func testAllocate(t *testing.T, f sched.Family) {
 	enc, dec := len(alloc.EncStages()), len(alloc.DecStages())
 	if f.Caps.DedicatedPools && (enc == 0 || dec == 0) {
 		t.Fatalf("dedicated-pool family allocated enc=%d dec=%d stages", enc, dec)
+	}
+	if n := fx.cluster.TotalGPUs(); f.Caps.DedicatedPools && alloc.EncGPUs+alloc.DecGPUs != n {
+		t.Fatalf("dedicated pools enc=%d + dec=%d GPUs, want all %d", alloc.EncGPUs, alloc.DecGPUs, n)
 	}
 	if !f.Caps.DedicatedPools && (alloc.EncGPUs != 0 || alloc.DecGPUs != 0) {
 		t.Fatalf("shared-pool family split GPUs enc=%d dec=%d", alloc.EncGPUs, alloc.DecGPUs)

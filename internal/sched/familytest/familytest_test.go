@@ -18,24 +18,3 @@ func TestFamilies(t *testing.T) {
 		t.Run(f.Name, func(t *testing.T) { Run(t, f) })
 	}
 }
-
-// TestDefaultPoliciesExcludeExperimental pins the default search set to
-// the paper's three families; experimental families are opt-in only.
-func TestDefaultPoliciesExcludeExperimental(t *testing.T) {
-	defaults := sched.DefaultPolicies()
-	want := []sched.Policy{sched.RRA, sched.WAAC, sched.WAAM}
-	if len(defaults) != len(want) {
-		t.Fatalf("DefaultPolicies = %v, want %v", defaults, want)
-	}
-	for i, p := range want {
-		if defaults[i] != p {
-			t.Fatalf("DefaultPolicies = %v, want %v", defaults, want)
-		}
-	}
-	for _, p := range defaults {
-		f, ok := sched.FamilyOf(p)
-		if !ok || f.Caps.Experimental {
-			t.Fatalf("default policy %v missing or experimental", p)
-		}
-	}
-}

@@ -32,6 +32,11 @@ import (
 	"exegpt/internal/workload"
 )
 
+// benefitHorizon is the span in seconds over which a candidate
+// schedule's service gain is projected, capped by the remaining
+// duration.
+const benefitHorizon = 120
+
 // Options configures one serving run. The zero value is not usable;
 // fill at least Rate and Duration and call Run.
 type Options struct {
@@ -65,10 +70,6 @@ type Options struct {
 	// MinSample is the minimum number of recent completions needed to
 	// re-estimate length distributions (default 64).
 	MinSample int
-	// Horizon is the benefit horizon in seconds over which a candidate
-	// schedule's service gain is projected (default 120), capped by
-	// the remaining duration.
-	Horizon float64
 	// StepAt and StepFactor configure the step arrival kind.
 	StepAt, StepFactor float64
 	// Policies is the schedule search space (default all).
@@ -96,9 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinSample <= 0 {
 		o.MinSample = 64
-	}
-	if o.Horizon <= 0 {
-		o.Horizon = 120
 	}
 	if len(o.Policies) == 0 {
 		o.Policies = []sched.Policy{sched.RRA, sched.WAAC, sched.WAAM}
@@ -261,7 +259,7 @@ func Run(dep *experiments.Deployment, opts Options) (*Report, error) {
 	for _, o := range []struct {
 		name string
 		v    float64
-	}{{"switch cost", opts.SwitchCost}, {"drift tolerance", opts.DriftTol}, {"horizon", opts.Horizon}} {
+	}{{"switch cost", opts.SwitchCost}, {"drift tolerance", opts.DriftTol}} {
 		if math.IsNaN(o.v) || math.IsInf(o.v, 0) {
 			return nil, fmt.Errorf("serve: %s %v must be finite", o.name, o.v)
 		}
@@ -420,7 +418,7 @@ func Run(dep *experiments.Deployment, opts Options) (*Report, error) {
 			continue
 		}
 		dec.Candidate = scheduleInfo(cand)
-		horizon := math.Min(opts.Horizon, opts.Duration-winEnd)
+		horizon := math.Min(benefitHorizon, opts.Duration-winEnd)
 		downtime := cur.Latency + opts.SwitchCost // drain estimate + re-shard
 		gain := (serviceValue(obsRate, cand.Throughput, cand.Latency, opts.SLO) -
 			serviceValue(obsRate, cur.Throughput, cur.Latency, opts.SLO)) * horizon

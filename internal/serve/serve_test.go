@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"exegpt/internal/experiments"
 	"exegpt/internal/hw"
 	"exegpt/internal/model"
+	"exegpt/internal/sched"
 	"exegpt/internal/workload"
 )
 
@@ -197,6 +199,16 @@ func TestServeSummaryRenders(t *testing.T) {
 	}
 }
 
+// TestServeDefaultPolicySet pins serve's default search set to the
+// paper's three families: the experimental DISAGG family is opt-in
+// only.
+func TestServeDefaultPolicySet(t *testing.T) {
+	want := []sched.Policy{sched.RRA, sched.WAAC, sched.WAAM}
+	if got := (Options{}).withDefaults().Policies; !reflect.DeepEqual(got, want) {
+		t.Fatalf("default policies = %v, want %v", got, want)
+	}
+}
+
 // TestServeRejectsBadOptions covers option validation.
 func TestServeRejectsBadOptions(t *testing.T) {
 	d := deploy(t, 0)
@@ -213,7 +225,6 @@ func TestServeRejectsBadOptions(t *testing.T) {
 		for name, o := range map[string]Options{
 			"switch cost":     {SwitchCost: v},
 			"drift tolerance": {DriftTol: v},
-			"horizon":         {Horizon: v},
 		} {
 			o.Rate, o.Duration = 1, 10
 			_, err := Run(d, o)

@@ -1,6 +1,7 @@
 package familytest
 
 import (
+	"reflect"
 	"testing"
 
 	"exegpt/internal/sched"
@@ -16,5 +17,31 @@ func TestFamilies(t *testing.T) {
 	}
 	for _, f := range fams {
 		t.Run(f.Name, func(t *testing.T) { Run(t, f) })
+	}
+}
+
+// TestDefaultPoliciesExcludeExperimental pins the registry against the
+// default search set that the CLI's "all", serve and the sweep each
+// spell out (RRA, WAA-C, WAA-M): every registered family is one of
+// those three, in canonical order, or the experimental DISAGG family,
+// which the defaults leave out and which must be selected explicitly.
+// A newly registered family fails here until it joins the default sets
+// or is listed as opt-in.
+func TestDefaultPoliciesExcludeExperimental(t *testing.T) {
+	defaults := []sched.Policy{sched.RRA, sched.WAAC, sched.WAAM}
+	optIn := map[sched.Policy]bool{sched.Disagg: true}
+	var got []sched.Policy
+	for _, f := range sched.Families() {
+		if !optIn[f.Policy] {
+			got = append(got, f.Policy)
+		}
+	}
+	if !reflect.DeepEqual(got, defaults) {
+		t.Fatalf("registered non-experimental families = %v, want the default set %v", got, defaults)
+	}
+	for p := range optIn {
+		if _, ok := sched.FamilyOf(p); !ok {
+			t.Fatalf("experimental policy %v not registered", p)
+		}
 	}
 }

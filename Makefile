@@ -73,11 +73,12 @@ lint:
 	fi
 
 # Compare the reference and Evaluator estimate paths plus the
-# sequential/parallel/multi-bound and warm/cold schedule search, then
-# time the event simulator's schedule/fire paths. The end-to-end
-# benchmark is `sh bench/run.sh`.
+# sequential/parallel/multi-bound and warm/cold schedule search and the
+# default-grid branch-and-bound (SchedulerBB), then time the event
+# simulator's schedule/fire paths. The end-to-end benchmark is
+# `sh bench/run.sh`.
 bench:
-	$(GO) test -bench 'FindBest|Estimate' -run '^$$' -benchmem ./internal/core/
+	$(GO) test -bench 'FindBest|Estimate|SchedulerBB' -run '^$$' -benchmem ./internal/core/
 	$(GO) test -bench . -run '^$$' -benchmem ./internal/eventsim/
 
 clean:

@@ -383,6 +383,34 @@ func TestEvaluateMonotonicityUnknownVar(t *testing.T) {
 	}
 }
 
+// TestFamilyAxesFitBlock guards block's fixed index arrays: every
+// registered family's search grid has at most maxAxes axes, each of a
+// distinct kind, in the family's declared split order. A family
+// declaring more would otherwise index past the arrays mid-search.
+func TestFamilyAxesFitBlock(t *testing.T) {
+	s := NewScheduler(optSim(t, workload.Summarization))
+	for _, f := range sched.Families() {
+		axes := s.axesFor(f.Policy)
+		if len(axes) == 0 || len(axes) > maxAxes {
+			t.Errorf("%s: %d axes, want 1..%d", f.Name, len(axes), maxAxes)
+		}
+		if len(axes) != len(f.Axes) {
+			t.Errorf("%s: %d axes for %d declared kinds", f.Name, len(axes), len(f.Axes))
+			continue
+		}
+		seen := map[sched.AxisKind]bool{}
+		for d, a := range axes {
+			if a.Kind != f.Axes[d] {
+				t.Errorf("%s: axis %d has kind %d, declared %d", f.Name, d, a.Kind, f.Axes[d])
+			}
+			if seen[a.Kind] {
+				t.Errorf("%s: axis kind %d repeats", f.Name, a.Kind)
+			}
+			seen[a.Kind] = true
+		}
+	}
+}
+
 func BenchmarkEstimateRRA(b *testing.B) {
 	sim := optSim(b, workload.Summarization)
 	cfg := sched.Config{Policy: sched.RRA, BD: 64, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 1}}

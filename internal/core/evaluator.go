@@ -20,8 +20,13 @@
 // link — so a composite miss makes those few lookups and fans them out
 // in stage order into the Evaluator's one reused buffer, and the
 // pipeline sums add the same terms in the same order as the reference
-// path. The steady state of a search performs zero allocations per
-// probe.
+// path.
+//
+// Whole results are memoized too, by Config, as pointers into an
+// append-only arena of fixed-capacity chunks. The search reads a probe
+// through that pointer (estimatePtr), so a repeat probe copies nothing;
+// the exported Estimate returns a copy. The steady state of a search
+// performs zero allocations per probe (TestFindBestWarmAllocs).
 //
 // An Evaluator is NOT safe for concurrent use: it is per-goroutine
 // state over a shared, read-only Simulator. The scheduler keeps one per
@@ -67,7 +72,8 @@ type allocEntry struct {
 
 	encPhaseByTokens map[int]float64 // PipelinePeriod of the encoding phase by microTokens
 	// iterByMicro is the decode-iteration period indexed by micro-batch
-	// size; NaN marks a slot not yet computed.
+	// size; 0 marks a slot not yet computed (a period is positive, and a
+	// zero would only be recomputed, never misread).
 	iterByMicro []float64
 }
 
@@ -123,8 +129,11 @@ type Evaluator struct {
 
 	// est is the whole-result memo: Algorithm 1 re-probes block corners
 	// on every split (each half shares two corners with its parent), so
-	// roughly half of all probes during a search are exact repeats.
-	est map[sched.Config]Estimate
+	// roughly half of all probes during a search are exact repeats. Its
+	// values point into arena, so a hit hands the search a pointer
+	// rather than a copy and map growth moves pointers only.
+	est   map[sched.Config]*Estimate
+	arena estArena
 
 	probe     waaProbe
 	probeErr  error
@@ -142,7 +151,7 @@ func NewEvaluator(sim *Simulator) *Evaluator {
 		comp: map[int]*compEntry{},
 		rra:  map[sched.TPSpec]*allocEntry{},
 		waa:  map[waaKey]*waaEntry{},
-		est:  map[sched.Config]Estimate{},
+		est:  map[sched.Config]*Estimate{},
 	}
 }
 
@@ -154,15 +163,48 @@ func (e *Evaluator) Sim() *Simulator { return e.sim }
 // shares its Allocation with other results from this Evaluator; treat
 // it as read-only (Simulator.Estimate results already are).
 func (e *Evaluator) Estimate(cfg sched.Config) (Estimate, error) {
+	est, err := e.estimatePtr(cfg)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return *est, nil
+}
+
+// estimatePtr is Estimate returning the memoized result in place. The
+// pointee lives as long as the Evaluator's memo and is never modified;
+// callers must not write through it.
+func (e *Evaluator) estimatePtr(cfg sched.Config) (*Estimate, error) {
 	if est, ok := e.est[cfg]; ok {
 		return est, nil
 	}
 	est, err := e.estimate(cfg)
 	if err != nil {
-		return Estimate{}, err
+		return nil, err
 	}
-	e.est[cfg] = est
-	return est, nil
+	p := e.arena.put(est)
+	e.est[cfg] = p
+	return p, nil
+}
+
+// estChunk is the number of Estimates per arena chunk: about 12 KB, a
+// small-object allocation, and little unused tail for a short search.
+const estChunk = 64
+
+// estArena is append-only storage for memoized Estimates. A chunk is
+// never re-sliced past its capacity, so an append never moves an
+// element and every pointer put returns stays valid; a full chunk is
+// left to the pointers into it and a fresh one started.
+type estArena struct {
+	cur []Estimate
+}
+
+// put stores est and returns its stable address.
+func (a *estArena) put(est Estimate) *Estimate {
+	if len(a.cur) == cap(a.cur) {
+		a.cur = make([]Estimate, 0, estChunk)
+	}
+	a.cur = append(a.cur, est)
+	return &a.cur[len(a.cur)-1]
 }
 
 func (e *Evaluator) estimate(cfg sched.Config) (Estimate, error) {
@@ -227,7 +269,7 @@ func (e *Evaluator) rraEncPhase(ae *allocEntry, microTokens int) (float64, error
 // rraDecIter returns the memoized RRA decode-iteration period for one
 // rounded micro-batch size.
 func (e *Evaluator) rraDecIter(ae *allocEntry, micro int) (float64, error) {
-	if micro < len(ae.iterByMicro) && !math.IsNaN(ae.iterByMicro[micro]) {
+	if micro < len(ae.iterByMicro) && ae.iterByMicro[micro] != 0 {
 		return ae.iterByMicro[micro], nil
 	}
 	var err error
@@ -238,22 +280,13 @@ func (e *Evaluator) rraDecIter(ae *allocEntry, micro int) (float64, error) {
 	v := profile.PipelinePeriod(e.times, rraMicroBatches)
 	if micro < maxDenseMicro {
 		if micro >= len(ae.iterByMicro) {
-			ae.iterByMicro = growNaN(ae.iterByMicro, max(micro+1, 2*len(ae.iterByMicro)))
+			grown := make([]float64, max(micro+1, 2*len(ae.iterByMicro)))
+			copy(grown, ae.iterByMicro)
+			ae.iterByMicro = grown
 		}
 		ae.iterByMicro[micro] = v
 	}
 	return v, nil
-}
-
-// growNaN returns s extended to n slots, the new ones NaN (unset), in
-// one allocation.
-func growNaN(s []float64, n int) []float64 {
-	grown := make([]float64, n)
-	copy(grown, s)
-	for i := len(s); i < n; i++ {
-		grown[i] = math.NaN()
-	}
-	return grown
 }
 
 func stageWeights(s *Simulator, stages []sched.Stage) []int64 {

@@ -325,6 +325,31 @@ func TestEvaluatorWarmEstimateAllocs(t *testing.T) {
 	}
 }
 
+// TestFindBestWarmAllocs pins the search loop's share of the
+// zero-allocations-per-probe steady state: on BenchmarkFindBestEvaluator's
+// deployment, a search whose probes all hit the warm whole-result memo
+// allocates only per search, branch and block (states, axes, queues,
+// deferred lists, frontier joins), never per probe: 328 allocations for
+// its 736 probes. A probe result or block that is copied into fresh
+// memory again shows up here as hundreds more.
+func TestFindBestWarmAllocs(t *testing.T) {
+	const maxAllocs = 328
+	s := detScheduler(t, 1)
+	bounds := []float64{20}
+	if _, err := s.FindBestMany(allPolicies, bounds); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := s.FindBestMany(allPolicies, bounds); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm FindBestMany: %v allocations for %d probes", allocs, s.Evals)
+	if allocs > maxAllocs {
+		t.Fatalf("warm FindBestMany: %v allocations, want <= %d (%d probes)", allocs, maxAllocs, s.Evals)
+	}
+}
+
 var errMismatch = errSentinel("estimate mismatch across goroutines")
 
 type errSentinel string

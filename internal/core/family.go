@@ -50,9 +50,9 @@ func (s *Scheduler) axesFor(policy sched.Policy) []Axis {
 	for i, k := range kinds {
 		switch k {
 		case sched.AxisBD:
-			axes[i] = batchAxis("BD", s.MaxBatch)
+			axes[i] = batchAxis(sched.AxisBD, s.MaxBatch)
 		case sched.AxisBE:
-			axes[i] = batchAxis("BE", s.MaxBatch/4)
+			axes[i] = batchAxis(sched.AxisBE, s.MaxBatch/4)
 		case sched.AxisND:
 			axes[i] = ndAxis(s.MaxND)
 		case sched.AxisBm:

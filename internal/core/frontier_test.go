@@ -124,7 +124,7 @@ func TestFrontierInvariants(t *testing.T) {
 		if a.Latency >= b.Latency {
 			t.Fatalf("latency not strictly increasing at %d: %v >= %v", i, a.Latency, b.Latency)
 		}
-		if !better(b.Est, a.Est) {
+		if !better(&b.Est, &a.Est) {
 			t.Fatalf("preference not strictly increasing at %d", i)
 		}
 	}

@@ -27,7 +27,7 @@ import (
 // concrete value such that increasing i increases both throughput and
 // latency.
 type Axis struct {
-	Name string
+	Kind sched.AxisKind
 	// Values in orientation order.
 	Values []int
 }
@@ -37,7 +37,7 @@ func (a Axis) Size() int { return len(a.Values) }
 
 // batchAxis returns a geometric batch grid 1..max (throughput and
 // latency both increase with batch size).
-func batchAxis(name string, max int) Axis {
+func batchAxis(kind sched.AxisKind, max int) Axis {
 	var vals []int
 	for v := 1; v < max; {
 		vals = append(vals, v)
@@ -48,7 +48,7 @@ func batchAxis(name string, max int) Axis {
 		v += step
 	}
 	vals = append(vals, max)
-	return Axis{Name: name, Values: vals}
+	return Axis{Kind: kind, Values: vals}
 }
 
 // ndAxis returns the RRA encoding-frequency axis: decreasing ND
@@ -69,7 +69,7 @@ func ndAxis(max int) Axis {
 	for i, j := 0, len(vals)-1; i < j; i, j = i+1, j-1 {
 		vals[i], vals[j] = vals[j], vals[i]
 	}
-	return Axis{Name: "ND", Values: vals}
+	return Axis{Kind: sched.AxisND, Values: vals}
 }
 
 // bmAxis returns the WAA decoder micro-batch axis: more micro-batches
@@ -79,14 +79,17 @@ func bmAxis(max int) Axis {
 	for v := max; v >= 1; v-- {
 		vals = append(vals, v)
 	}
-	return Axis{Name: "Bm", Values: vals}
+	return Axis{Kind: sched.AxisBm, Values: vals}
 }
 
 // perf is the (latency, throughput) of one grid point, Algorithm 1's
-// perf().
+// perf(). est points at the probe's full Estimate: into the worker
+// Evaluator's append-only arena, or at a heap copy on the reference
+// path. It is shared and read-only, so a perf is pointer-sized to copy
+// and the search copies an Estimate only when it becomes an incumbent.
 type perf struct {
 	lat, tput float64
-	est       Estimate
+	est       *Estimate
 }
 
 // Scheduler is XScheduler. FindBest selects a schedule under one
@@ -118,9 +121,10 @@ type Scheduler struct {
 	Frontier Frontier
 
 	// disableMemo routes every probe through the reference
-	// Simulator.Estimate instead of the per-worker memoized Evaluators.
-	// The selected schedule is identical either way; only the
-	// equivalence tests and benchmarks that compare the paths set it.
+	// Simulator.Estimate instead of the per-worker memoized Evaluators,
+	// heap-allocating one Estimate per probe. The selected schedule is
+	// identical either way; only the equivalence tests and benchmarks
+	// that compare the paths set it.
 	disableMemo bool
 
 	// evs are the per-worker Evaluators, sized by ensureEvals at the
@@ -170,33 +174,35 @@ func (s *Scheduler) eval(w int) *Evaluator {
 	return s.evs[w]
 }
 
-// point evaluates one configuration on ev (nil means the reference
-// Simulator path), counting the evaluation into the caller's
-// branch-local counter.
-func (s *Scheduler) point(ev *Evaluator, policy sched.Policy, tp sched.TPSpec, axes []Axis, idx []int, evals *int) (perf, error) {
+// point evaluates the grid point idx (one index per axis) on ev (nil
+// means the reference Simulator path), counting the evaluation into the
+// caller's branch-local counter.
+func (s *Scheduler) point(ev *Evaluator, policy sched.Policy, tp sched.TPSpec, axes []Axis, idx *[maxAxes]int, evals *int) (perf, error) {
 	cfg := sched.Config{Policy: policy, TP: tp, BE: 1, BD: 1, Bm: 1, ND: 1}
 	for d, a := range axes {
 		v := a.Values[idx[d]]
-		switch a.Name {
-		case "BD":
+		switch a.Kind {
+		case sched.AxisBD:
 			cfg.BD = v
-		case "BE":
+		case sched.AxisBE:
 			cfg.BE = v
-		case "ND":
+		case sched.AxisND:
 			cfg.ND = v
-		case "Bm":
+		case sched.AxisBm:
 			cfg.Bm = v
 		default:
-			return perf{}, fmt.Errorf("core: unknown axis %q", a.Name)
+			return perf{}, fmt.Errorf("core: unknown axis kind %d", int(a.Kind))
 		}
 	}
 	*evals++
-	var est Estimate
+	var est *Estimate
 	var err error
 	if ev != nil {
-		est, err = ev.Estimate(cfg)
+		est, err = ev.estimatePtr(cfg)
 	} else {
-		est, err = s.Sim.Estimate(cfg)
+		var ref Estimate
+		ref, err = s.Sim.Estimate(cfg)
+		est = &ref
 	}
 	if err != nil {
 		return perf{}, err
@@ -207,9 +213,17 @@ func (s *Scheduler) point(ev *Evaluator, policy sched.Policy, tp sched.TPSpec, a
 	return perf{lat: est.Latency, tput: est.Throughput, est: est}, nil
 }
 
-// block is an axis-aligned index box [lo, hi] (inclusive).
+// maxAxes bounds a branch's search dimensions: one per sched.AxisKind,
+// each used at most once (TestFamilyAxesFitBlock pins every registered
+// family to it).
+const maxAxes = int(sched.AxisBm) + 1
+
+// block is an axis-aligned index box [lo, hi] (inclusive) over the
+// first n axes, held in fixed arrays so that splitting and queueing a
+// block copy about a hundred bytes and allocate nothing.
 type block struct {
-	lo, hi []int
+	lo, hi [maxAxes]int
+	n      int  // number of axes in use
 	upp    perf // perf at hi corner (upper bound on tput in the box)
 	lowr   perf // perf at lo corner (lower bound on latency)
 }
@@ -218,26 +232,21 @@ type block struct {
 // corner is infeasible (e.g. out of memory at the largest batch) it
 // bounds nothing: the interior may hold the optimum, so the bound is
 // +Inf and the block must be split rather than pruned.
-func (b block) upperTput() float64 {
+func (b *block) upperTput() float64 {
 	if !b.upp.est.Feasible {
 		return math.Inf(1)
 	}
 	return b.upp.tput
 }
 
-func (b block) isPoint() bool {
-	for d := range b.lo {
-		if b.lo[d] != b.hi[d] {
-			return false
-		}
-	}
-	return true
+func (b *block) isPoint() bool {
+	return b.lo == b.hi
 }
 
 // widestDim returns the dimension with the largest index span.
-func (b block) widestDim() int {
+func (b *block) widestDim() int {
 	best, span := 0, -1
-	for d := range b.lo {
+	for d := 0; d < b.n; d++ {
 		if w := b.hi[d] - b.lo[d]; w > span {
 			span = w
 			best = d
@@ -286,17 +295,20 @@ func configLess(a, b sched.Config) bool {
 // higher throughput, or equal throughput with a canonically smaller
 // configuration. The tie-break makes the selected schedule independent
 // of evaluation order, which parallel search does not control.
-func better(a, b Estimate) bool {
+func better(a, b *Estimate) bool {
 	if a.Throughput != b.Throughput {
 		return a.Throughput > b.Throughput
 	}
 	return configLess(a.Config, b.Config)
 }
 
-// branch is one (policy, TP) root of Algorithm 1.
+// branch is one (policy, TP) root of Algorithm 1. axes is the policy's
+// search grid, built once per search call and shared read-only by every
+// TP branch of that policy.
 type branch struct {
 	policy sched.Policy
 	tp     sched.TPSpec
+	axes   []Axis
 }
 
 // branches enumerates the search roots in canonical order: policies as
@@ -304,12 +316,17 @@ type branch struct {
 // so results are deterministic regardless of completion order.
 func (s *Scheduler) branches(policies []sched.Policy) []branch {
 	var out []branch
+	tps := s.tpChoices()
 	for _, policy := range policies {
-		for _, tp := range s.tpChoices() {
+		var axes []Axis
+		for _, tp := range tps {
 			if !admitBranch(policy, tp, s.Sim.Cluster.TotalGPUs()) {
 				continue // e.g. a dedicated decode pool cannot take every GPU
 			}
-			out = append(out, branch{policy: policy, tp: tp})
+			if axes == nil {
+				axes = s.axesFor(policy)
+			}
+			out = append(out, branch{policy: policy, tp: tp, axes: axes})
 		}
 	}
 	return out
@@ -334,7 +351,6 @@ type branchOutcome struct {
 // branchState persists one (policy, TP) branch's search across the
 // bounds of a search pass.
 type branchState struct {
-	axes []Axis
 	// top and bottom are the phase-1 probes of the root block's
 	// corners (every axis at its last and at its first index).
 	top, bottom perf
@@ -348,27 +364,30 @@ type branchState struct {
 	// Pareto-reduced; it seeds looser bounds' incumbents so previously
 	// discovered schedules are never re-enumerated.
 	frontier Frontier
+	// queue is the block queue's backing array, reused by every bound's
+	// pass (bbLoop always drains it).
+	queue []block
 }
 
 // newBranchState probes branch j's root block corners (phase 1) and
 // roots its resumable state at the full grid block.
 func (s *Scheduler) newBranchState(ev *Evaluator, j branch, evals *int) (branchState, error) {
-	st := branchState{axes: s.axesFor(j.policy)}
-	lo := make([]int, len(st.axes))
-	hi := make([]int, len(st.axes))
-	for d, a := range st.axes {
-		hi[d] = a.Size() - 1
+	var st branchState
+	root := block{n: len(j.axes)}
+	for d, a := range j.axes {
+		root.hi[d] = a.Size() - 1
 	}
 	var err error
-	if st.top, err = s.point(ev, j.policy, j.tp, st.axes, hi, evals); err != nil {
+	if st.top, err = s.point(ev, j.policy, j.tp, j.axes, &root.hi, evals); err != nil {
 		return st, err
 	}
-	if st.bottom, err = s.point(ev, j.policy, j.tp, st.axes, lo, evals); err != nil {
+	if st.bottom, err = s.point(ev, j.policy, j.tp, j.axes, &root.lo, evals); err != nil {
 		return st, err
 	}
-	st.frontier.Add(&st.top.est)
-	st.frontier.Add(&st.bottom.est)
-	st.deferred = []block{{lo: lo, hi: hi, upp: st.top, lowr: st.bottom}}
+	st.frontier.Add(st.top.est)
+	st.frontier.Add(st.bottom.est)
+	root.upp, root.lowr = st.top, st.bottom
+	st.deferred = []block{root}
 	return st, nil
 }
 
@@ -376,7 +395,7 @@ func (s *Scheduler) newBranchState(ev *Evaluator, j branch, evals *int) (branchS
 // throughput this branch's phase-1 probes prove, or (0, false).
 func (st *branchState) seedTput(lbound float64) (float64, bool) {
 	t, ok := 0.0, false
-	for _, p := range []perf{st.top, st.bottom} {
+	for _, p := range [2]*perf{&st.top, &st.bottom} {
 		if p.est.Feasible && p.lat < lbound && p.tput > t {
 			t, ok = p.tput, true
 		}
@@ -399,13 +418,13 @@ type incumbent struct {
 func (inc *incumbent) consider(p *perf, lbound float64) {
 	// Record out-of-bound points too: they answer looser bounds later
 	// without a new probe.
-	inc.frontier.Add(&p.est)
+	inc.frontier.Add(p.est)
 	if p.est.Feasible && p.lat < lbound {
 		if p.tput > inc.bound {
 			inc.bound = p.tput
 		}
-		if !inc.found || better(p.est, inc.best) {
-			inc.best = p.est
+		if !inc.found || better(p.est, &inc.best) {
+			inc.best = *p.est
 			inc.found = true
 		}
 	}
@@ -424,8 +443,9 @@ func (s *Scheduler) epsLat(lbound float64) float64 {
 // because their low corner cannot satisfy the latency bound (Line 14)
 // are exactly the blocks a looser bound must revisit, so they go to
 // st.deferred for resumption instead of being re-split from the root.
-func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound float64, inc *incumbent, queue []block, evals *int) error {
-	policy, tp, axes := j.policy, j.tp, st.axes
+// It returns the drained queue so its backing array can be reused.
+func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound float64, inc *incumbent, queue []block, evals *int) ([]block, error) {
+	policy, tp, axes := j.policy, j.tp, j.axes
 	epsL := s.epsLat(lbound)
 
 	// canBeat reports whether a block with throughput upper bound upp
@@ -442,17 +462,17 @@ func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound floa
 		// anyway. Ties break by current queue position (swap-with-last
 		// removal reorders it), which is deterministic for a given probe
 		// history — the only property the search relies on.
-		bi := 0
+		bi, bt := 0, queue[0].upperTput()
 		for k := 1; k < len(queue); k++ {
-			if queue[k].upperTput() > queue[bi].upperTput() {
-				bi = k
+			if t := queue[k].upperTput(); t > bt {
+				bi, bt = k, t
 			}
 		}
 		b := queue[bi]
 		queue[bi] = queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		// Line 18 pruning (lazy): drop blocks that cannot beat T*.
-		if !canBeat(b.upperTput()) {
+		if !canBeat(bt) {
 			continue
 		}
 		if b.isPoint() {
@@ -464,16 +484,16 @@ func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound floa
 		// "opposite corners" along the two widest dims and split
 		// perpendicular to the better one.
 		dim := b.widestDim()
-		if d2 := secondWidest(b, dim); d2 >= 0 {
-			tl := cornerSwap(b, dim) // low in dim, high elsewhere
-			br := cornerSwap(b, d2)  // low in d2, high elsewhere
-			ptl, err := s.point(ev, policy, tp, axes, tl, evals)
+		if d2 := b.secondWidest(dim); d2 >= 0 {
+			tl := b.cornerSwap(dim) // low in dim, high elsewhere
+			br := b.cornerSwap(d2)  // low in d2, high elsewhere
+			ptl, err := s.point(ev, policy, tp, axes, &tl, evals)
 			if err != nil {
-				return err
+				return queue, err
 			}
-			pbr, err := s.point(ev, policy, tp, axes, br, evals)
+			pbr, err := s.point(ev, policy, tp, axes, &br, evals)
 			if err != nil {
-				return err
+				return queue, err
 			}
 			inc.consider(&ptl, lbound)
 			inc.consider(&pbr, lbound)
@@ -486,14 +506,16 @@ func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound floa
 		}
 
 		mid := (b.lo[dim] + b.hi[dim]) / 2
-		for _, half := range splitAt(b, dim, mid) {
-			upp, err := s.point(ev, policy, tp, axes, half.hi, evals)
+		halves := b.splitAt(dim, mid)
+		for h := range halves {
+			half := &halves[h]
+			upp, err := s.point(ev, policy, tp, axes, &half.hi, evals)
 			if err != nil {
-				return err
+				return queue, err
 			}
-			lowr, err := s.point(ev, policy, tp, axes, half.lo, evals)
+			lowr, err := s.point(ev, policy, tp, axes, &half.lo, evals)
 			if err != nil {
-				return err
+				return queue, err
 			}
 			inc.consider(&upp, lbound)
 			inc.consider(&lowr, lbound)
@@ -504,20 +526,20 @@ func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound floa
 			if lowr.lat < lbound+epsL {
 				// Line 18: and whose upper bound can improve T*.
 				if canBeat(half.upperTput()) {
-					queue = append(queue, half)
+					queue = append(queue, *half)
 				}
 			} else {
-				st.deferred = append(st.deferred, half)
+				st.deferred = append(st.deferred, *half)
 			}
 		}
 	}
-	return nil
+	return queue, nil
 }
 
 // secondWidest returns the widest dimension other than skip, or -1.
-func secondWidest(b block, skip int) int {
+func (b *block) secondWidest(skip int) int {
 	best, span := -1, 0
-	for d := range b.lo {
+	for d := 0; d < b.n; d++ {
 		if d == skip {
 			continue
 		}
@@ -530,27 +552,26 @@ func secondWidest(b block, skip int) int {
 }
 
 // cornerSwap returns the hi corner with dimension d dropped to lo.
-func cornerSwap(b block, d int) []int {
-	idx := append([]int(nil), b.hi...)
+func (b *block) cornerSwap(d int) [maxAxes]int {
+	idx := b.hi
 	idx[d] = b.lo[d]
 	return idx
 }
 
-// splitAt splits b at index mid along dim into two blocks.
-func splitAt(b block, dim, mid int) []block {
+// splitAt splits b at index mid along dim into two blocks, without
+// their corner probes.
+func (b *block) splitAt(dim, mid int) [2]block {
 	if mid >= b.hi[dim] {
 		mid = b.hi[dim] - 1
 	}
 	if mid < b.lo[dim] {
 		mid = b.lo[dim]
 	}
-	lo1 := append([]int(nil), b.lo...)
-	hi1 := append([]int(nil), b.hi...)
-	hi1[dim] = mid
-	lo2 := append([]int(nil), b.lo...)
-	lo2[dim] = mid + 1
-	hi2 := append([]int(nil), b.hi...)
-	return []block{{lo: lo1, hi: hi1}, {lo: lo2, hi: hi2}}
+	lower := block{lo: b.lo, hi: b.hi, n: b.n}
+	lower.hi[dim] = mid
+	upper := block{lo: b.lo, hi: b.hi, n: b.n}
+	upper.lo[dim] = mid + 1
+	return [2]block{lower, upper}
 }
 
 // tpChoices enumerates the partial tensor-parallelism options for the
@@ -598,7 +619,7 @@ func (s *Scheduler) resumeSearch(ev *Evaluator, j branch, lbound, seed float64, 
 	// Lines 1-3: a feasible top corner that satisfies the bound is the
 	// branch optimum under the monotone-corner assumption.
 	if st.top.lat < lbound && st.top.est.Feasible {
-		return st.top.est, true, nil
+		return *st.top.est, true, nil
 	}
 	inc := incumbent{bound: seed, frontier: &st.frontier}
 	if est, ok := st.frontier.BestUnder(lbound); ok {
@@ -611,17 +632,19 @@ func (s *Scheduler) resumeSearch(ev *Evaluator, j branch, lbound, seed float64, 
 	// looser bounds. The compaction preserves deferral order, so the
 	// whole pass stays deterministic.
 	epsL := s.epsLat(lbound)
-	var queue []block
+	queue := st.queue[:0]
 	keep := st.deferred[:0]
-	for _, b := range st.deferred {
-		if b.lowr.lat < lbound+epsL {
-			queue = append(queue, b)
+	for k := range st.deferred {
+		if b := &st.deferred[k]; b.lowr.lat < lbound+epsL {
+			queue = append(queue, *b)
 		} else {
-			keep = append(keep, b)
+			keep = append(keep, *b)
 		}
 	}
 	st.deferred = keep
-	if err := s.bbLoop(ev, j, st, lbound, &inc, queue, evals); err != nil {
+	var err error
+	st.queue, err = s.bbLoop(ev, j, st, lbound, &inc, queue, evals)
+	if err != nil {
 		return Estimate{}, false, err
 	}
 	return inc.best, inc.found, nil
@@ -646,10 +669,14 @@ func (s *Scheduler) resumeSearch(ev *Evaluator, j branch, lbound, seed float64, 
 // re-derived from the root, and the branch's Pareto frontier answers
 // looser bounds for the already-explored region without new probes, so
 // enumeration shared across bounds — the dominant cost once probes are
-// memoized — is paid once. No timing-dependent information flows between branches, so the
-// Results — including Evals — are identical across worker counts and
-// runs. Probes are charged to the bound whose pass issued them, with
-// the shared corner probes charged to the tightest.
+// memoized — is paid once. No timing-dependent information flows
+// between branches, so the Results — including Evals — are identical
+// across worker counts and runs. Probes are charged to the bound whose
+// pass issued them, with the shared corner probes charged to the
+// tightest. Each policy's axes are built once per call and shared by
+// its TP branches; blocks and probe results move as small arrays and
+// pointers, and a probe's Estimate is copied only when it becomes a
+// branch incumbent or joins a frontier.
 //
 // The selections are the grid optimum as long as a block's top-corner
 // throughput upper-bounds its interior and its bottom-corner latency
@@ -757,7 +784,7 @@ func (s *Scheduler) reduce(outs []branchOutcome) (Result, error) {
 			return Result{}, o.err
 		}
 		evals += o.evals
-		if o.found && (!found || better(o.est, best)) {
+		if o.found && (!found || better(&o.est, &best)) {
 			best = o.est
 			found = true
 		}
@@ -767,15 +794,15 @@ func (s *Scheduler) reduce(outs []branchOutcome) (Result, error) {
 }
 
 // scanGrid walks a branch's full grid, invoking visit on every point.
-func (s *Scheduler) scanGrid(ev *Evaluator, j branch, evals *int, visit func(perf)) error {
-	axes := s.axesFor(j.policy)
-	idx := make([]int, len(axes))
+func (s *Scheduler) scanGrid(ev *Evaluator, j branch, evals *int, visit func(*perf)) error {
+	axes := j.axes
+	var idx [maxAxes]int
 	for {
-		p, err := s.point(ev, j.policy, j.tp, axes, idx, evals)
+		p, err := s.point(ev, j.policy, j.tp, axes, &idx, evals)
 		if err != nil {
 			return err
 		}
-		visit(p)
+		visit(&p)
 		// Advance the mixed-radix counter.
 		d := 0
 		for d < len(axes) {
@@ -809,7 +836,7 @@ func (s *Scheduler) MinLatency(policies []sched.Policy) (float64, error) {
 	s.forEachBranch(len(jobs), func(w, i int) {
 		o := &outs[i]
 		o.min = math.Inf(1)
-		o.err = s.scanGrid(s.eval(w), jobs[i], &o.evals, func(p perf) {
+		o.err = s.scanGrid(s.eval(w), jobs[i], &o.evals, func(p *perf) {
 			if p.est.Feasible && p.lat < o.min {
 				o.min = p.lat
 			}
@@ -843,9 +870,9 @@ func (s *Scheduler) Exhaustive(policies []sched.Policy, lbound float64) (Result,
 	outs := make([]branchOutcome, len(jobs))
 	s.forEachBranch(len(jobs), func(w, i int) {
 		o := &outs[i]
-		o.err = s.scanGrid(s.eval(w), jobs[i], &o.evals, func(p perf) {
-			if p.est.Feasible && p.lat < lbound && (!o.found || better(p.est, o.est)) {
-				o.est = p.est
+		o.err = s.scanGrid(s.eval(w), jobs[i], &o.evals, func(p *perf) {
+			if p.est.Feasible && p.lat < lbound && (!o.found || better(p.est, &o.est)) {
+				o.est = *p.est
 				o.found = true
 			}
 		})

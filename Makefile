@@ -74,7 +74,7 @@ lint:
 
 # Compare the reference and Evaluator estimate paths plus the
 # sequential/parallel/multi-bound and warm/cold schedule search and the
-# default-grid branch-and-bound (SchedulerBB), then time the event
+# RRA+WAA-C search of BenchmarkSchedulerBB, then time the event
 # simulator's schedule/fire paths. The end-to-end benchmark is
 # `sh bench/run.sh`.
 bench:

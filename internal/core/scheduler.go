@@ -85,8 +85,9 @@ func bmAxis(max int) Axis {
 // perf is the (latency, throughput) of one grid point, Algorithm 1's
 // perf(). est points at the probe's full Estimate: into the worker
 // Evaluator's append-only arena, or at a heap copy on the reference
-// path. It is shared and read-only, so a perf is pointer-sized to copy
-// and the search copies an Estimate only when it becomes an incumbent.
+// path. It is shared and read-only, so copying a perf moves three words
+// and the search copies an Estimate only when it becomes an incumbent
+// or joins a frontier.
 type perf struct {
 	lat, tput float64
 	est       *Estimate
@@ -443,8 +444,8 @@ func (s *Scheduler) epsLat(lbound float64) float64 {
 // because their low corner cannot satisfy the latency bound (Line 14)
 // are exactly the blocks a looser bound must revisit, so they go to
 // st.deferred for resumption instead of being re-split from the root.
-// It returns the drained queue so its backing array can be reused.
-func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound float64, inc *incumbent, queue []block, evals *int) ([]block, error) {
+// The drained queue's backing array goes back to st.queue for reuse.
+func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound float64, inc *incumbent, queue []block, evals *int) error {
 	policy, tp, axes := j.policy, j.tp, j.axes
 	epsL := s.epsLat(lbound)
 
@@ -489,11 +490,11 @@ func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound floa
 			br := b.cornerSwap(d2)  // low in d2, high elsewhere
 			ptl, err := s.point(ev, policy, tp, axes, &tl, evals)
 			if err != nil {
-				return queue, err
+				return err
 			}
 			pbr, err := s.point(ev, policy, tp, axes, &br, evals)
 			if err != nil {
-				return queue, err
+				return err
 			}
 			inc.consider(&ptl, lbound)
 			inc.consider(&pbr, lbound)
@@ -511,11 +512,11 @@ func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound floa
 			half := &halves[h]
 			upp, err := s.point(ev, policy, tp, axes, &half.hi, evals)
 			if err != nil {
-				return queue, err
+				return err
 			}
 			lowr, err := s.point(ev, policy, tp, axes, &half.lo, evals)
 			if err != nil {
-				return queue, err
+				return err
 			}
 			inc.consider(&upp, lbound)
 			inc.consider(&lowr, lbound)
@@ -533,7 +534,8 @@ func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound floa
 			}
 		}
 	}
-	return queue, nil
+	st.queue = queue
+	return nil
 }
 
 // secondWidest returns the widest dimension other than skip, or -1.
@@ -642,9 +644,7 @@ func (s *Scheduler) resumeSearch(ev *Evaluator, j branch, lbound, seed float64, 
 		}
 	}
 	st.deferred = keep
-	var err error
-	st.queue, err = s.bbLoop(ev, j, st, lbound, &inc, queue, evals)
-	if err != nil {
+	if err := s.bbLoop(ev, j, st, lbound, &inc, queue, evals); err != nil {
 		return Estimate{}, false, err
 	}
 	return inc.best, inc.found, nil

@@ -794,7 +794,7 @@ func (s *Scheduler) reduce(outs []branchOutcome) (Result, error) {
 }
 
 // scanGrid walks a branch's full grid, invoking visit on every point.
-func (s *Scheduler) scanGrid(ev *Evaluator, j branch, evals *int, visit func(*perf)) error {
+func (s *Scheduler) scanGrid(ev *Evaluator, j branch, evals *int, visit func(perf)) error {
 	axes := j.axes
 	var idx [maxAxes]int
 	for {
@@ -802,7 +802,7 @@ func (s *Scheduler) scanGrid(ev *Evaluator, j branch, evals *int, visit func(*pe
 		if err != nil {
 			return err
 		}
-		visit(&p)
+		visit(p)
 		// Advance the mixed-radix counter.
 		d := 0
 		for d < len(axes) {
@@ -836,7 +836,7 @@ func (s *Scheduler) MinLatency(policies []sched.Policy) (float64, error) {
 	s.forEachBranch(len(jobs), func(w, i int) {
 		o := &outs[i]
 		o.min = math.Inf(1)
-		o.err = s.scanGrid(s.eval(w), jobs[i], &o.evals, func(p *perf) {
+		o.err = s.scanGrid(s.eval(w), jobs[i], &o.evals, func(p perf) {
 			if p.est.Feasible && p.lat < o.min {
 				o.min = p.lat
 			}
@@ -870,7 +870,7 @@ func (s *Scheduler) Exhaustive(policies []sched.Policy, lbound float64) (Result,
 	outs := make([]branchOutcome, len(jobs))
 	s.forEachBranch(len(jobs), func(w, i int) {
 		o := &outs[i]
-		o.err = s.scanGrid(s.eval(w), jobs[i], &o.evals, func(p *perf) {
+		o.err = s.scanGrid(s.eval(w), jobs[i], &o.evals, func(p perf) {
 			if p.est.Feasible && p.lat < lbound && (!o.found || better(p.est, &o.est)) {
 				o.est = *p.est
 				o.found = true

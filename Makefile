@@ -74,11 +74,12 @@ lint:
 
 # Compare the reference and Evaluator estimate paths plus the
 # sequential/parallel/multi-bound and warm/cold schedule search and the
-# RRA+WAA-C search of BenchmarkSchedulerBB, then time the event
-# simulator's schedule/fire paths. The end-to-end benchmark is
-# `sh bench/run.sh`.
+# RRA+WAA-C search of BenchmarkSchedulerBB, then time the three ways
+# to price a decode iteration and the event simulator's schedule/fire
+# paths. The end-to-end benchmark is `sh bench/run.sh`.
 bench:
 	$(GO) test -bench 'FindBest|Estimate|SchedulerBB' -run '^$$' -benchmem ./internal/core/
+	$(GO) test -bench 'DecodePricers' -run '^$$' -benchmem ./internal/profile/
 	$(GO) test -bench . -run '^$$' -benchmem ./internal/eventsim/
 
 clean:

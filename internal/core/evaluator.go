@@ -3,24 +3,27 @@
 // The branch-and-bound search of §5 evaluates thousands of schedules
 // against one immutable Simulator, and neighbouring probes share almost
 // everything: walking the ND axis reuses the TP allocation, walking the
-// batch axis reuses the completion distribution, and the O(ND) decode
-// loop revisits the same rounded micro-batch sizes over and over. An
-// Evaluator exploits that by memoizing every schedule-invariant
-// intermediate — completion distributions by ND, RRA allocations by TP,
-// WAA probes/splits/allocations by (policy, TP) — and the composite
-// phase times derived from each allocation, held per allocation entry:
-// RRA decode-iteration periods in a dense slice indexed by micro-batch
-// size, the other composites in small int-keyed maps.
+// batch axis reuses the completion distribution, and every decode
+// iteration is priced at the same mean attention context. An Evaluator
+// exploits that by memoizing every schedule-invariant intermediate —
+// completion distributions by ND, RRA allocations by TP, WAA
+// probes/splits/allocations by (policy, TP) — and, per allocation
+// entry, the encode-phase composites in small int-keyed maps by token
+// count.
 //
 // Stage times themselves are not memoized. Each allocation entry holds
 // its allocation's stage-cost kernel (profile.Stages), the same pricing
 // the reference path, the runner and the baselines use. The kernel
 // dedupes the profile lookups at construction — one layer lookup per
 // distinct (TP degree, collective link), one handover per distinct
-// link — so a composite miss makes those few lookups and fans them out
-// in stage order into the Evaluator's one reused buffer, and the
-// pipeline sums add the same terms in the same order as the reference
-// path.
+// link — so an encode composite miss makes those few lookups and fans
+// them out in stage order into the Evaluator's one reused buffer. The
+// decode side needs no memo: the entry builds the kernel's
+// fixed-context pricer (profile.ContextDecode) once, at the
+// Simulator's mean attention context, and a decode iteration at any
+// micro-batch size is then one batch locate and a pass over the stages,
+// with no allocation. Both sides add the same terms in the same order
+// as the reference path.
 //
 // Whole results are memoized too, by Config, as pointers into an
 // append-only arena of fixed-capacity chunks. The search reads a probe
@@ -53,17 +56,11 @@ type compEntry struct {
 	err    error
 }
 
-// maxDenseMicro caps the dense micro-batch-indexed memo: a larger
-// micro-batch (far beyond any search ladder) is computed but not
-// memoized, so one pathological config cannot grow an entry's slice
-// without bound.
-const maxDenseMicro = 1 << 16
-
 // allocEntry memoizes one RRA allocation attempt plus the per-stage
-// weight bytes, the allocation's stage-cost kernel, and the composite
-// phase times derived from them: once an allocation is fixed, the
-// encoding phase depends only on the micro-batch token count and a
-// decode iteration only on the rounded micro-batch size.
+// weight bytes, the allocation's stage-cost kernel and its decode
+// pricer: once an allocation is fixed, the encoding phase depends only
+// on the micro-batch token count and a decode iteration only on the
+// rounded micro-batch size.
 type allocEntry struct {
 	alloc   sched.Allocation
 	weights []int64 // WeightBytesPerGPU per stage, aligned with Stages
@@ -71,10 +68,11 @@ type allocEntry struct {
 	err     error
 
 	encPhaseByTokens map[int]float64 // PipelinePeriod of the encoding phase by microTokens
-	// iterByMicro is the decode-iteration period indexed by micro-batch
-	// size; 0 marks a slot not yet computed (a period is positive, and a
-	// zero would only be recomputed, never misread).
-	iterByMicro []float64
+	// dec prices a decode iteration at the Simulator's mean attention
+	// context; decErr is its build error, which the first decode
+	// iteration returns, as the reference path's Decode would.
+	dec    profile.ContextDecode
+	decErr error
 }
 
 // waaEnc is the encoder-side composite for one encTokens value.
@@ -85,16 +83,15 @@ type waaEnc struct {
 
 // waaDec is the decoder-side composite for one micro-batch size: the
 // traversal (sum of stage times) and the slowest stage. The iteration
-// period for any clamped Bm follows from the two by PeriodOf, so Bm
-// needs no slot of its own.
+// period for any clamped Bm follows from the two by PeriodOf.
 type waaDec struct {
 	traversal, slowest float64
 }
 
 // waaEntry memoizes one WAA split+allocation attempt for a (policy, TP)
 // pair, including the pre-split stage views, per-side weights, the
-// allocation's stage-cost kernel, and the composite pipeline times
-// derived from them.
+// allocation's stage-cost kernel, the encoder composites derived from
+// it, and its decode pricer.
 type waaEntry struct {
 	alloc                sched.Allocation
 	encStages, decStages []sched.Stage
@@ -103,10 +100,13 @@ type waaEntry struct {
 	kern                 *profile.Stages
 	err                  error
 
-	// Both keys are sparse counts (prompt tokens, and BE·mean output
-	// length over Bm), so they stay maps.
+	// encByTokens is keyed by a sparse count (prompt tokens), so it is
+	// a map.
 	encByTokens map[int]waaEnc
-	decByMicro  map[int]waaDec
+	// dec and decErr are allocEntry's: the decode pricer at the mean
+	// attention context and its build error.
+	dec    profile.ContextDecode
+	decErr error
 }
 
 // waaKey identifies a WAA allocation: the CE/CD probe and memory
@@ -139,7 +139,7 @@ type Evaluator struct {
 	probeErr  error
 	probeDone bool
 
-	// times is the stage-time buffer every kernel fill reuses.
+	// times is the stage-time buffer every encode fill reuses.
 	times []float64
 }
 
@@ -245,6 +245,7 @@ func (e *Evaluator) rraAlloc(tp sched.TPSpec) *allocEntry {
 		ae.weights = stageWeights(e.sim, ae.alloc.Stages)
 		ae.kern = profile.NewStages(e.sim.Profile, e.sim.Cluster, ae.alloc.Stages)
 		ae.encPhaseByTokens = map[int]float64{}
+		ae.dec, ae.decErr = ae.kern.DecodeAt(e.sim.ctxMean, 1)
 	}
 	e.rra[tp] = ae
 	return ae
@@ -266,27 +267,14 @@ func (e *Evaluator) rraEncPhase(ae *allocEntry, microTokens int) (float64, error
 	return v, nil
 }
 
-// rraDecIter returns the memoized RRA decode-iteration period for one
-// rounded micro-batch size.
-func (e *Evaluator) rraDecIter(ae *allocEntry, micro int) (float64, error) {
-	if micro < len(ae.iterByMicro) && ae.iterByMicro[micro] != 0 {
-		return ae.iterByMicro[micro], nil
+// rraDecIter returns the RRA decode-iteration period for one rounded
+// micro-batch size.
+func rraDecIter(ae *allocEntry, micro int) (float64, error) {
+	if ae.decErr != nil {
+		return 0, ae.decErr
 	}
-	var err error
-	e.times, err = ae.kern.Decode(e.times, micro, e.sim.ctxMean, 1)
-	if err != nil {
-		return 0, err
-	}
-	v := profile.PipelinePeriod(e.times, rraMicroBatches)
-	if micro < maxDenseMicro {
-		if micro >= len(ae.iterByMicro) {
-			grown := make([]float64, max(micro+1, 2*len(ae.iterByMicro)))
-			copy(grown, ae.iterByMicro)
-			ae.iterByMicro = grown
-		}
-		ae.iterByMicro[micro] = v
-	}
-	return v, nil
+	sum, max := ae.dec.Iter(micro)
+	return profile.PeriodOf(sum, max, rraMicroBatches), nil
 }
 
 func stageWeights(s *Simulator, stages []sched.Stage) []int64 {
@@ -330,7 +318,7 @@ func (e *Evaluator) waaAlloc(policy sched.Policy, tp sched.TPSpec, p waaProbe) *
 		we.decWeights = stageWeights(s, we.decStages)
 		we.kern = profile.NewStages(s.Profile, s.Cluster, we.alloc.Stages)
 		we.encByTokens = map[int]waaEnc{}
-		we.decByMicro = map[int]waaDec{}
+		we.dec, we.decErr = we.kern.DecodeAt(s.ctxMean, 1)
 	}
 	e.waa[k] = we
 	return we
@@ -360,25 +348,19 @@ func (e *Evaluator) waaEncSide(we *waaEntry, encTokens int) (waaEnc, error) {
 	return v, nil
 }
 
-// waaDecSide returns the memoized decoder-side composite for one
-// micro-batch size.
-func (e *Evaluator) waaDecSide(we *waaEntry, micro int) (waaDec, error) {
-	if v, ok := we.decByMicro[micro]; ok {
-		return v, nil
+// waaDecSide returns the decoder-side composite for one micro-batch
+// size.
+func waaDecSide(we *waaEntry, micro int) (waaDec, error) {
+	if we.decErr != nil {
+		return waaDec{}, we.decErr
 	}
-	var err error
-	e.times, err = we.kern.Decode(e.times, micro, e.sim.ctxMean, 1)
-	if err != nil {
-		return waaDec{}, err
-	}
-	v := waaDec{traversal: profile.Traversal(e.times), slowest: profile.Slowest(e.times)}
-	we.decByMicro[micro] = v
-	return v, nil
+	traversal, slowest := we.dec.Iter(micro)
+	return waaDec{traversal: traversal, slowest: slowest}, nil
 }
 
 // estimateRRA is Simulator.estimateRRA with memoized completion
-// distributions and allocations, reused stage-time buffers, and the
-// decode loop grouped by distinct micro-batch size: consecutive
+// distributions and allocations, a reused encode stage-time buffer, the
+// allocation's fixed-context decode pricer, and the decode loop grouped by distinct micro-batch size: consecutive
 // iterations whose rounded active micro-batch repeats reuse the
 // previous iteration time (decTotal still accumulates term by term, so
 // the float result is unchanged).
@@ -414,7 +396,7 @@ func (e *Evaluator) estimateRRA(cfg sched.Config) (Estimate, error) {
 	// Decoding iterations u = 1..ND with decaying active batches. The
 	// active fraction is nonincreasing in u, so distinct micro-batch
 	// values form runs; only the first iteration of a run pays the
-	// (memoized) iteration-period lookup. decTotal still accumulates
+	// iteration-period pricing. decTotal still accumulates
 	// term by term, keeping the float result identical to the reference.
 	var decTotal, firstIter, iter float64
 	lastMicro := 0
@@ -428,7 +410,7 @@ func (e *Evaluator) estimateRRA(cfg sched.Config) (Estimate, error) {
 			micro = 1
 		}
 		if micro != lastMicro {
-			iter, err = e.rraDecIter(ae, micro)
+			iter, err = rraDecIter(ae, micro)
 			if err != nil {
 				return Estimate{}, err
 			}
@@ -471,8 +453,9 @@ func (e *Evaluator) estimateRRA(cfg sched.Config) (Estimate, error) {
 }
 
 // estimateWAA is Simulator.estimateWAA with the CE/CD probe, split and
-// allocation memoized by (policy, TP) and the encoder and decoder
-// composites memoized per allocation entry.
+// allocation memoized by (policy, TP), the encoder composites memoized
+// per allocation entry, and the decoder side priced by the entry's
+// fixed-context pricer.
 func (e *Evaluator) estimateWAA(cfg sched.Config) (Estimate, error) {
 	s := e.sim
 	be := cfg.BE
@@ -509,7 +492,7 @@ func (e *Evaluator) estimateWAA(cfg sched.Config) (Estimate, error) {
 	if micro < 1 {
 		micro = 1
 	}
-	dec, err := e.waaDecSide(we, micro)
+	dec, err := waaDecSide(we, micro)
 	if err != nil {
 		return Estimate{}, err
 	}

@@ -17,7 +17,9 @@ import (
 )
 
 // FrontierPoint is one Pareto-optimal schedule: no other discovered
-// point has both lower (or equal) latency and higher throughput.
+// point has both lower (or equal) latency and higher throughput. A
+// point is never written after it joins a frontier, so frontiers merged
+// from one another share their points.
 type FrontierPoint struct {
 	Latency    float64  `json:"latency"`
 	Throughput float64  `json:"throughput"`
@@ -69,6 +71,13 @@ func (p *FrontierPoint) dominatedByEst(est *Estimate) bool {
 // and copied only when it actually joins — the search offers every
 // probe, and nearly all of them are dominated.
 func (f *Frontier) Add(est *Estimate) bool {
+	return f.add(est, nil)
+}
+
+// add is Add given the point to insert if est joins: p when it is
+// another frontier's point holding est, which is shared rather than
+// copied, or nil to copy est into a fresh point.
+func (f *Frontier) add(est *Estimate, p *FrontierPoint) bool {
 	if !est.Feasible || math.IsInf(est.Latency, 0) || math.IsNaN(est.Latency) {
 		return false
 	}
@@ -86,7 +95,9 @@ func (f *Frontier) Add(est *Estimate) bool {
 	if i < len(f.Points) && f.Points[i].dominatesEst(est) {
 		return false
 	}
-	p := &FrontierPoint{Latency: est.Latency, Throughput: est.Throughput, Est: *est}
+	if p == nil {
+		p = &FrontierPoint{Latency: est.Latency, Throughput: est.Throughput, Est: *est}
+	}
 	// Drop every entry p now dominates: a contiguous run starting at i
 	// (preference increases with position, so the run ends at the first
 	// survivor).
@@ -119,11 +130,12 @@ func (f *Frontier) BestUnder(lbound float64) (Estimate, bool) {
 	return f.Points[i-1].Est, true
 }
 
-// Merge folds every point of other into f. Merging per-branch (or
-// per-shard) frontiers in canonical order yields the same frontier
-// regardless of which worker discovered which point.
+// Merge folds every point of other into f; the points that join are
+// shared with other, not copied. Merging per-branch (or per-shard)
+// frontiers in canonical order yields the same frontier regardless of
+// which worker discovered which point.
 func (f *Frontier) Merge(other *Frontier) {
-	for i := range other.Points {
-		f.Add(&other.Points[i].Est)
+	for _, p := range other.Points {
+		f.add(&p.Est, p)
 	}
 }

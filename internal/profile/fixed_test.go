@@ -255,6 +255,94 @@ func TestDecodeFixedErrors(t *testing.T) {
 	}
 }
 
+// checkContextMatchesDecode requires Iter to equal Traversal and
+// Slowest of Decode bit for bit at every batch, for contexts below,
+// inside and above the grid (every point of ctxWalks' rising walk) and
+// every scale checkFixedMatchesDecode uses.
+func checkContextMatchesDecode(t *testing.T, c fixedCase) {
+	t.Helper()
+	k := NewStages(c.tab, c.cluster, c.stages)
+	var buf []float64
+	for _, ctx := range ctxWalks(c.tab.CtxGrid)[0] {
+		for _, scale := range []float64{1, 0.92, 1.3} {
+			d, err := k.DecodeAt(ctx, scale)
+			if err != nil {
+				t.Fatalf("%s ctx %v: %v", c.name, ctx, err)
+			}
+			for _, b := range gridBatches(c.tab.BatchGrid) {
+				buf, err = k.Decode(buf, b, ctx, scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkIter(t, c.name, &d, b, ctx, scale, buf)
+			}
+		}
+	}
+}
+
+// checkIter fails unless d.Iter(batch) equals Traversal and Slowest of
+// times, Decode's stage times at the same batch, bit for bit.
+func checkIter(t *testing.T, name string, d *ContextDecode, batch int, ctx, scale float64, times []float64) {
+	t.Helper()
+	sum, max := d.Iter(batch)
+	wantSum, wantMax := Traversal(times), Slowest(times)
+	if math.Float64bits(sum) != math.Float64bits(wantSum) || math.Float64bits(max) != math.Float64bits(wantMax) {
+		t.Fatalf("%s batch %d scale %v ctx %v: Iter (%v, %v), Decode's traversal and slowest stage (%v, %v)",
+			name, batch, scale, ctx, sum, max, wantSum, wantMax)
+	}
+}
+
+// TestDecodeAtMatchesDecode holds the fixed-context pricer to the stage
+// kernel on the same tables and stage lists as the fixed-batch pricer.
+func TestDecodeAtMatchesDecode(t *testing.T) {
+	for _, c := range append(deploymentCases(t), handBuiltCase(t)) {
+		checkContextMatchesDecode(t, c)
+	}
+}
+
+// TestDecodeAtAllocs: pricing an iteration allocates nothing.
+func TestDecodeAtAllocs(t *testing.T) {
+	c := handBuiltCase(t)
+	d, err := NewStages(c.tab, c.cluster, c.stages).DecodeAt(77.5, 0.92)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := 1
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			_, _ = d.Iter(batch + i)
+		}
+		batch += 7
+	})
+	if allocs != 0 {
+		t.Fatalf("Iter allocates %v times, want 0", allocs)
+	}
+}
+
+// TestDecodeAtErrors: the pricer fails with Decode's error on an
+// unprofiled TP degree, and refuses a stage list with more distinct
+// layer lookups than it holds.
+func TestDecodeAtErrors(t *testing.T) {
+	c := handBuiltCase(t)
+	bad := NewStages(c.tab, c.cluster, []sched.Stage{{FirstRank: 0, TP: 3, DecLayers: 1}})
+	_, err := bad.DecodeAt(100, 1)
+	_, werr := bad.Decode(nil, 8, 100, 1)
+	if err == nil || werr == nil || err.Error() != werr.Error() {
+		t.Fatalf("unprofiled TP degree: DecodeAt error %v, Decode error %v", err, werr)
+	}
+	tab := *c.tab
+	tab.TPDegrees = []int{1, 2, 3, 4, 5}
+	var many []sched.Stage
+	for i, tp := range tab.TPDegrees {
+		for _, cross := range []bool{false, true} {
+			many = append(many, sched.Stage{FirstRank: i, TP: tp, CrossNode: cross, DecLayers: 1})
+		}
+	}
+	if _, err := NewStages(&tab, c.cluster, many).DecodeAt(100, 1); err == nil {
+		t.Fatalf("%d distinct layer lookups priced without error", len(many))
+	}
+}
+
 // fuzzFixedCases are the stage lists FuzzDecodeFixedMatchesDecode
 // draws from: FT's and the TP-1 RRA allocation's on OPT-13B/4xA40 and
 // GPT-3-39B/16xA40, and the hand-built case.
@@ -282,7 +370,8 @@ func fuzzFixedCases(f *testing.F) []fixedCase {
 
 // FuzzDecodeFixedMatchesDecode: along any context walk (start, step,
 // length), at any batch, scale and micro-batch count, Period equals
-// PipelinePeriod of Decode bit for bit.
+// PipelinePeriod of Decode bit for bit, and the fixed-context pricer
+// built at each context of the walk prices the batch as Decode does.
 func FuzzDecodeFixedMatchesDecode(f *testing.F) {
 	f.Add(uint8(0), 48, 250.5, 1.0, uint8(40), 1.0, uint8(2))
 	f.Add(uint8(2), 600, 9000.0, -300.0, uint8(60), 0.92, uint8(1))
@@ -315,6 +404,68 @@ func FuzzDecodeFixedMatchesDecode(f *testing.F) {
 				t.Fatalf("%s batch %d scale %v ctx %v m %d: Period %v, PipelinePeriod(Decode) %v",
 					c.name, batch, scale, ctx, m, got, want)
 			}
+			dc, err := k.DecodeAt(ctx, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkIter(t, c.name, &dc, batch, ctx, scale, buf)
 		}
 	})
+}
+
+// BenchmarkDecodePricers times one decode iteration priced three ways
+// on GPT-3-39B/16xA40's TP-1 RRA allocation: the stage kernel's Decode
+// and PipelinePeriod (walking the batch at a fixed context), the
+// fixed-batch pricer's Period (walking the context) and the
+// fixed-context pricer's Iter and PeriodOf (walking the batch).
+func BenchmarkDecodePricers(b *testing.B) {
+	d := sched.DefaultDeployments[2]
+	c, err := d.SubCluster()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := New(d.Model, c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tab := p.Run()
+	alloc, err := sched.AllocateRRA(d.Model, c, sched.TPSpec{Degree: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := NewStages(tab, c, alloc.Stages)
+	const ctx, batches, m = 611.5, 256, 4
+	var sink float64
+	b.Run("Decode", func(b *testing.B) {
+		var buf []float64
+		for i := 0; i < b.N; i++ {
+			buf, err = k.Decode(buf, 1+i%batches, ctx, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink += PipelinePeriod(buf, m)
+		}
+	})
+	b.Run("DecodeFixed", func(b *testing.B) {
+		f, err := k.DecodeFixed(batches/2, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			sink += f.Period(ctx+float64(i%batches), m)
+		}
+	})
+	b.Run("DecodeAt", func(b *testing.B) {
+		at, err := k.DecodeAt(ctx, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			sum, max := at.Iter(1 + i%batches)
+			sink += PeriodOf(sum, max, m)
+		}
+	})
+	if math.IsNaN(sink) {
+		b.Fatal("NaN period")
+	}
 }

@@ -162,7 +162,8 @@ const maxFixedLayers = 8
 // ctx, scale): both interpolate through the same axisPoint code, in the
 // same operation order. A FixedDecode is a per-caller value that
 // allocates nothing; its cursor moves, so it is not safe for concurrent
-// use.
+// use. Its mirror image, ContextDecode, fixes the context and lets the
+// batch change.
 type FixedDecode struct {
 	stages     []stageCost
 	scale      float64
@@ -238,6 +239,126 @@ func (d *FixedDecode) Period(ctx float64, m int) float64 {
 		}
 	}
 	return PeriodOf(sum, max, m)
+}
+
+// ContextDecode prices decode iterations at one fixed attention
+// context, where only the batch changes from one call to the next: the
+// mirror image of FixedDecode. DecodeAt resolves everything the context
+// alone decides: each layer lookup's TP row, its collective and
+// handover links, and DecAttn interpolated along the context axis, one
+// value per batch grid point. Iter then locates the batch once, for
+// every layer lookup and handover.
+//
+// Iter(batch) is bit-identical to Traversal and Slowest of
+// Decode(batch, ctx, scale): at2 interpolates each DecAttn row with at,
+// so interpolating the rows first and the batch axis second is the same
+// arithmetic, and the layer and stage sums keep Decode's operation
+// order. A ContextDecode is immutable once built and Iter allocates
+// nothing.
+type ContextDecode struct {
+	stages    []stageCost
+	scale     float64
+	batchGrid []int
+	pow2Batch bool
+	actBytes  int64
+	nl, ns    int
+	layers    [maxFixedLayers]ctxLayer
+	sends     [numLinkClasses]AlphaBeta
+}
+
+// ctxLayer is one layer lookup at the fixed context.
+type ctxLayer struct {
+	rest, attn []float64 // by batch grid point: DecRest, and DecAttn at the context
+	sync       bool      // TP > 1: the layer synchronizes
+	syncs      float64   // DecSyncsPerLayer
+	allReduce  AlphaBeta
+}
+
+// DecodeAt returns the pricer for decode iterations at mean attention
+// context ctx over the stages holding decoding layers, with Decode's
+// scale. It fails with the error Decode gives at any positive batch,
+// and on a stage list with more than maxFixedLayers distinct layer
+// lookups.
+func (k *Stages) DecodeAt(ctx, scale float64) (ContextDecode, error) {
+	p := &k.dec
+	if len(p.layers) > maxFixedLayers {
+		return ContextDecode{}, fmt.Errorf("profile: %d distinct decode layer lookups, the fixed-context pricer holds %d", len(p.layers), maxFixedLayers)
+	}
+	tab := k.tab
+	d := ContextDecode{stages: p.stages, scale: scale, batchGrid: tab.BatchGrid, pow2Batch: tab.pow2Batch,
+		actBytes: tab.ActTokenBytes, nl: len(p.layers), ns: len(p.sends)}
+	var c axisPoint
+	c.locate(tab.CtxGrid, tab.pow2Ctx, ctx)
+	nb := len(tab.BatchGrid)
+	attn := make([]float64, len(p.layers)*nb)
+	for i, lk := range p.layers {
+		ti, err := tab.tpIndex(lk.tp)
+		if err != nil {
+			return ContextDecode{}, err
+		}
+		if _, err := tab.SyncTime(false, 0, lk.tp, lk.lc); err != nil {
+			return ContextDecode{}, err
+		}
+		row := attn[i*nb : (i+1)*nb : (i+1)*nb]
+		for j, r := range tab.DecAttn[ti] {
+			row[j] = c.at(r)
+		}
+		l := ctxLayer{rest: tab.DecRest[ti], attn: row, sync: lk.tp > 1}
+		if l.sync {
+			l.syncs, l.allReduce = float64(tab.DecSyncsPerLayer), tab.AllReduce[ti][lk.lc]
+		}
+		d.layers[i] = l
+	}
+	for i, lc := range p.sends {
+		if _, err := tab.PPSend(0, lc); err != nil {
+			return ContextDecode{}, err
+		}
+		d.sends[i] = tab.P2P[lc]
+	}
+	return d, nil
+}
+
+// Iter returns the traversal (the sum of the stage times) and the
+// slowest stage time of one decode iteration of batch queries.
+// PeriodOf turns the two into the pipeline period at any micro-batch
+// count.
+func (d *ContextDecode) Iter(batch int) (traversal, slowest float64) {
+	if batch == 0 {
+		return 0, 0
+	}
+	// Decode's lookups give 0 below one query, except a TP sync, which
+	// AlphaBeta prices at any byte count.
+	var b axisPoint
+	if batch > 0 {
+		b.locate(d.batchGrid, d.pow2Batch, float64(batch))
+	}
+	bytes := int64(batch) * d.actBytes
+	var layer [maxFixedLayers]float64
+	for i := range d.layers[:d.nl] {
+		l := &d.layers[i]
+		var rest, attn, sync float64
+		if batch > 0 {
+			rest, attn = b.at(l.rest), b.at(l.attn)
+		}
+		if l.sync {
+			sync = l.syncs * l.allReduce.Time(bytes)
+		}
+		layer[i] = (rest + attn + sync) * d.scale
+	}
+	var send [numLinkClasses]float64
+	if batch > 0 {
+		for i := range d.sends[:d.ns] {
+			send[i] = d.sends[i].Time(bytes)
+		}
+	}
+	for _, s := range d.stages {
+		t := float64(s.layers)*layer[s.layer] + send[s.send]
+		traversal += t
+		if t > slowest {
+			slowest = t
+		}
+	}
+	return traversal, slowest
 }
 
 // PipelinePeriod returns the steady-state period of one pass over the

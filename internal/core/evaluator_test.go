@@ -410,3 +410,47 @@ func BenchmarkFindBestReference(b *testing.B) { benchFindBestPath(b, true, false
 func BenchmarkFindBestEvaluator(b *testing.B) { benchFindBestPath(b, false, false) }
 
 func BenchmarkFindBestEvaluatorCold(b *testing.B) { benchFindBestPath(b, false, true) }
+
+// TestEvaluatorErrorsMatchSimulator: on a table that lacks a TP degree
+// the configs use, the Evaluator fails with the reference path's error,
+// not with an infeasible estimate, and it still matches the reference
+// on the profiled degree. WAA applies TP to its decode pool only, so a
+// WAA config at the missing degree fails first in the decode pricer's
+// build.
+func TestEvaluatorErrorsMatchSimulator(t *testing.T) {
+	full := optSim(t, workload.Summarization)
+	tab := *full.Profile
+	tab.TPDegrees = tab.TPDegrees[:1]
+	tab.EncRest, tab.EncAttn = tab.EncRest[:1], tab.EncAttn[:1]
+	tab.DecRest, tab.DecAttn = tab.DecRest[:1], tab.DecAttn[:1]
+	tab.AllReduce = tab.AllReduce[:1]
+	sim, err := NewSimulator(full.Model, full.Cluster, &tab, full.in, full.out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(sim)
+	failed := 0
+	for _, tp := range []sched.TPSpec{{Degree: 1}, {Degree: 2, GPUs: 2}, {Degree: 2, GPUs: 4}} {
+		for _, cfg := range []sched.Config{
+			{Policy: sched.RRA, BD: 64, BE: 1, ND: 8, TP: tp},
+			{Policy: sched.WAAC, BE: 8, BD: 1, Bm: 2, TP: tp},
+			{Policy: sched.WAAM, BE: 32, BD: 1, Bm: 4, TP: tp},
+		} {
+			want, werr := sim.Estimate(cfg)
+			got, err := ev.Estimate(cfg)
+			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+				t.Fatalf("%v: Evaluator error %v, Simulator error %v", cfg, err, werr)
+			}
+			if err != nil {
+				failed++
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: Evaluator %+v, Simulator %+v", cfg, got, want)
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no config hit the unprofiled TP degree")
+	}
+}

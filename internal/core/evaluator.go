@@ -81,13 +81,6 @@ type waaEnc struct {
 	peak              int64
 }
 
-// waaDec is the decoder-side composite for one micro-batch size: the
-// traversal (sum of stage times) and the slowest stage. The iteration
-// period for any clamped Bm follows from the two by PeriodOf.
-type waaDec struct {
-	traversal, slowest float64
-}
-
 // waaEntry memoizes one WAA split+allocation attempt for a (policy, TP)
 // pair, including the pre-split stage views, per-side weights, the
 // allocation's stage-cost kernel, the encoder composites derived from
@@ -348,22 +341,13 @@ func (e *Evaluator) waaEncSide(we *waaEntry, encTokens int) (waaEnc, error) {
 	return v, nil
 }
 
-// waaDecSide returns the decoder-side composite for one micro-batch
-// size.
-func waaDecSide(we *waaEntry, micro int) (waaDec, error) {
-	if we.decErr != nil {
-		return waaDec{}, we.decErr
-	}
-	traversal, slowest := we.dec.Iter(micro)
-	return waaDec{traversal: traversal, slowest: slowest}, nil
-}
-
 // estimateRRA is Simulator.estimateRRA with memoized completion
 // distributions and allocations, a reused encode stage-time buffer, the
-// allocation's fixed-context decode pricer, and the decode loop grouped by distinct micro-batch size: consecutive
-// iterations whose rounded active micro-batch repeats reuse the
-// previous iteration time (decTotal still accumulates term by term, so
-// the float result is unchanged).
+// allocation's fixed-context decode pricer, and the decode loop grouped
+// by distinct micro-batch size: consecutive iterations whose rounded
+// active micro-batch repeats reuse the previous iteration time
+// (decTotal still accumulates term by term, so the float result is
+// unchanged).
 func (e *Evaluator) estimateRRA(cfg sched.Config) (Estimate, error) {
 	s := e.sim
 	ce, err := e.completion(cfg.ND)
@@ -395,9 +379,9 @@ func (e *Evaluator) estimateRRA(cfg sched.Config) (Estimate, error) {
 
 	// Decoding iterations u = 1..ND with decaying active batches. The
 	// active fraction is nonincreasing in u, so distinct micro-batch
-	// values form runs; only the first iteration of a run pays the
-	// iteration-period pricing. decTotal still accumulates
-	// term by term, keeping the float result identical to the reference.
+	// values form runs; only the first iteration of a run prices its
+	// period. decTotal still accumulates term by term, keeping the float
+	// result identical to the reference.
 	var decTotal, firstIter, iter float64
 	lastMicro := 0
 	for u := 1; u <= cfg.ND; u++ {
@@ -492,11 +476,11 @@ func (e *Evaluator) estimateWAA(cfg sched.Config) (Estimate, error) {
 	if micro < 1 {
 		micro = 1
 	}
-	dec, err := waaDecSide(we, micro)
-	if err != nil {
-		return Estimate{}, err
+	if we.decErr != nil {
+		return Estimate{}, we.decErr
 	}
-	decIter := profile.PeriodOf(dec.traversal, dec.slowest, bm)
+	decTraversal, decSlowest := we.dec.Iter(micro)
+	decIter := profile.PeriodOf(decTraversal, decSlowest, bm)
 
 	// Steady-state period: the slower side gates; the staged KV
 	// handover binds only if slower than both.
@@ -522,7 +506,7 @@ func (e *Evaluator) estimateWAA(cfg sched.Config) (Estimate, error) {
 	tput := float64(be) / period
 
 	s99 := s.pctlLen()
-	latency := enc.traversal + kvXfer + (s99-1)*period + dec.traversal
+	latency := enc.traversal + kvXfer + (s99-1)*period + decTraversal
 	latency *= 1.05 // §6: buffer time for dynamic adjustments
 
 	return Estimate{

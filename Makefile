@@ -75,12 +75,15 @@ lint:
 # Compare the reference and Evaluator estimate paths plus the
 # sequential/parallel/multi-bound and warm/cold schedule search and the
 # RRA+WAA-C search of BenchmarkSchedulerBB, then time the three ways
-# to price a decode iteration and the event simulator's schedule/fire
-# paths. The end-to-end benchmark is `sh bench/run.sh`.
+# to price a decode iteration, the event simulator's schedule/fire
+# paths and one serve-ladder rung (BenchmarkServeRung: OPT-13B/4xA40,
+# task S, Poisson 24 req/s for 600 virtual seconds). The end-to-end
+# benchmark is `sh bench/run.sh`.
 bench:
 	$(GO) test -bench 'FindBest|Estimate|SchedulerBB' -run '^$$' -benchmem ./internal/core/
 	$(GO) test -bench 'DecodePricers' -run '^$$' -benchmem ./internal/profile/
 	$(GO) test -bench . -run '^$$' -benchmem ./internal/eventsim/
+	$(GO) test -bench 'ServeRung' -run '^$$' -benchmem ./internal/serve/
 
 clean:
 	rm -f exegpt

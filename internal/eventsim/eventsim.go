@@ -7,9 +7,9 @@
 // sequence number that At takes when it is called; Reserve takes one
 // early for an event that AtSeq schedules later, so a caller can keep
 // a queue of future events outside the heap and still fire each in the
-// order At would have given it. The runner does this for arrivals: an
-// engine holds one pending arrival event, for the earliest arrival,
-// instead of one per request pushed.
+// order At would have given it. The runner does this for arrivals and
+// WAA KV handovers: an engine holds one pending event of each, for the
+// earliest, instead of one per request pushed or batch encoded.
 //
 // The pending events sit in a typed binary heap whose entries carry
 // their firing time and sequence number inline, so sifting compares

@@ -42,6 +42,7 @@ package kvcache
 
 import (
 	"fmt"
+	"slices"
 
 	"exegpt/internal/hw"
 )
@@ -134,7 +135,11 @@ func (t *table[T]) put(id int, v T) {
 		if len(t.buf)+more > cap(t.buf) && t.head >= w {
 			t.buf, t.head = t.buf[:copy(t.buf, t.window())], 0
 		}
-		t.buf = append(t.buf, make([]slot[T], more)...)
+		// Grow and clear rather than append a make: the compiler elides
+		// that make only in optimized builds, not under -race.
+		n := len(t.buf)
+		t.buf = slices.Grow(t.buf, more)[:n+more]
+		clear(t.buf[n:])
 	}
 	t.buf[t.head+id-t.lo] = slot[T]{v: v, ok: true}
 	t.n++

@@ -121,14 +121,19 @@ type RunStats struct {
 
 // SteadyThroughput computes the completion rate between the 25th and
 // 75th percentile completion times, which excludes the pipeline warmup
-// and the drain tail of a finite request stream.
+// and the drain tail of a finite request stream. A series already in
+// nondecreasing order — the completions of one run, as the engines emit
+// them — is read in place; any other is sorted in a copy.
 func SteadyThroughput(completionTimes []float64) float64 {
 	n := len(completionTimes)
 	if n < 8 {
 		return 0
 	}
-	sorted := append([]float64(nil), completionTimes...)
-	sort.Float64s(sorted)
+	sorted := completionTimes
+	if !sort.Float64sAreSorted(sorted) {
+		sorted = append([]float64(nil), completionTimes...)
+		sort.Float64s(sorted)
+	}
 	lo, hi := n/4, (3*n)/4
 	dt := sorted[hi] - sorted[lo]
 	if dt <= 0 {

@@ -3,6 +3,8 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -112,6 +114,34 @@ func TestSummarizeAndString(t *testing.T) {
 	}
 	if !strings.Contains(s.String(), "tput=1.00") {
 		t.Fatalf("String() = %q", s.String())
+	}
+}
+
+// SteadyThroughput reads a nondecreasing series in place and sorts any
+// other in a copy: an unsorted series gives the rate of its sorted form
+// (the middle half of the completions over the time they span), and is
+// left as it was.
+func TestSteadyThroughputUnsorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ends := make([]float64, 101)
+	for i := range ends {
+		ends[i] = rng.Float64() * 100
+	}
+	if sort.Float64sAreSorted(ends) {
+		t.Fatal("test series is already sorted")
+	}
+	orig := append([]float64(nil), ends...)
+	sorted := append([]float64(nil), ends...)
+	sort.Float64s(sorted)
+	want := float64(75-25) / (sorted[75] - sorted[25]) // n/4 = 25, 3n/4 = 75
+	if got := SteadyThroughput(sorted); got != want {
+		t.Fatalf("sorted series: %v, want %v", got, want)
+	}
+	if got := SteadyThroughput(ends); got != want {
+		t.Fatalf("unsorted series: %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(ends, orig) {
+		t.Fatal("SteadyThroughput reordered its input")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"exegpt/internal/hw"
-	"exegpt/internal/metrics"
 	"exegpt/internal/model"
 	"exegpt/internal/sched"
 	"exegpt/internal/workload"
@@ -71,7 +70,7 @@ func TestBatchRunConservation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", c.name, seed, err)
 			}
-			checkConservation(t, e, reqs, nil, o.Records(), o.dec.states)
+			checkConservation(t, e, reqs, nil, o.res.Records, o.dec.states)
 		}
 	}
 }
@@ -84,6 +83,7 @@ func TestOpenRunConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			done := collect(o)
 			reqs := requests(t, workload.Summarization, 300, seed)
 			rng := rand.New(rand.NewSource(seed))
 			arrival := make(map[int]float64, len(reqs))
@@ -96,7 +96,7 @@ func TestOpenRunConservation(t *testing.T) {
 			if err := o.Finish(); err != nil {
 				t.Fatalf("%s seed %d: %v", c.name, seed, err)
 			}
-			checkConservation(t, e, reqs, arrival, o.Records(), o.dec.states)
+			checkConservation(t, e, reqs, arrival, done.recs, o.dec.states)
 		}
 	}
 }
@@ -113,8 +113,6 @@ func TestDecoderContextSum(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := decoder{model: m, states: states}
-		var records []QueryRecord
-		rec := metrics.NewRecorder()
 		steps := 0
 		admittedAt := map[int]int{} // request ID -> steps before its admission
 		for i, r := range requests(t, workload.Translation, 200, 5) {
@@ -126,7 +124,7 @@ func TestDecoderContextSum(t *testing.T) {
 			if i%3 != 0 {
 				continue
 			}
-			if _, err := d.step(float64(i), rec, &records); err != nil {
+			if _, err := d.step(float64(i), nil); err != nil {
 				t.Fatal(err)
 			}
 			steps++
@@ -151,8 +149,8 @@ func TestDecoderCompletesInAdmissionOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := decoder{model: e.Model, states: states}
-	rec := metrics.NewRecorder()
 	var records []QueryRecord
+	sink := func(r QueryRecord) { records = append(records, r) }
 	// Each wave is admitted after the previous step; every query
 	// except ID 8 completes at step 4.
 	waves := [][]workload.Request{
@@ -168,7 +166,7 @@ func TestDecoderCompletesInAdmissionOrder(t *testing.T) {
 			}
 			d.add(r, float64(step))
 		}
-		n, err := d.step(float64(step+1), rec, &records)
+		n, err := d.step(float64(step+1), sink)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,10 +202,10 @@ func TestDecodeStepAllocs(t *testing.T) {
 		}
 		d.add(r, 0)
 	}
-	rec := metrics.NewRecorder()
 	var records []QueryRecord
+	sink := func(r QueryRecord) { records = append(records, r) }
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := d.step(1, rec, &records); err != nil {
+		if _, err := d.step(1, sink); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -10,6 +10,9 @@
 // what per-window SLO attainment reports need. The online serving mode
 // (`exegpt serve`) drives it directly; Engine.Run queues a pre-drawn
 // request stream at t=0 and measures latency from admission instead.
+// Completions leave through one sink, OnComplete: the engine keeps no
+// per-query history, and each queued request carries its arrival time
+// with it, so its state is the work in the system and nothing more.
 //
 // RRA runs its synchronized encode-then-ND-decodes cycle as a chain of
 // simulator events; WAA runs the asynchronous encoder and decoder
@@ -22,7 +25,6 @@ import (
 	"fmt"
 
 	"exegpt/internal/eventsim"
-	"exegpt/internal/metrics"
 	"exegpt/internal/profile"
 	"exegpt/internal/sched"
 	"exegpt/internal/workload"
@@ -34,36 +36,42 @@ type Arrival struct {
 	At  float64
 }
 
-// futureArrival is a pushed arrival that is not due yet, with the
-// simulator sequence number it took at Push.
-type futureArrival struct {
-	Arrival
+// dueItem is a value waiting in a dueQueue: its due time and the
+// simulator sequence number it took when it was queued.
+type dueItem[T any] struct {
+	at  float64
 	seq eventsim.Seq
+	v   T
 }
 
-// arrivalFIFO holds an engine's future arrivals in firing order: by
-// arrival time, then push order. Serving pushes arrivals in time order,
-// so an insert is an append. A full backing array whose consumed prefix
-// is at least as long as the live items shifts them to its front
-// instead of growing, so once it has grown to twice the most arrivals
-// ever pending, inserting allocates nothing.
-type arrivalFIFO struct {
-	items []futureArrival
+// dueQueue holds an engine's future events of one kind — pushed
+// arrivals, WAA handovers — in firing order: by due time, then queueing
+// order. Only its head has a simulator event, armed; fire is the
+// engine's callback for it, and it takes the head with next. Items are
+// mostly queued in due-time order, so an insert is an append. A full
+// backing array whose consumed prefix is at least as long as the live
+// items shifts them to its front instead of growing, so once it has
+// grown to twice the most items ever pending, queueing allocates
+// nothing.
+type dueQueue[T any] struct {
+	items []dueItem[T]
 	head  int
+	armed eventsim.Handle
+	fire  func()
 }
 
-func (q *arrivalFIFO) len() int { return len(q.items) - q.head }
+func (q *dueQueue[T]) len() int { return len(q.items) - q.head }
 
-// insert places a after every queued arrival due at or before a.At and
+// insert places a after every queued item due at or before a.at and
 // returns its position, 0 when it is the new head.
-func (q *arrivalFIFO) insert(a futureArrival) int {
+func (q *dueQueue[T]) insert(a dueItem[T]) int {
 	if q.head > 0 && q.head >= q.len() && len(q.items) == cap(q.items) {
 		q.items = q.items[:copy(q.items, q.items[q.head:])]
 		q.head = 0
 	}
 	live := q.items[q.head:]
 	i := len(live)
-	for i > 0 && live[i-1].At > a.At {
+	for i > 0 && live[i-1].at > a.at {
 		i--
 	}
 	q.items = append(q.items, a)
@@ -75,9 +83,9 @@ func (q *arrivalFIFO) insert(a futureArrival) int {
 	return i
 }
 
-func (q *arrivalFIFO) peek() futureArrival { return q.items[q.head] }
+func (q *dueQueue[T]) peek() dueItem[T] { return q.items[q.head] }
 
-func (q *arrivalFIFO) pop() futureArrival {
+func (q *dueQueue[T]) pop() dueItem[T] {
 	a := q.items[q.head]
 	q.head++
 	if q.head == len(q.items) {
@@ -86,26 +94,48 @@ func (q *arrivalFIFO) pop() futureArrival {
 	return a
 }
 
-// OpenRun is one schedule's live execution. It is not safe for
-// concurrent use; the serving loop drives it from one goroutine.
+// add queues v due at at. It ties with the engine's own events as if
+// it were scheduled now: at the same instant it fires after events
+// scheduled before the call and before events scheduled after it.
+func (q *dueQueue[T]) add(sim *eventsim.Sim, at float64, v T) {
+	a := dueItem[T]{at: at, seq: sim.Reserve(), v: v}
+	if q.insert(a) == 0 {
+		q.armed.Cancel()
+		q.armed = sim.AtSeq(at, a.seq, q.fire)
+	}
+}
+
+// next takes the head, whose event is firing, and arms the event of the
+// item after it.
+func (q *dueQueue[T]) next(sim *eventsim.Sim) dueItem[T] {
+	a := q.pop()
+	if q.len() > 0 {
+		n := q.peek()
+		q.armed = sim.AtSeq(n.at, n.seq, q.fire)
+	}
+	return a
+}
+
+// OpenRun is one schedule's live execution. It keeps no per-query
+// history: each completion goes to OnComplete and nowhere else, so its
+// bookkeeping stays the size of the work in the system however many
+// requests pass through. It is not safe for concurrent use; the serving
+// loop drives it from one goroutine.
 type OpenRun struct {
 	eng *Engine
 	cfg sched.Config
 	sim *eventsim.Sim
 	dec decoder // query.start is the arrival (admission under Engine.Run)
 
-	queue     reqFIFO
-	arrivedAt map[int]float64 // request ID -> arrival time
-	totalIn   int64
-	arrivals  int64
+	queue    reqFIFO
+	totalIn  int64
+	arrivals int64
 
-	// future holds the pushed arrivals not due yet. Only its head has a
-	// simulator event, nextArrival; arrive fires it and arms the next.
-	future      arrivalFIFO
-	nextArrival eventsim.Handle
+	// future holds the pushed arrivals not due yet; its event applies
+	// the earliest.
+	future dueQueue[workload.Request]
 
-	rec     *metrics.Recorder
-	res     Result
+	res     Result // the run's counters; Engine.Run fills the rest
 	startAt float64
 
 	// batchRun is set only by Engine.Run. It starts each query's latency
@@ -126,8 +156,11 @@ type OpenRun struct {
 	parked bool
 	err    error
 
-	// OnComplete, when set, observes every completion as it happens
-	// (the serving loop feeds windowed recorders from it).
+	// OnComplete is the engine's completion sink: every completion is
+	// handed to it as it happens, and the engine keeps no other record
+	// of it. The serving loop feeds its windowed recorders from it;
+	// Engine.Run installs one that fills Result.Records and Stats.
+	// Nil drops completions.
 	OnComplete func(QueryRecord)
 
 	// kern prices the allocation's stages into the reused times buffer.
@@ -138,14 +171,19 @@ type OpenRun struct {
 	// allocates nothing. wake restarts admission when work arrives at a
 	// parked engine: rraCycle for shared-pool families, startEncode for
 	// dedicated-pool ones.
-	onArrive, onDecode, onStep, onEncode, wake func()
+	onDecode, onStep, onEncode, wake func()
 
 	// rraIter is the decode iteration of the current RRA cycle.
 	rraIter int
 
-	// Dedicated-pool pipeline state; populated by Open.
+	// Dedicated-pool pipeline state; populated by Open. handovers holds
+	// the encoded batches in KV handover, due when their KV reaches the
+	// decoder; inbox the arrived ones waiting to merge; spare the
+	// buffers of merged batches, reused by the next issues.
 	bm           int
+	handovers    dueQueue[encoded]
 	inbox        []encoded
+	spare        []encoded
 	inflight     int // encoder batches not yet fully merged
 	inflightReqs int // requests encoded but not yet active
 	maxInflight  int
@@ -153,10 +191,14 @@ type OpenRun struct {
 }
 
 // encoded is an encoded batch in KV handover or waiting for decoder
-// capacity. issued is its encode issue time, the admission clock of
-// its queries under Engine.Run.
+// capacity. It owns its storage, so the queue it was taken from can
+// reuse its slots meanwhile. reqs[merged:] are still to merge; at holds
+// each request's arrival time (empty under Engine.Run, whose latency
+// clock starts at issued, the encode issue time).
 type encoded struct {
-	batch  []workload.Request
+	reqs   []workload.Request
+	at     []float64
+	merged int
 	issued float64
 }
 
@@ -175,15 +217,13 @@ func (e *Engine) Open(cfg sched.Config, alloc sched.Allocation, startAt float64)
 		eng: e, cfg: cfg,
 		sim:       eventsim.New(),
 		dec:       decoder{model: e.Model, states: states},
-		arrivedAt: map[int]float64{},
-		rec:       metrics.NewRecorder(),
 		startAt:   startAt,
 		admitting: true,
 		parked:    true,
 		kern:      profile.NewStages(e.Prof, e.Cluster, alloc.Stages),
 	}
 	o.sim.MaxSteps = 500_000_000
-	o.onArrive = o.arrive
+	o.future.fire = o.arrive
 	// The family's capabilities pick the execution loop (Validate has
 	// checked that the policy is registered): shared pools run the
 	// synchronized phase loop, dedicated pools the asynchronous encoder
@@ -200,6 +240,7 @@ func (e *Engine) Open(cfg sched.Config, alloc sched.Allocation, startAt float64)
 		// cannot run unboundedly ahead of the decoder.
 		o.maxInflight = len(encStages) + 3
 		o.onEncode, o.onStep, o.wake = o.startEncode, o.waaStep, o.startEncode
+		o.handovers.fire = o.handover
 	} else {
 		o.onDecode, o.onStep, o.wake = o.rraDecode, o.rraStep, o.rraCycle
 	}
@@ -224,18 +265,6 @@ func (o *OpenRun) QueueDepth() int {
 // Done reports whether no work remains anywhere in the engine.
 func (o *OpenRun) Done() bool {
 	return o.queue.Len() == 0 && o.inflightReqs == 0 && len(o.dec.active) == 0
-}
-
-// Records returns the completions so far. Start is the arrival time,
-// so a record's latency includes its queueing.
-func (o *OpenRun) Records() []QueryRecord { return o.res.Records }
-
-// Result summarizes the execution so far.
-func (o *OpenRun) Result() Result {
-	res := o.res
-	res.Stats = metrics.Summarize(o.rec, o.sim.Now()-o.startAt, completionTimes(o.res.Records))
-	res.PeakDecMemPerGPU = peakMem(o.dec.states)
-	return res
 }
 
 // meanIn is the running mean input length over everything that arrived
@@ -265,26 +294,17 @@ func (o *OpenRun) Push(req workload.Request, at float64) {
 		o.applyArrival(req, at)
 		return
 	}
-	a := futureArrival{Arrival: Arrival{Req: req, At: at}, seq: o.sim.Reserve()}
-	if o.future.insert(a) == 0 {
-		o.nextArrival.Cancel()
-		o.nextArrival = o.sim.AtSeq(at, a.seq, o.onArrive)
-	}
+	o.future.add(o.sim, at, req)
 }
 
-// arrive applies the earliest future arrival and arms the next one.
+// arrive applies the earliest future arrival.
 func (o *OpenRun) arrive() {
-	a := o.future.pop()
-	if o.future.len() > 0 {
-		n := o.future.peek()
-		o.nextArrival = o.sim.AtSeq(n.At, n.seq, o.onArrive)
-	}
-	o.applyArrival(a.Req, a.At)
+	a := o.future.next(o.sim)
+	o.applyArrival(a.v, a.at)
 }
 
 func (o *OpenRun) applyArrival(req workload.Request, at float64) {
-	o.queue.push(req)
-	o.arrivedAt[req.ID] = at
+	o.queue.push(req, at)
 	o.arrivals++
 	o.totalIn += int64(req.InLen)
 	if o.parked {
@@ -319,13 +339,13 @@ func (o *OpenRun) Drain() ([]Arrival, error) {
 	if o.err != nil {
 		return nil, o.err
 	}
-	leftover := make([]Arrival, 0, o.queue.Len())
-	for o.queue.Len() > 0 {
-		r := o.queue.Peek(1)[0]
-		o.queue.Advance(1)
-		leftover = append(leftover, Arrival{Req: r, At: o.arrivedAt[r.ID]})
-		delete(o.arrivedAt, r.ID)
+	n := o.queue.Len()
+	reqs, at := o.queue.Peek(n), o.queue.arrivals(o.queue.head, n)
+	leftover := make([]Arrival, n)
+	for i, r := range reqs {
+		leftover[i] = Arrival{Req: r, At: at[i]}
 	}
+	o.queue.Advance(n)
 	return leftover, nil
 }
 
@@ -336,32 +356,30 @@ func (o *OpenRun) hasEncodeWork() bool {
 
 // takeBatch forms the next encode batch from the live queue through the
 // engine's batch-formation policy — the single admission call site both
-// execution loops share.
-func (o *OpenRun) takeBatch() []workload.Request {
-	return o.eng.formation().Take(&o.queue, o.cfg.BE, o.meanIn(), len(o.dec.active), o.cfg.BD)
+// execution loops share — and returns it with its arrival times.
+func (o *OpenRun) takeBatch() ([]workload.Request, []float64) {
+	from := o.queue.head
+	batch := o.eng.formation().Take(&o.queue, o.cfg.BE, o.meanIn(), len(o.dec.active), o.cfg.BD)
+	return batch, o.queue.arrivals(from, len(batch))
 }
 
-// activate makes an admitted request active. admittedAt is its
-// admission time, the latency clock under Engine.Run; otherwise the
-// clock is its arrival.
-func (o *OpenRun) activate(r workload.Request, admittedAt float64) {
-	if !o.batchRun {
-		admittedAt = o.arrivedAt[r.ID]
+// activate makes admitted requests active. at holds their arrival
+// times, the latency clock of an open run; under Engine.Run the clock
+// is admittedAt, their admission time.
+func (o *OpenRun) activate(admitted []workload.Request, at []float64, admittedAt float64) {
+	for i, r := range admitted {
+		start := admittedAt
+		if !o.batchRun {
+			start = at[i]
+		}
+		o.dec.add(r, start)
 	}
-	o.dec.add(r, admittedAt)
 }
 
 // complete applies one decode iteration's survivors/completions at the
-// current virtual time.
+// current virtual time, handing each completion to the sink.
 func (o *OpenRun) complete() {
-	n, err := o.dec.step(o.sim.Now(), o.rec, &o.res.Records)
-	for _, rec := range o.res.Records[len(o.res.Records)-n:] {
-		delete(o.arrivedAt, rec.ID)
-		if o.OnComplete != nil {
-			o.OnComplete(rec)
-		}
-	}
-	if err != nil {
+	if _, err := o.dec.step(o.sim.Now(), o.OnComplete); err != nil {
 		o.err = fmt.Errorf("runner: decode OOM: %w", err)
 	}
 }
@@ -379,7 +397,7 @@ func (o *OpenRun) rraCycle() {
 	}
 	var encDur float64
 	if o.hasEncodeWork() {
-		batch := o.takeBatch()
+		batch, at := o.takeBatch()
 		admitted, tokens, deferred := admitBatch(o.dec.states, batch)
 		if deferred > 0 {
 			// Out of memory: the deferred tail returns to the queue
@@ -411,9 +429,7 @@ func (o *OpenRun) rraCycle() {
 				}
 			}
 			encDur = profile.PipelinePeriod(o.times, rraMicroBatches)
-			for _, r := range admitted {
-				o.activate(r, o.sim.Now()+encDur)
-			}
+			o.activate(admitted, at, o.sim.Now()+encDur)
 		}
 	}
 	o.rraIter = 0
@@ -470,7 +486,8 @@ func (o *OpenRun) rraStep() {
 // startEncode issues one WAA encoder batch from the live queue and
 // pipelines the next issue one stage period later; with nothing to take
 // it parks (arrival wakes it), and at the in-flight cap it stops (the
-// decoder restarts it on merge).
+// decoder restarts it on merge). The batch is copied into a spare
+// buffer for its KV handover.
 func (o *OpenRun) startEncode() {
 	if o.err != nil {
 		return
@@ -482,7 +499,7 @@ func (o *OpenRun) startEncode() {
 	if o.inflight >= o.maxInflight {
 		return
 	}
-	batch := o.takeBatch()
+	batch, at := o.takeBatch()
 	tokens := 0
 	for _, r := range batch {
 		tokens += r.InLen
@@ -502,22 +519,32 @@ func (o *OpenRun) startEncode() {
 	handover := profile.Traversal(o.times) + o.eng.Prof.KVTransfer(tokens)
 	o.inflight++
 	o.inflightReqs += len(batch)
-	issued := o.sim.Now()
-	o.sim.After(handover, func() {
-		o.inbox = append(o.inbox, encoded{batch: batch, issued: issued})
-		if !o.decoding {
-			o.iterate()
-		}
-	})
+	var b encoded
+	if n := len(o.spare); n > 0 {
+		b = o.spare[n-1]
+		o.spare = o.spare[:n-1]
+	}
+	b.reqs = append(b.reqs[:0], batch...)
+	b.at = append(b.at[:0], at...)
+	b.merged, b.issued = 0, o.sim.Now()
+	o.handovers.add(o.sim, o.sim.Now()+handover, b)
 	o.sim.After(period, o.onEncode)
+}
+
+// handover delivers the earliest batch whose KV handover completed to
+// the decoder's inbox, and restarts a parked decoder.
+func (o *OpenRun) handover() {
+	o.inbox = append(o.inbox, o.handovers.next(o.sim).v)
+	if !o.decoding {
+		o.iterate()
+	}
 }
 
 // iterate is the WAA decoder loop: merge arrived batches that fit (§4.1:
 // encoded batches merge with previously decoded data), run one
 // iteration, reschedule. Batches that do not fit yet wait for capacity
-// freed by completing queries; the waiting list compacts in place and
-// leftover batches stay subslices, so a stalled decoder never copies
-// queued requests.
+// freed by completing queries; the waiting list compacts in place, and
+// a fully merged batch's buffers go back to spare.
 func (o *OpenRun) iterate() {
 	if o.err != nil {
 		return
@@ -525,21 +552,24 @@ func (o *OpenRun) iterate() {
 	waiting := o.inbox[:0]
 	merged := false
 	for _, a := range o.inbox {
-		admitted, _, deferred := admitBatch(o.dec.states, a.batch)
-		for _, r := range admitted {
-			o.activate(r, a.issued)
-			o.inflightReqs--
-			merged = true
+		at := a.at
+		if len(at) > 0 {
+			at = at[a.merged:]
 		}
+		admitted, _, deferred := admitBatch(o.dec.states, a.reqs[a.merged:])
+		o.activate(admitted, at, a.issued)
+		o.inflightReqs -= len(admitted)
+		merged = merged || len(admitted) > 0
+		a.merged += len(admitted)
 		if deferred > 0 {
-			i := len(a.batch) - deferred
 			if len(o.dec.active) == 0 {
-				o.err = fmt.Errorf("runner: WAA query %d does not fit in KV memory even on an idle decoder", a.batch[i].ID)
+				o.err = fmt.Errorf("runner: WAA query %d does not fit in KV memory even on an idle decoder", a.reqs[a.merged].ID)
 				return
 			}
-			waiting = append(waiting, encoded{batch: a.batch[i:], issued: a.issued})
+			waiting = append(waiting, a)
 		} else {
 			o.inflight--
+			o.spare = append(o.spare, a)
 		}
 	}
 	o.inbox = waiting

@@ -10,6 +10,7 @@ import (
 	"exegpt/internal/core"
 	"exegpt/internal/eventsim"
 	"exegpt/internal/hw"
+	"exegpt/internal/metrics"
 	"exegpt/internal/model"
 	"exegpt/internal/sched"
 	"exegpt/internal/workload"
@@ -22,6 +23,16 @@ func openEngine(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	return engine(t, m, 4, hw.A40Cluster)
+}
+
+// completions collects an engine's completions in completion order.
+type completions struct{ recs []QueryRecord }
+
+// collect installs a sink on o that keeps every completion.
+func collect(o *OpenRun) *completions {
+	c := &completions{}
+	o.OnComplete = func(r QueryRecord) { c.recs = append(c.recs, r) }
+	return c
 }
 
 // pushAll feeds arrivals spaced gap seconds apart and returns the last
@@ -45,13 +56,13 @@ func TestOpenRRACompletesAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := collect(o)
 	last := pushAll(o, reqs, 0, 0.05)
 	if err := o.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	res := o.Result()
-	if res.Stats.Completed != len(reqs) {
-		t.Fatalf("completed %d of %d", res.Stats.Completed, len(reqs))
+	if len(done.recs) != len(reqs) {
+		t.Fatalf("completed %d of %d", len(done.recs), len(reqs))
 	}
 	if !o.Done() {
 		t.Fatal("engine not Done after drain")
@@ -59,7 +70,7 @@ func TestOpenRRACompletesAll(t *testing.T) {
 	if o.Now() < last {
 		t.Fatalf("clock %v did not reach last arrival %v", o.Now(), last)
 	}
-	for _, r := range res.Records {
+	for _, r := range done.recs {
 		if r.End <= r.Start {
 			t.Fatalf("record %d: End %v <= Start %v", r.ID, r.End, r.Start)
 		}
@@ -76,13 +87,13 @@ func TestOpenWAACompletesAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := collect(o)
 	pushAll(o, reqs, 0, 0.05)
 	if err := o.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	res := o.Result()
-	if res.Stats.Completed != len(reqs) {
-		t.Fatalf("completed %d of %d", res.Stats.Completed, len(reqs))
+	if len(done.recs) != len(reqs) {
+		t.Fatalf("completed %d of %d", len(done.recs), len(reqs))
 	}
 	if !o.Done() {
 		t.Fatal("engine not Done after drain")
@@ -102,6 +113,7 @@ func TestOpenLatencyIncludesQueueing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := collect(o)
 	// Everything arrives at t=0: the tail of the queue waits.
 	for _, r := range reqs {
 		o.Push(r, 0)
@@ -109,7 +121,7 @@ func TestOpenLatencyIncludesQueueing(t *testing.T) {
 	if err := o.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	recs := o.Records()
+	recs := done.recs
 	if len(recs) != len(reqs) {
 		t.Fatalf("completed %d of %d", len(recs), len(reqs))
 	}
@@ -140,12 +152,13 @@ func TestOpenIdleWake(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		done := collect(o)
 		o.Push(reqs[0], 0)
 		o.Push(reqs[1], 1000)
 		if err := o.RunUntil(999); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(o.Records()); got != 1 {
+		if got := len(done.recs); got != 1 {
 			t.Fatalf("%v: %d completions before the gap, want 1", cfg.Policy, got)
 		}
 		if !o.Done() {
@@ -154,10 +167,10 @@ func TestOpenIdleWake(t *testing.T) {
 		if err := o.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(o.Records()); got != 2 {
+		if got := len(done.recs); got != 2 {
 			t.Fatalf("%v: %d total completions, want 2", cfg.Policy, got)
 		}
-		if second := o.Records()[1]; second.Start != 1000 || second.End <= 1000 {
+		if second := done.recs[1]; second.Start != 1000 || second.End <= 1000 {
 			t.Fatalf("%v: second record %+v not anchored at its arrival", cfg.Policy, second)
 		}
 	}
@@ -177,6 +190,7 @@ func TestOpenDrainCarriesBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := collect(o)
 	for _, r := range reqs {
 		o.Push(r, 0)
 	}
@@ -187,7 +201,7 @@ func TestOpenDrainCarriesBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := len(o.Records())
+	done := len(first.recs)
 	if done == 0 || len(leftover) == 0 {
 		t.Fatalf("drain split %d done / %d leftover; want both non-zero", done, len(leftover))
 	}
@@ -208,16 +222,17 @@ func TestOpenDrainCarriesBacklog(t *testing.T) {
 	if o2.Now() != resume {
 		t.Fatalf("successor clock %v, want %v", o2.Now(), resume)
 	}
+	second := collect(o2)
 	for _, a := range leftover {
 		o2.Push(a.Req, a.At)
 	}
 	if err := o2.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(o2.Records()); got != len(leftover) {
+	if got := len(second.recs); got != len(leftover) {
 		t.Fatalf("successor completed %d of %d", got, len(leftover))
 	}
-	for _, r := range o2.Records() {
+	for _, r := range second.recs {
 		if r.Start != 0 || r.End <= resume {
 			t.Fatalf("successor record %+v lost its queueing latency", r)
 		}
@@ -244,11 +259,12 @@ func TestOpenDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			done := collect(o)
 			pushAll(o, reqs, 0, 0.02)
 			if err := o.Finish(); err != nil {
 				t.Fatal(err)
 			}
-			return o.Records()
+			return done.recs
 		}
 		a, b := run(), run()
 		if !reflect.DeepEqual(a, b) {
@@ -300,20 +316,21 @@ func TestOpenMatchesBatchThroughput(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				done := collect(o)
 				for _, r := range reqs {
 					o.Push(r, 0)
 				}
 				if err := o.Finish(); err != nil {
 					t.Fatal(err)
 				}
-				open := o.Result()
-				if open.Stats.Completed != batch.Stats.Completed {
-					t.Fatalf("%s %s: open completed %d, batch %d", task.ID, est.Config, open.Stats.Completed, batch.Stats.Completed)
+				if len(done.recs) != batch.Stats.Completed {
+					t.Fatalf("%s %s: open completed %d, batch %d", task.ID, est.Config, len(done.recs), batch.Stats.Completed)
 				}
-				ratio := open.Stats.Throughput / batch.Stats.Throughput
+				open := metrics.Throughput(len(done.recs), o.Now())
+				ratio := open / batch.Stats.Throughput
 				if math.IsNaN(ratio) || ratio < band[0] || ratio > band[1] {
 					t.Errorf("%s %s: open tput %.4f vs batch %.4f (ratio %.6f) outside [%v, %v]",
-						task.ID, est.Config, open.Stats.Throughput, batch.Stats.Throughput, ratio, band[0], band[1])
+						task.ID, est.Config, open, batch.Stats.Throughput, ratio, band[0], band[1])
 				}
 			}
 		}
@@ -367,6 +384,7 @@ func TestOpenOutOfOrderPush(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		done := collect(o)
 		pushedAt := map[int]float64{}
 		push := func(i int, at float64) {
 			pushedAt[reqs[i].ID] = at
@@ -388,7 +406,7 @@ func TestOpenOutOfOrderPush(t *testing.T) {
 		if err := o.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		got := completionOrder(t, o.Records(), pushedAt)
+		got := completionOrder(t, done.recs, pushedAt)
 		if name := c.cfg.Policy.String(); !reflect.DeepEqual(got, want[name]) {
 			t.Errorf("%s: completion order %v, want %v", name, got, want[name])
 		}
@@ -410,6 +428,7 @@ func TestOpenEqualTimePushes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		done := collect(o)
 		pushedAt := map[int]float64{}
 		for i, at := range []float64{1, 1, 1, 1, 1, 1, 0.5, 0.5, 0.5, 0.5, 1, 1, 2, 2, 0.5, 2} {
 			pushedAt[reqs[i].ID] = at
@@ -418,7 +437,7 @@ func TestOpenEqualTimePushes(t *testing.T) {
 		if err := o.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		got := completionOrder(t, o.Records(), pushedAt)
+		got := completionOrder(t, done.recs, pushedAt)
 		if name := c.cfg.Policy.String(); !reflect.DeepEqual(got, want[name]) {
 			t.Errorf("%s: completion order %v, want %v", name, got, want[name])
 		}
@@ -510,6 +529,7 @@ func TestOpenArrivalTiesEngineEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := collect(o)
 	o.Push(long, 0)
 	o.Push(y, (steps[2]+steps[3])/2)
 	o.Push(x, steps[3])
@@ -517,11 +537,11 @@ func TestOpenArrivalTiesEngineEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := map[int]float64{}
-	for _, r := range o.Records() {
+	for _, r := range done.recs {
 		end[r.ID] = r.End
 	}
 	if len(end) != 3 || end[x.ID] != end[y.ID] {
-		t.Fatalf("X completed at %v, Y at %v; want one batch (records %+v)", end[x.ID], end[y.ID], o.Records())
+		t.Fatalf("X completed at %v, Y at %v; want one batch (records %+v)", end[x.ID], end[y.ID], done.recs)
 	}
 }
 
@@ -552,14 +572,62 @@ func TestOpenFuturePushAllocs(t *testing.T) {
 	}
 }
 
-// TestArrivalFIFO checks the arrival queue against a stable sort by
-// time under random interleavings of inserts and pops, including
-// out-of-order and equal-time inserts and the shift-down of the live
-// items.
+// TestOpenServeSteadyStateAllocs pins the serve path's bookkeeping:
+// once an open engine's buffers have grown, pushing requests and running
+// them to completion allocates nothing, for RRA and for WAA-C, whose
+// encoded batches carry their arrival times through the KV handover in
+// recycled buffers. The request queue compacts in place, and the
+// handover callback is bound once.
+func TestOpenServeSteadyStateAllocs(t *testing.T) {
+	e := openEngine(t)
+	waa := sched.Config{Policy: sched.WAAC, BE: 2, BD: 16, Bm: 1, ND: 1, TP: sched.TPSpec{Degree: 1}}
+	waaAllocC, err := sched.AllocateWAA(e.Model, e.Cluster, sched.WAAC, 1, 3, waa.TP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rra := rraConfig(8, 4)
+	reqs := requests(t, workload.Summarization, 64, 29)
+	for _, c := range []openSchedule{{rra, rraAlloc(t, e, rra.TP)}, {waa, waaAllocC}} {
+		o, err := e.Open(c.cfg, c.alloc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.OnComplete = func(QueryRecord) {}
+		id := 0
+		// wave pushes the requests as fresh arrivals ahead of the clock
+		// and runs the engine until every one of them completed.
+		wave := func() {
+			at := o.Now()
+			for _, r := range reqs {
+				r.ID = id
+				id++
+				at += 0.02
+				o.Push(r, at)
+			}
+			if err := o.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if !o.Done() {
+				t.Fatalf("%v: work left after Finish", c.cfg.Policy)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			wave()
+		}
+		if got := testing.AllocsPerRun(20, wave); got != 0 {
+			t.Errorf("%v: a wave of %d requests allocates %v objects, want 0", c.cfg.Policy, len(reqs), got)
+		}
+	}
+}
+
+// TestArrivalFIFO checks the due queue that holds future arrivals and
+// WAA handovers against a stable sort by time under random
+// interleavings of inserts and pops, including out-of-order and
+// equal-time inserts and the shift-down of the live items.
 func TestArrivalFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var q arrivalFIFO
-	var ref []futureArrival
+	var q dueQueue[workload.Request]
+	var ref []dueItem[workload.Request]
 	for op := 0; op < 5000; op++ {
 		if len(ref) > 0 && rng.Intn(20) < 9 {
 			got, want := q.pop(), ref[0]
@@ -569,10 +637,10 @@ func TestArrivalFIFO(t *testing.T) {
 			}
 			continue
 		}
-		a := futureArrival{Arrival: Arrival{Req: workload.Request{ID: op}, At: float64(rng.Intn(16))}, seq: eventsim.Seq(op)}
+		a := dueItem[workload.Request]{at: float64(rng.Intn(16)), seq: eventsim.Seq(op), v: workload.Request{ID: op}}
 		pos := q.insert(a)
-		i := sort.Search(len(ref), func(k int) bool { return ref[k].At > a.At })
-		ref = append(ref[:i], append([]futureArrival{a}, ref[i:]...)...)
+		i := sort.Search(len(ref), func(k int) bool { return ref[k].at > a.at })
+		ref = append(ref[:i], append([]dueItem[workload.Request]{a}, ref[i:]...)...)
 		if pos != i {
 			t.Fatalf("op %d: insert at %d, want %d", op, pos, i)
 		}

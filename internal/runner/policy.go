@@ -20,7 +20,10 @@ type Queue interface {
 // BatchFormation forms the next encode batch from the pending queue.
 // want is the scheduled encoder batch size BE, meanIn the mean input
 // length observed so far, activeNow the live decoder batch, and
-// targetBD the scheduled decoder batch size.
+// targetBD the scheduled decoder batch size. The batch is the front of
+// the queue: Take returns a prefix of what Peek returned and advances
+// past it, so the engine can find the batch's arrival times and rewind
+// an unadmitted tail.
 type BatchFormation interface {
 	Take(q Queue, want int, meanIn float64, activeNow, targetBD int) []workload.Request
 }

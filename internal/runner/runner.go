@@ -19,7 +19,10 @@
 // iterations, Figure 4(a)) as a chain of events; WAA runs the encoder
 // and decoder pipelines asynchronously (Figure 4(b)). The serving loop
 // pushes arrivals into it over time; Engine.Run queues a whole
-// pre-drawn request stream at t=0 and drains it.
+// pre-drawn request stream at t=0 and drains it. Either way every
+// completion goes to one sink, OpenRun.OnComplete: the serving loop's
+// windowed recorders, or the one Engine.Run installs to fill
+// Result.Records and Result.Stats.
 package runner
 
 import (
@@ -86,9 +89,12 @@ type QueryRecord struct {
 	OutLen     int
 }
 
-// Result summarizes one execution.
+// Result summarizes one execution. An OpenRun keeps only its counters
+// (Iterations, Compactions, CompactionSeconds); Engine.Run fills the
+// rest from the completion sink it installs.
 type Result struct {
-	Stats   metrics.RunStats
+	Stats metrics.RunStats
+	// Records holds every completion in completion order.
 	Records []QueryRecord
 	// EncStage and DecStage record steady-state single-stage execution
 	// times per encode batch and decode iteration (Table 7 variance
@@ -184,13 +190,13 @@ func (d *decoder) meanCtx() float64 {
 
 // step applies one finished decode iteration at virtual time now: every
 // active query generates a token; queries that reach their output length
-// are released on every stage and appended to rec and records, in
+// are released on every stage and handed to sink (when not nil), in
 // admission order; the survivors' contexts and caches then grow by that
-// token, with one AppendAll per stage. It returns the number of records
-// appended. Release never returns bytes to a stage's tracker, so the
+// token, with one AppendAll per stage. It returns the number of queries
+// completed. Release never returns bytes to a stage's tracker, so the
 // bulk charge fails exactly when one of the per-query charges it
 // replaces would have.
-func (d *decoder) step(now float64, rec *metrics.Recorder, records *[]QueryRecord) (int, error) {
+func (d *decoder) step(now float64, sink func(QueryRecord)) (int, error) {
 	d.iter++
 	done := 0
 	for len(d.active) > 0 && d.active[0].finish <= d.iter {
@@ -200,11 +206,12 @@ func (d *decoder) step(now float64, rec *metrics.Recorder, records *[]QueryRecor
 		// max(OutLen, 1)-1.
 		d.ctxSum -= d.model.ContextLen(q.req.InLen, max(q.req.OutLen, 1)-1)
 		release(d.states, q.req.ID)
-		rec.Add(now - q.start)
-		*records = append(*records, QueryRecord{
-			ID: q.req.ID, Start: q.start, End: now,
-			InLen: q.req.InLen, OutLen: q.req.OutLen,
-		})
+		if sink != nil {
+			sink(QueryRecord{
+				ID: q.req.ID, Start: q.start, End: now,
+				InLen: q.req.InLen, OutLen: q.req.OutLen,
+			})
+		}
 		done++
 	}
 	d.ctxSum += len(d.active) // ContextLen grows by one per generated token
@@ -216,11 +223,17 @@ func (d *decoder) step(now float64, rec *metrics.Recorder, records *[]QueryRecor
 	return done, nil
 }
 
-// stageState holds the per-decode-stage memory bookkeeping.
+// stageState holds the per-decode-stage memory bookkeeping. kvLayers
+// is the KV bytes one token caches across the stage's decode layers
+// (KVBytesPerTokenLayer·DecLayers) and tp the stage's tensor-parallel
+// degree, kept so maybeCompact prices live bytes without touching the
+// model.
 type stageState struct {
-	stage sched.Stage
-	mem   *hw.MemTracker
-	kv    *kvcache.Compacting
+	stage    sched.Stage
+	mem      *hw.MemTracker
+	kv       *kvcache.Compacting
+	kvLayers int64
+	tp       int64
 }
 
 // newStageStates builds KV managers for the decode-role stages, charging
@@ -235,11 +248,13 @@ func (e *Engine) newStageStates(alloc sched.Allocation) ([]*stageState, error) {
 		if err := mem.Alloc(sched.WeightBytesPerGPU(e.Model, st)); err != nil {
 			return nil, fmt.Errorf("runner: weights do not fit on stage at rank %d: %w", st.FirstRank, err)
 		}
-		perToken := e.Model.KVBytesPerTokenLayer() * int64(st.DecLayers) / int64(st.TP)
+		kvLayers, tp := e.Model.KVBytesPerTokenLayer()*int64(st.DecLayers), int64(st.TP)
 		states = append(states, &stageState{
-			stage: st,
-			mem:   mem,
-			kv:    kvcache.NewCompacting(mem, perToken),
+			stage:    st,
+			mem:      mem,
+			kv:       kvcache.NewCompacting(mem, kvLayers/tp),
+			kvLayers: kvLayers,
+			tp:       tp,
 		})
 	}
 	if len(states) == 0 {
@@ -276,7 +291,7 @@ func (e *Engine) maybeCompact(states []*stageState) (float64, bool) {
 	var cost float64
 	ran := false
 	for _, st := range states {
-		live := st.kv.LiveTokens() * int64(e.Model.KVBytesPerTokenLayer()) * int64(st.stage.DecLayers) / int64(st.stage.TP)
+		live := st.kv.LiveTokens() * st.kvLayers / st.tp
 		if live < 1 {
 			live = 1
 		}
@@ -310,7 +325,7 @@ func (e *Engine) Run(cfg sched.Config, alloc sched.Allocation, reqs []workload.R
 	if err != nil {
 		return Result{}, err
 	}
-	res := o.Result()
+	res := o.res
 	// Keep only RRA decode iterations where the decoder ran within theta
 	// of the largest batch it achieved: that is the schedule's operating
 	// point, whether or not the request stream ever filled the nominal
@@ -332,7 +347,8 @@ func (e *Engine) Run(cfg sched.Config, alloc sched.Allocation, reqs []workload.R
 }
 
 // runAll opens a batch-mode engine, queues every request at t=0, wakes
-// it once and runs it until every request completed.
+// it once and runs it until every request completed. Its completion
+// sink fills o.res.Records and the latency recorder behind o.res.Stats.
 func (e *Engine) runAll(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (*OpenRun, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("runner: no requests")
@@ -344,7 +360,12 @@ func (e *Engine) runAll(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 	o.batchRun = true
 	o.res.EncStage, o.res.DecStage = metrics.NewRecorder(), metrics.NewRecorder()
 	// Every request completes once: one allocation holds the records.
-	o.res.Records = make([]QueryRecord, 0, len(reqs))
+	records := make([]QueryRecord, 0, len(reqs))
+	lat := metrics.NewRecorder()
+	o.OnComplete = func(r QueryRecord) {
+		lat.Add(r.End - r.Start)
+		records = append(records, r)
+	}
 	o.queue = newReqFIFO(reqs)
 	for _, r := range reqs {
 		o.totalIn += int64(r.InLen)
@@ -355,27 +376,30 @@ func (e *Engine) runAll(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 	if err := o.Finish(); err != nil {
 		return nil, err
 	}
-	if len(o.res.Records) != len(reqs) {
-		return nil, fmt.Errorf("runner: %v completed %d of %d requests (stall)", cfg.Policy, len(o.res.Records), len(reqs))
+	if len(records) != len(reqs) {
+		return nil, fmt.Errorf("runner: %v completed %d of %d requests (stall)", cfg.Policy, len(records), len(reqs))
 	}
+	o.res.Records = records
+	o.res.Stats = metrics.Summarize(lat, o.sim.Now()-o.startAt, completionTimes(records))
+	o.res.PeakDecMemPerGPU = peakMem(o.dec.states)
 	return o, nil
 }
 
 // rraMicroBatches matches Figure 4(a)'s two interleaved mini-batches.
 const rraMicroBatches = 2
 
-// reqFIFO is an index-cursor FIFO over an immutable request slice.
-// Batches come out as subslices (no copying) and a failed admission
-// rewinds the cursor, so deferred admission is O(1) instead of the old
-// re-prepend (`append(copy(batch[i:]), pending...)`), which copied the
-// whole remaining queue on every stall.
+// reqFIFO is an index-cursor FIFO of queued requests. Batches come out
+// as subslices (no copying) and a failed admission rewinds the cursor,
+// so deferred admission is O(1). at holds each pushed request's arrival
+// time, parallel to items; a queue built by newReqFIFO has none.
 type reqFIFO struct {
 	items []workload.Request
+	at    []float64
 	head  int
 }
 
-// newReqFIFO copies reqs once: the backing array must stay immutable
-// while subslices of it are in flight as encode batches.
+// newReqFIFO queues a copy of reqs, so the queue never writes to the
+// caller's slice.
 func newReqFIFO(reqs []workload.Request) reqFIFO {
 	return reqFIFO{items: append([]workload.Request(nil), reqs...)}
 }
@@ -400,18 +424,30 @@ func (q *reqFIFO) Advance(n int) { q.head += n }
 // the backing array).
 func (q *reqFIFO) Rewind(n int) { q.head -= n }
 
-// push appends a newly arrived request to the queue tail (open-loop
-// runs grow the queue incrementally instead of pre-drawing it). When
-// the consumed prefix dominates the backing array it is compacted into
-// a fresh allocation, which leaves any in-flight batch subslices on the
-// old array untouched; appending into spare capacity is equally safe
-// because in-flight subslices are never read past their length.
-func (q *reqFIFO) push(r workload.Request) {
-	if q.head > 64 && q.head > len(q.items)/2 {
-		q.items = append([]workload.Request(nil), q.items[q.head:]...)
-		q.head = 0
+// arrivals returns the arrival times of the n requests from position
+// from of the backing array, or nil when the queue has none.
+func (q *reqFIFO) arrivals(from, n int) []float64 {
+	if q.at == nil {
+		return nil
+	}
+	return q.at[from : from+n]
+}
+
+// push appends a request that arrived at at to the queue tail (open
+// runs grow the queue incrementally instead of pre-drawing it). A full
+// backing array whose consumed prefix is at least as long as the queue
+// shifts the queue to its front instead of growing, so once it has
+// grown to twice the longest queue, pushing allocates nothing. The
+// shift overwrites consumed slots: a batch taken from the queue must be
+// used, or copied, before the next push.
+func (q *reqFIFO) push(r workload.Request, at float64) {
+	if q.head > 0 && q.head >= q.Len() && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		copy(q.at, q.at[q.head:])
+		q.items, q.at, q.head = q.items[:n], q.at[:n], 0
 	}
 	q.items = append(q.items, r)
+	q.at = append(q.at, at)
 }
 
 // completionTimes extracts the End timestamps of the records.

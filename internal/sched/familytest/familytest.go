@@ -247,13 +247,15 @@ func testOpenRun(t *testing.T, f sched.Family) {
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
+		var recs []runner.QueryRecord
+		o.OnComplete = func(r runner.QueryRecord) { recs = append(recs, r) }
 		for i, r := range reqs {
 			o.Push(r, float64(i)*0.05)
 		}
 		if err := o.Finish(); err != nil {
 			t.Fatalf("Finish: %v", err)
 		}
-		return o.Records()
+		return recs
 	}
 	r1, r2 := run(), run()
 	if len(r1) != len(reqs) {

@@ -221,7 +221,7 @@ func pickSchedule(f *core.Frontier, rate, slo float64) (core.Estimate, bool) {
 }
 
 // sampleRing keeps the most recent completed requests for empirical
-// length re-estimation.
+// length re-estimation, rebuilt from their completion records.
 type sampleRing struct {
 	buf  []workload.Request
 	next int
@@ -230,8 +230,8 @@ type sampleRing struct {
 
 func newSampleRing(n int) *sampleRing { return &sampleRing{buf: make([]workload.Request, n)} }
 
-func (r *sampleRing) add(req workload.Request) {
-	r.buf[r.next] = req
+func (r *sampleRing) add(rec runner.QueryRecord) {
+	r.buf[r.next] = workload.Request{ID: rec.ID, InLen: rec.InLen, OutLen: rec.OutLen}
 	r.next++
 	if r.next == len(r.buf) {
 		r.next, r.full = 0, true
@@ -309,16 +309,12 @@ func Run(dep *experiments.Deployment, opts Options) (*Report, error) {
 	totalRec := metrics.NewRecorder()
 	var completions []float64
 	ring := newSampleRing(8 * opts.MinSample)
-	byID := map[int]workload.Request{}
 	onComplete := func(r runner.QueryRecord) {
 		lat := r.End - r.Start
 		windowed.Complete(r.End, lat)
 		totalRec.Add(lat)
 		completions = append(completions, r.End)
-		if req, found := byID[r.ID]; found {
-			ring.add(req)
-			delete(byID, r.ID)
-		}
+		ring.add(r)
 	}
 
 	eng, err := dep.Run.Open(cur.Config, cur.Alloc, 0)
@@ -341,11 +337,9 @@ func Run(dep *experiments.Deployment, opts Options) (*Report, error) {
 	for w := 0; w < numWin; w++ {
 		winEnd := float64(w+1) * opts.Window
 		for nextArrival <= opts.Duration && nextArrival < winEnd {
-			req := gen.Next()
-			byID[req.ID] = req
 			windowed.Arrive(nextArrival)
 			arrived++
-			eng.Push(req, nextArrival)
+			eng.Push(gen.Next(), nextArrival)
 			nextArrival = proc.Next()
 		}
 		if err := eng.RunUntil(winEnd); err != nil {

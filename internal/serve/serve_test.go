@@ -234,3 +234,27 @@ func TestServeRejectsBadOptions(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkServeRung is one rung of the repository benchmark's serve
+// ladder, shortened: Poisson arrivals at 24 req/s on OPT-13B/4xA40, task
+// S under a 5 s SLO, for 600 virtual seconds. Each iteration serves from
+// a fresh Redeploy, so its initial schedule search is cold, as in one
+// `exegpt serve` invocation. Run it with -benchmem: its B/op and
+// allocs/op are the serving loop's bookkeeping plus that one search.
+func BenchmarkServeRung(b *testing.B) {
+	base, err := experiments.NewContext().Deploy(model.OPT13B, hw.A40Cluster, 4, workload.Summarization)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Arrival: "poisson", Rate: 24, Duration: 600, Seed: 42, SLO: 5}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := base.Redeploy(base.In, base.Out)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Run(d, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -379,7 +379,7 @@ func (o *OpenRun) activate(admitted []workload.Request, at []float64, admittedAt
 // complete applies one decode iteration's survivors/completions at the
 // current virtual time, handing each completion to the sink.
 func (o *OpenRun) complete() {
-	if _, err := o.dec.step(o.sim.Now(), o.OnComplete); err != nil {
+	if err := o.dec.step(o.sim.Now(), o.OnComplete); err != nil {
 		o.err = fmt.Errorf("runner: decode OOM: %w", err)
 	}
 }

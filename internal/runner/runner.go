@@ -192,13 +192,11 @@ func (d *decoder) meanCtx() float64 {
 // active query generates a token; queries that reach their output length
 // are released on every stage and handed to sink (when not nil), in
 // admission order; the survivors' contexts and caches then grow by that
-// token, with one AppendAll per stage. It returns the number of queries
-// completed. Release never returns bytes to a stage's tracker, so the
-// bulk charge fails exactly when one of the per-query charges it
-// replaces would have.
-func (d *decoder) step(now float64, sink func(QueryRecord)) (int, error) {
+// token, with one AppendAll per stage. Release never returns bytes to a
+// stage's tracker, so the bulk charge fails exactly when one of the
+// per-query charges it replaces would have.
+func (d *decoder) step(now float64, sink func(QueryRecord)) error {
 	d.iter++
-	done := 0
 	for len(d.active) > 0 && d.active[0].finish <= d.iter {
 		q := d.active[0]
 		d.popMin()
@@ -212,15 +210,14 @@ func (d *decoder) step(now float64, sink func(QueryRecord)) (int, error) {
 				InLen: q.req.InLen, OutLen: q.req.OutLen,
 			})
 		}
-		done++
 	}
 	d.ctxSum += len(d.active) // ContextLen grows by one per generated token
 	for _, st := range d.states {
 		if err := st.kv.AppendAll(); err != nil {
-			return done, err
+			return err
 		}
 	}
-	return done, nil
+	return nil
 }
 
 // stageState holds the per-decode-stage memory bookkeeping. kvLayers

@@ -131,9 +131,6 @@ func New(system System, m model.Model, cluster hw.Cluster, prof *profile.Table) 
 // TP returns the tensor-parallel degree in use.
 func (e *Engine) TP() int { return e.tp }
 
-// PPStages returns the pipeline depth.
-func (e *Engine) PPStages() int { return len(e.stages) }
-
 // layerScale is the system's factor on profiled layer times: ORCA and
 // vLLM run unfused kernels, and DSI's custom GeMMs speed up decode
 // micro-batches under 32 queries (smallDecode).
@@ -308,10 +305,10 @@ type Result struct {
 // unaffected.
 func (e *Engine) runFixedBatch(batch int, reqs []workload.Request, maxOut int, mem *hw.MemTracker, kv kvcache.Manager) (Result, error) {
 	encMB, decMB := e.microBatchesFor()
-	rec := metrics.NewRecorder()
 	res := Result{}
 	now := 0.0
-	var ends []float64
+	// Every request completes once: one allocation holds each series.
+	lat, ends := make([]float64, 0, len(reqs)), make([]float64, 0, len(reqs))
 	// done[n] counts the current batch's queries of output length n,
 	// the ones that complete at its decode iteration n.
 	var done []int
@@ -372,7 +369,7 @@ func (e *Engine) runFixedBatch(batch int, reqs []workload.Request, maxOut int, m
 			// iteration; they keep occupying compute until the batch
 			// ends.
 			for range done[it+1] {
-				rec.Add(now - batchStart)
+				lat = append(lat, now-batchStart)
 				ends = append(ends, now)
 			}
 		}
@@ -382,7 +379,7 @@ func (e *Engine) runFixedBatch(batch int, reqs []workload.Request, maxOut int, m
 			}
 		}
 	}
-	res.Stats = metrics.Summarize(rec, now, ends)
+	res.Stats = metrics.Summarize(lat, now, ends)
 	res.PeakMem = mem.Peak()
 	return res, nil
 }
@@ -393,10 +390,9 @@ func (e *Engine) runFixedBatch(batch int, reqs []workload.Request, maxOut int, m
 // active query, early-terminating completed ones.
 func (e *Engine) runIterationLevel(batch int, reqs []workload.Request, mem *hw.MemTracker, kv kvcache.Manager) (Result, error) {
 	_, decMB := e.microBatchesFor()
-	rec := metrics.NewRecorder()
 	res := Result{}
 	now := 0.0
-	var ends []float64
+	lat, ends := make([]float64, 0, len(reqs)), make([]float64, 0, len(reqs))
 
 	type slot struct {
 		req   workload.Request
@@ -469,7 +465,7 @@ func (e *Engine) runIterationLevel(batch int, reqs []workload.Request, mem *hw.M
 				if err := kv.Release(s.req.ID); err != nil {
 					return Result{}, err
 				}
-				rec.Add(now - s.start)
+				lat = append(lat, now-s.start)
 				ends = append(ends, now)
 			} else {
 				if err := kv.Append(s.req.ID); err != nil {
@@ -483,7 +479,7 @@ func (e *Engine) runIterationLevel(batch int, reqs []workload.Request, mem *hw.M
 			compactor.Compact()
 		}
 	}
-	res.Stats = metrics.Summarize(rec, now, ends)
+	res.Stats = metrics.Summarize(lat, now, ends)
 	res.PeakMem = mem.Peak()
 	return res, nil
 }

@@ -65,13 +65,13 @@ func TestNewValidates(t *testing.T) {
 func TestParallelConfig(t *testing.T) {
 	// 4 GPUs on one node: full TP, single pipeline stage.
 	e := engine(t, FT, model.OPT13B, 4, hw.A40Cluster)
-	if e.TP() != 4 || e.PPStages() != 1 {
-		t.Fatalf("TP=%d PP=%d, want 4/1", e.TP(), e.PPStages())
+	if e.TP() != 4 || len(e.stages) != 1 {
+		t.Fatalf("TP=%d PP=%d, want 4/1", e.TP(), len(e.stages))
 	}
 	// 16 GPUs over two nodes: TP=8 within nodes, two pipeline stages.
 	e16 := engine(t, FT, model.GPT339B, 16, hw.A40Cluster)
-	if e16.TP() != 8 || e16.PPStages() != 2 {
-		t.Fatalf("TP=%d PP=%d, want 8/2", e16.TP(), e16.PPStages())
+	if e16.TP() != 8 || len(e16.stages) != 2 {
+		t.Fatalf("TP=%d PP=%d, want 8/2", e16.TP(), len(e16.stages))
 	}
 }
 

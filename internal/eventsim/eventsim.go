@@ -163,9 +163,6 @@ func New() *Sim {
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// Steps returns the number of events processed so far.
-func (s *Sim) Steps() uint64 { return s.steps }
-
 // alloc takes an Event from the pool, or allocates when it is empty.
 func (s *Sim) alloc() *Event {
 	if n := len(s.free); n > 0 {
@@ -227,11 +224,6 @@ func (s *Sim) After(d float64, fn func()) Handle {
 	}
 	return s.At(s.now+d, fn)
 }
-
-// Pending reports the number of live events waiting to fire. Cancelled
-// events still parked in the heap awaiting lazy drain are excluded, so
-// an idleness check in a long-lived loop never sees phantom work.
-func (s *Sim) Pending() int { return len(s.pending) - s.dead }
 
 // Step processes the single earliest pending event. It reports whether
 // an event was processed. The event's storage is recycled before its

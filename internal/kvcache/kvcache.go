@@ -18,8 +18,8 @@
 //
 // # Cost
 //
-// Every manager keeps running totals, so LiveTokens, UsedBytes,
-// FragBytes and InternalWaste are O(1). Per-query state lives in a dense
+// Every manager keeps running totals, so LiveTokens, UsedBytes and
+// FragBytes are O(1). Per-query state lives in a dense
 // slice indexed by query id (see table), so Append is O(1) with no map
 // operation, and Admit and Release are amortized O(1) for ids that
 // arrive in increasing order, as request ids do (an id below every live
@@ -430,11 +430,6 @@ func (m *Paged) LiveTokens() int64 { return m.live }
 
 // UsedBytes implements Manager.
 func (m *Paged) UsedBytes() int64 { return m.pages * m.pageBytes() }
-
-// InternalWaste returns allocated-but-unused bytes (paging overhead).
-func (m *Paged) InternalWaste() int64 {
-	return m.UsedBytes() - m.live*m.bytesPerToken
-}
 
 var (
 	_ Manager = (*Reserved)(nil)

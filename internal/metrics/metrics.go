@@ -66,11 +66,13 @@ func (r *Recorder) Percentile(q float64) float64 {
 	if q >= 1 {
 		return r.samples[len(r.samples)-1]
 	}
-	idx := int(math.Ceil(q*float64(len(r.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return r.samples[idx]
+	return r.samples[nearestRank(q, len(r.samples))]
+}
+
+// nearestRank returns the 0-based index of the q-quantile (0 < q < 1)
+// of n ascending samples by the nearest-rank method.
+func nearestRank(q float64, n int) int {
+	return max(int(math.Ceil(q*float64(n)))-1, 0)
 }
 
 // Std returns the sample standard deviation, or 0 for <2 samples.
@@ -150,22 +152,82 @@ func (s RunStats) EffectiveTput() float64 {
 	return s.Throughput
 }
 
-// Summarize builds RunStats from a recorder, the elapsed time, and the
-// completion-time series. Taking the completions here (rather than
-// leaving SteadyTput for the caller to fill in) guarantees the field is
-// always populated, so EffectiveTput never silently falls back to
-// whole-run throughput because a caller forgot the second step. A nil
-// or too-short series yields SteadyTput 0, as before.
-func Summarize(r *Recorder, elapsed float64, completionTimes []float64) RunStats {
-	return RunStats{
-		Completed:  r.Count(),
+// Summarize builds RunStats from one run's latencies and completion
+// times, both in completion order, and its elapsed time. Taking the
+// completions here (rather than leaving SteadyTput for the caller to
+// fill in) guarantees the field is always populated, so EffectiveTput
+// never silently falls back to whole-run throughput because a caller
+// forgot the second step. A nil or too-short series yields SteadyTput 0.
+//
+// lat is read in place and left as it is: MeanLat sums it in order, and
+// P99Lat is selected without a sort, equal bit for bit to what a
+// Recorder holding the same samples returns from Mean and
+// Percentile(0.99).
+func Summarize(lat []float64, elapsed float64, completionTimes []float64) RunStats {
+	s := RunStats{
+		Completed:  len(lat),
 		Elapsed:    elapsed,
-		Throughput: Throughput(r.Count(), elapsed),
+		Throughput: Throughput(len(lat), elapsed),
 		SteadyTput: SteadyThroughput(completionTimes),
-		MeanLat:    r.Mean(),
-		P99Lat:     r.Percentile(0.99),
-		MaxLat:     r.Max(),
 	}
+	if len(lat) == 0 {
+		return s
+	}
+	for _, v := range lat {
+		s.MeanLat += v
+		if v > s.MaxLat {
+			s.MaxLat = v
+		}
+	}
+	s.MeanLat /= float64(len(lat))
+	s.P99Lat = kthLargest(lat, len(lat)-nearestRank(0.99, len(lat)))
+	return s
+}
+
+// kthLargest returns the k-th largest of xs (1 <= k <= len(xs)) in
+// sort.Float64s order, which puts NaN below every number. A min-heap
+// holds the k largest samples seen so far; its root is the answer. A
+// p99 needs k of about len(xs)/100.
+func kthLargest(xs []float64, k int) float64 {
+	h := make([]float64, 0, k)
+	for _, x := range xs {
+		if len(h) < k {
+			h = append(h, x)
+			for i := len(h) - 1; i > 0; {
+				parent := (i - 1) / 2
+				if !sortsBefore(h[i], h[parent]) {
+					break
+				}
+				h[i], h[parent] = h[parent], h[i]
+				i = parent
+			}
+			continue
+		}
+		if !sortsBefore(h[0], x) {
+			continue
+		}
+		h[0] = x
+		for i := 0; ; {
+			least, l := i, 2*i+1
+			if l < k && sortsBefore(h[l], h[least]) {
+				least = l
+			}
+			if r := l + 1; r < k && sortsBefore(h[r], h[least]) {
+				least = r
+			}
+			if least == i {
+				break
+			}
+			h[i], h[least] = h[least], h[i]
+			i = least
+		}
+	}
+	return h[0]
+}
+
+// sortsBefore is sort.Float64s' order: NaN sorts first.
+func sortsBefore(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }
 
 // String renders the stats compactly.

@@ -88,10 +88,8 @@ func TestThroughput(t *testing.T) {
 }
 
 func TestSummarizeAndString(t *testing.T) {
-	r := NewRecorder()
-	r.Add(1)
-	r.Add(3)
-	s := Summarize(r, 2, nil)
+	lat := []float64{1, 3}
+	s := Summarize(lat, 2, nil)
 	if s.Completed != 2 || s.Throughput != 1 || s.MeanLat != 2 || s.MaxLat != 3 {
 		t.Fatalf("stats = %+v", s)
 	}
@@ -105,7 +103,7 @@ func TestSummarizeAndString(t *testing.T) {
 	for i := range ends {
 		ends[i] = float64(i + 1)
 	}
-	s = Summarize(r, 2, ends)
+	s = Summarize(lat, 2, ends)
 	if want := SteadyThroughput(ends); s.SteadyTput != want || want == 0 {
 		t.Fatalf("SteadyTput = %v, want %v (non-zero)", s.SteadyTput, want)
 	}

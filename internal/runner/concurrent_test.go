@@ -11,9 +11,11 @@ import (
 )
 
 // TestConcurrentEnginesShareProfile drives several Engine instances that
-// share one immutable profile Table from separate goroutines, the usage
-// pattern of the parallel sweep. Run under -race this pins down the
-// audit result: per-run state is call-local and the Table is read-only.
+// share one immutable profile Table and one request stream from
+// separate goroutines, the usage pattern of the parallel sweep. Run
+// under -race this pins down the audit result: per-run state is
+// call-local, and the Table and the stream, which a batch run queues in
+// place, are read-only.
 func TestConcurrentEnginesShareProfile(t *testing.T) {
 	sub, err := hw.A40Cluster.Sub(4)
 	if err != nil {

@@ -66,11 +66,12 @@ func TestBatchRunConservation(t *testing.T) {
 	for _, c := range conservationCases() {
 		for _, seed := range []int64{1, 2, 3} {
 			reqs := requests(t, workload.Summarization, 300, seed)
-			o, err := e.runAll(c.cfg, c.alloc(t, e), reqs)
+			var records []QueryRecord
+			o, err := e.runAll(c.cfg, c.alloc(t, e), reqs, func(r QueryRecord) { records = append(records, r) }, nil)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", c.name, seed, err)
 			}
-			checkConservation(t, e, reqs, nil, o.res.Records, o.dec.states)
+			checkConservation(t, e, reqs, nil, records, o.dec.states)
 		}
 	}
 }

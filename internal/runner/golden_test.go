@@ -21,12 +21,15 @@ import (
 	"exegpt/internal/workload"
 )
 
-// Golden Engine.Run outcomes: every registered family's schedule on two
+// Golden batch-run outcomes: every registered family's schedule on two
 // deployments and three tasks, selected without a latency bound and at
 // 1.5x the family's lowest latency (a family with no feasible
 // schedule pins "NS", and one that fails at runtime pins "failed"), plus the KV-pressured RRA
 // run of BenchmarkEngineRun (deferred admission and compaction on every
-// cycle). Every float is pinned bit for bit. Regenerate with
+// cycle). Each case pins Engine.Run's Result, and the completion
+// records and Table 7 stage times of the same execution with a recording
+// sink and the sampling on (recordedRun). Every float is pinned bit for
+// bit. Regenerate with
 // UPDATE_GOLDEN=1 after an intentional execution change.
 const goldenRunPath = "testdata/golden_run.json"
 
@@ -95,7 +98,15 @@ func recordsDigest(records []QueryRecord) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func goldenOf(name string, cfg sched.Config, res Result) goldenRun {
+// goldenOf runs one case: Engine.Run for the Result, then recordedRun
+// for the records and stage times.
+func goldenOf(t *testing.T, name string, e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) goldenRun {
+	t.Helper()
+	res, err := e.Run(cfg, alloc, reqs)
+	if err != nil {
+		return goldenRun{Case: name, Config: cfg.String(), Failed: true}
+	}
+	records, st := recordedRun(t, e, cfg, alloc, reqs)
 	return goldenRun{
 		Case:              name,
 		Config:            cfg.String(),
@@ -104,9 +115,9 @@ func goldenOf(name string, cfg sched.Config, res Result) goldenRun {
 		Compactions:       res.Compactions,
 		CompactionSeconds: goldenFloat(res.CompactionSeconds),
 		PeakDecMemPerGPU:  res.PeakDecMemPerGPU,
-		EncStage:          goldenSamplesOf(res.EncStage),
-		DecStage:          goldenSamplesOf(res.DecStage),
-		RecordsSHA256:     recordsDigest(res.Records),
+		EncStage:          goldenSamplesOf(st.enc),
+		DecStage:          goldenSamplesOf(st.dec),
+		RecordsSHA256:     recordsDigest(records),
 	}
 }
 
@@ -177,12 +188,7 @@ func goldenRuns(t *testing.T) []goldenRun {
 						out = append(out, goldenRun{Case: name, Config: "NS"})
 						continue
 					}
-					res, err := e.Run(best.Config, best.Alloc, reqs)
-					if err != nil {
-						out = append(out, goldenRun{Case: name, Config: best.Config.String(), Failed: true})
-						continue
-					}
-					out = append(out, goldenOf(name, best.Config, res))
+					out = append(out, goldenOf(t, name, e, best.Config, best.Alloc, reqs))
 				}
 			}
 		}
@@ -190,15 +196,15 @@ func goldenRuns(t *testing.T) []goldenRun {
 	// BenchmarkEngineRun's KV-pressured RRA run.
 	e := engine(t, model.OPT13B, 4, hw.A40Cluster)
 	cfg := rraConfig(2048, 8)
-	res, err := e.Run(cfg, rraAlloc(t, e, cfg.TP), requests(t, workload.Summarization, 1500, 53))
-	if err != nil {
-		t.Fatal(err)
+	g := goldenOf(t, "OPT-13B/4xA40/S/RRA-kv-pressured", e, cfg, rraAlloc(t, e, cfg.TP), requests(t, workload.Summarization, 1500, 53))
+	if g.Failed {
+		t.Fatal("the KV-pressured RRA run failed")
 	}
-	return append(out, goldenOf("OPT-13B/4xA40/S/RRA-kv-pressured", cfg, res))
+	return append(out, g)
 }
 
-// TestRunGolden pins Engine.Run's outcome on every golden case to the
-// committed rows.
+// TestRunGolden pins the batch engine's outcome on every golden case to
+// the committed rows.
 func TestRunGolden(t *testing.T) {
 	got := goldenRuns(t)
 	data, err := json.MarshalIndent(got, "", "  ")

@@ -10,9 +10,11 @@
 // what per-window SLO attainment reports need. The online serving mode
 // (`exegpt serve`) drives it directly; Engine.Run queues a pre-drawn
 // request stream at t=0 and measures latency from admission instead.
-// Completions leave through one sink, OnComplete: the engine keeps no
-// per-query history, and each queued request carries its arrival time
-// with it, so its state is the work in the system and nothing more.
+// Completions leave through one sink, OnComplete, under either driver:
+// the engine keeps no per-query history, and each queued request
+// carries its arrival time with it, so its state is the work in the
+// system and nothing more. Table 7's stage-time samples are the one
+// extra, taken only for Engine.StageTimes.
 //
 // RRA runs its synchronized encode-then-ND-decodes cycle as a chain of
 // simulator events; WAA runs the asynchronous encoder and decoder
@@ -138,15 +140,12 @@ type OpenRun struct {
 	res     Result // the run's counters; Engine.Run fills the rest
 	startAt float64
 
-	// batchRun is set only by Engine.Run. It starts each query's latency
-	// clock at its admission instead of its arrival, and makes the
-	// engine sample Table 7 stage times into res.EncStage/DecStage.
-	// RRA decode samples are buffered instead — decTimes holds the
-	// stage times of each iteration whose active batch is in decActive
-	// — and Run filters them by the achieved batch once the run is over.
-	batchRun  bool
-	decActive []int
-	decTimes  []float64
+	// batchRun is set only for a batch run (Engine.Run, StageTimes). It
+	// starts each query's latency clock at its admission instead of its
+	// arrival. stages is not nil only under StageTimes, which has the
+	// engine sample Table 7's stage times into it.
+	batchRun bool
+	stages   *stageTimes
 
 	// admitting is cleared by Drain: the engine stops taking requests
 	// off the queue but finishes everything already admitted/encoded.
@@ -159,8 +158,8 @@ type OpenRun struct {
 	// OnComplete is the engine's completion sink: every completion is
 	// handed to it as it happens, and the engine keeps no other record
 	// of it. The serving loop feeds its windowed recorders from it;
-	// Engine.Run installs one that fills Result.Records and Stats.
-	// Nil drops completions.
+	// Engine.Run installs one that keeps each latency and end time for
+	// Result.Stats. Nil drops completions.
 	OnComplete func(QueryRecord)
 
 	// kern prices the allocation's stages into the reused times buffer.
@@ -423,9 +422,9 @@ func (o *OpenRun) rraCycle() {
 			}
 			// Stage-time variance (Table 7) is a steady-state property:
 			// skip the drain tail where batches shrink.
-			if o.batchRun && o.queue.Len() > 0 {
+			if o.stages != nil && o.queue.Len() > 0 {
 				for _, t := range o.times {
-					o.res.EncStage.Add(t)
+					o.stages.enc.Add(t)
 				}
 			}
 			encDur = profile.PipelinePeriod(o.times, rraMicroBatches)
@@ -457,10 +456,10 @@ func (o *OpenRun) rraDecode() {
 		o.err = err
 		return
 	}
-	// Skip the drain tail now and the ramp-up in Engine.Run's filter.
-	if o.batchRun && o.queue.Len() > 0 {
-		o.decActive = append(o.decActive, len(o.dec.active))
-		o.decTimes = append(o.decTimes, o.times...)
+	// Skip the drain tail now and the ramp-up in keepOperatingPoint.
+	if o.stages != nil && o.queue.Len() > 0 {
+		o.stages.decActive = append(o.stages.decActive, len(o.dec.active))
+		o.stages.decTimes = append(o.stages.decTimes, o.times...)
 	}
 	o.sim.After(profile.PipelinePeriod(o.times, rraMicroBatches), o.onStep)
 }
@@ -510,9 +509,9 @@ func (o *OpenRun) startEncode() {
 		o.err = terr
 		return
 	}
-	if o.batchRun {
+	if o.stages != nil {
 		for _, t := range o.times {
-			o.res.EncStage.Add(t)
+			o.stages.enc.Add(t)
 		}
 	}
 	period := profile.Slowest(o.times)
@@ -601,9 +600,9 @@ func (o *OpenRun) iterate() {
 		return
 	}
 	// Table 7 samples the decoder while the encoder still feeds it.
-	if o.batchRun && !o.parked {
+	if o.stages != nil && !o.parked {
 		for _, t := range o.times {
-			o.res.DecStage.Add(t)
+			o.stages.dec.Add(t)
 		}
 	}
 	dur := profile.PipelinePeriod(o.times, o.bm)

@@ -11,6 +11,8 @@ import "exegpt/internal/workload"
 // Queue is the admission-side view of the request FIFO that a
 // BatchFormation policy draws from. Peek returns up to n queued
 // requests without consuming them; Advance consumes from the front.
+// Peek's slice is the queue's own storage (under Engine.Run, the
+// caller's request stream): read it, never write to it.
 type Queue interface {
 	Len() int
 	Peek(n int) []workload.Request

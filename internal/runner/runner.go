@@ -21,8 +21,9 @@
 // pushes arrivals into it over time; Engine.Run queues a whole
 // pre-drawn request stream at t=0 and drains it. Either way every
 // completion goes to one sink, OpenRun.OnComplete: the serving loop's
-// windowed recorders, or the one Engine.Run installs to fill
-// Result.Records and Result.Stats.
+// windowed recorders, or the one Engine.Run installs to summarize the
+// run into Result.Stats. No engine keeps per-query history; Table 7's
+// stage-time samples are taken only by Engine.StageTimes.
 package runner
 
 import (
@@ -90,16 +91,11 @@ type QueryRecord struct {
 }
 
 // Result summarizes one execution. An OpenRun keeps only its counters
-// (Iterations, Compactions, CompactionSeconds); Engine.Run fills the
-// rest from the completion sink it installs.
+// (Iterations, Compactions, CompactionSeconds); Engine.Run adds Stats,
+// summarized from the completions as they stream past, and
+// PeakDecMemPerGPU. It holds no per-query records.
 type Result struct {
 	Stats metrics.RunStats
-	// Records holds every completion in completion order.
-	Records []QueryRecord
-	// EncStage and DecStage record steady-state single-stage execution
-	// times per encode batch and decode iteration (Table 7 variance
-	// analysis). Only Engine.Run fills them; they are nil otherwise.
-	EncStage, DecStage *metrics.Recorder
 	// PeakDecMemPerGPU is the high-water KV+weight bytes on the most
 	// loaded decode-role GPU.
 	PeakDecMemPerGPU int64
@@ -313,40 +309,76 @@ func peakMem(states []*stageState) int64 {
 
 // Run executes the schedule on a pre-drawn request stream and drains
 // it to empty. It is the open engine with every request queued at t=0
-// before its one wake, plus two rules of its own: a query's latency
-// runs from its admission (the end of its RRA encoding phase, or its
-// WAA encode issue), not from its arrival; and EncStage/DecStage hold
-// the Table 7 steady-state stage times.
+// before its one wake, plus a rule of its own: a query's latency runs
+// from its admission (the end of its RRA encoding phase, or its WAA
+// encode issue), not from its arrival. Its completion sink keeps only
+// each query's latency and end time, from which it summarizes Stats.
 func (e *Engine) Run(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (Result, error) {
-	o, err := e.runAll(cfg, alloc, reqs)
+	// Every request completes once: one allocation holds each series.
+	lat, ends := make([]float64, 0, len(reqs)), make([]float64, 0, len(reqs))
+	o, err := e.runAll(cfg, alloc, reqs, func(r QueryRecord) {
+		lat = append(lat, r.End-r.Start)
+		ends = append(ends, r.End)
+	}, nil)
 	if err != nil {
 		return Result{}, err
 	}
 	res := o.res
-	// Keep only RRA decode iterations where the decoder ran within theta
-	// of the largest batch it achieved: that is the schedule's operating
-	// point, whether or not the request stream ever filled the nominal
-	// BD. The achieved batch is only known once the run is over.
-	peakActive := 0
-	for _, a := range o.decActive {
-		peakActive = max(peakActive, a)
-	}
-	floor := float64(peakActive) * (1 - theta)
-	stride := len(o.dec.states) // one decode time per decode stage
-	for i, a := range o.decActive {
-		if float64(a) >= floor {
-			for _, t := range o.decTimes[i*stride : (i+1)*stride] {
-				res.DecStage.Add(t)
-			}
-		}
-	}
+	res.Stats = metrics.Summarize(lat, o.sim.Now()-o.startAt, ends)
 	return res, nil
 }
 
+// StageTimes executes the schedule as Run does and returns the
+// steady-state single-stage execution times of its encode batches and
+// decode iterations, one sample per stage each (Table 7's variance
+// analysis). It is Run's execution with the sampling on and the
+// completions dropped.
+func (e *Engine) StageTimes(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (enc, dec *metrics.Recorder, err error) {
+	st := &stageTimes{enc: metrics.NewRecorder(), dec: metrics.NewRecorder()}
+	if _, err := e.runAll(cfg, alloc, reqs, nil, st); err != nil {
+		return nil, nil, err
+	}
+	return st.enc, st.dec, nil
+}
+
+// stageTimes collects Table 7's stage-time samples during a batch run.
+// Encode batches are sampled while requests are still queued, skipping
+// the drain tail where batches shrink; WAA decode iterations while the
+// encoder still feeds the decoder. RRA decode samples are buffered
+// instead — decTimes holds the stage times of each iteration whose
+// active batch is in decActive — and keepOperatingPoint filters them by
+// the achieved batch once the run is over.
+type stageTimes struct {
+	enc, dec  *metrics.Recorder
+	decActive []int
+	decTimes  []float64
+}
+
+// keepOperatingPoint moves into dec the buffered RRA decode iterations
+// where the decoder ran within theta of the largest batch it achieved:
+// that is the schedule's operating point, whether or not the request
+// stream ever filled the nominal BD. stride is the number of decode
+// stages, one time each per iteration.
+func (s *stageTimes) keepOperatingPoint(stride int) {
+	peakActive := 0
+	for _, a := range s.decActive {
+		peakActive = max(peakActive, a)
+	}
+	floor := float64(peakActive) * (1 - theta)
+	for i, a := range s.decActive {
+		if float64(a) >= floor {
+			for _, t := range s.decTimes[i*stride : (i+1)*stride] {
+				s.dec.Add(t)
+			}
+		}
+	}
+}
+
 // runAll opens a batch-mode engine, queues every request at t=0, wakes
-// it once and runs it until every request completed. Its completion
-// sink fills o.res.Records and the latency recorder behind o.res.Stats.
-func (e *Engine) runAll(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) (*OpenRun, error) {
+// it once and runs it until every request completed. Every completion
+// goes to sink (nil drops them); with st not nil the engine samples
+// Table 7's stage times into it.
+func (e *Engine) runAll(cfg sched.Config, alloc sched.Allocation, reqs []workload.Request, sink func(QueryRecord), st *stageTimes) (*OpenRun, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("runner: no requests")
 	}
@@ -355,14 +387,8 @@ func (e *Engine) runAll(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 		return nil, err
 	}
 	o.batchRun = true
-	o.res.EncStage, o.res.DecStage = metrics.NewRecorder(), metrics.NewRecorder()
-	// Every request completes once: one allocation holds the records.
-	records := make([]QueryRecord, 0, len(reqs))
-	lat := metrics.NewRecorder()
-	o.OnComplete = func(r QueryRecord) {
-		lat.Add(r.End - r.Start)
-		records = append(records, r)
-	}
+	o.stages = st
+	o.OnComplete = sink
 	o.queue = newReqFIFO(reqs)
 	for _, r := range reqs {
 		o.totalIn += int64(r.InLen)
@@ -373,11 +399,12 @@ func (e *Engine) runAll(cfg sched.Config, alloc sched.Allocation, reqs []workloa
 	if err := o.Finish(); err != nil {
 		return nil, err
 	}
-	if len(records) != len(reqs) {
-		return nil, fmt.Errorf("runner: %v completed %d of %d requests (stall)", cfg.Policy, len(records), len(reqs))
+	if left := o.QueueDepth(); left > 0 {
+		return nil, fmt.Errorf("runner: %v completed %d of %d requests (stall)", cfg.Policy, len(reqs)-left, len(reqs))
 	}
-	o.res.Records = records
-	o.res.Stats = metrics.Summarize(lat, o.sim.Now()-o.startAt, completionTimes(records))
+	if st != nil {
+		st.keepOperatingPoint(len(o.dec.states))
+	}
 	o.res.PeakDecMemPerGPU = peakMem(o.dec.states)
 	return o, nil
 }
@@ -388,17 +415,20 @@ const rraMicroBatches = 2
 // reqFIFO is an index-cursor FIFO of queued requests. Batches come out
 // as subslices (no copying) and a failed admission rewinds the cursor,
 // so deferred admission is O(1). at holds each pushed request's arrival
-// time, parallel to items; a queue built by newReqFIFO has none.
+// time, parallel to items; a queue built by newReqFIFO has none. Only
+// push writes to items, and a batch from Peek is read-only, because
+// newReqFIFO's items are the caller's slice.
 type reqFIFO struct {
 	items []workload.Request
 	at    []float64
 	head  int
 }
 
-// newReqFIFO queues a copy of reqs, so the queue never writes to the
-// caller's slice.
+// newReqFIFO queues reqs in place, without a copy: the queue of a batch
+// run, which is never pushed to, only reads the caller's slice, so
+// concurrent runs may share one request stream.
 func newReqFIFO(reqs []workload.Request) reqFIFO {
-	return reqFIFO{items: append([]workload.Request(nil), reqs...)}
+	return reqFIFO{items: reqs}
 }
 
 // Len returns the number of queued requests.
@@ -445,13 +475,4 @@ func (q *reqFIFO) push(r workload.Request, at float64) {
 	}
 	q.items = append(q.items, r)
 	q.at = append(q.at, at)
-}
-
-// completionTimes extracts the End timestamps of the records.
-func completionTimes(records []QueryRecord) []float64 {
-	ends := make([]float64, len(records))
-	for i, r := range records {
-		ends[i] = r.End
-	}
-	return ends
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"exegpt/internal/hw"
+	"exegpt/internal/metrics"
 	"exegpt/internal/model"
 	"exegpt/internal/profile"
 	"exegpt/internal/sched"
@@ -35,6 +36,19 @@ func requests(t testing.TB, task workload.Task, n int, seed int64) []workload.Re
 		t.Fatal(err)
 	}
 	return g.Batch(n)
+}
+
+// recordedRun executes the schedule as Engine.Run does, with a sink that
+// keeps every completion and Table 7's stage-time sampling on. It
+// returns the completions in completion order and the samples.
+func recordedRun(t testing.TB, e *Engine, cfg sched.Config, alloc sched.Allocation, reqs []workload.Request) ([]QueryRecord, *stageTimes) {
+	t.Helper()
+	st := &stageTimes{enc: metrics.NewRecorder(), dec: metrics.NewRecorder()}
+	var records []QueryRecord
+	if _, err := e.runAll(cfg, alloc, reqs, func(r QueryRecord) { records = append(records, r) }, st); err != nil {
+		t.Fatal(err)
+	}
+	return records, st
 }
 
 func rraConfig(bd, nd int) sched.Config {
@@ -86,7 +100,8 @@ func TestRunValidatesInputs(t *testing.T) {
 func TestRRACompletesAllRequests(t *testing.T) {
 	e := engine(t, model.OPT13B, 4, hw.A40Cluster)
 	reqs := requests(t, workload.Summarization, 300, 7)
-	res, err := e.Run(rraConfig(64, 8), rraAlloc(t, e, sched.TPSpec{Degree: 1}), reqs)
+	cfg, alloc := rraConfig(64, 8), rraAlloc(t, e, sched.TPSpec{Degree: 1})
+	res, err := e.Run(cfg, alloc, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,15 +111,16 @@ func TestRRACompletesAllRequests(t *testing.T) {
 	if res.Stats.Throughput <= 0 || res.Stats.Elapsed <= 0 {
 		t.Fatalf("stats: %+v", res.Stats)
 	}
-	if len(res.Records) != len(reqs) {
-		t.Fatalf("records %d", len(res.Records))
+	records, st := recordedRun(t, e, cfg, alloc, reqs)
+	if len(records) != len(reqs) {
+		t.Fatalf("records %d", len(records))
 	}
-	for _, r := range res.Records {
+	for _, r := range records {
 		if r.End <= r.Start {
 			t.Fatalf("record %d has nonpositive latency", r.ID)
 		}
 	}
-	if res.Iterations == 0 || res.EncStage.Count() == 0 || res.DecStage.Count() == 0 {
+	if res.Iterations == 0 || st.enc.Count() == 0 || st.dec.Count() == 0 {
 		t.Fatal("missing stage samples")
 	}
 }
@@ -130,14 +146,19 @@ func TestWAACompletesAllRequests(t *testing.T) {
 	e := engine(t, model.OPT13B, 4, hw.A40Cluster)
 	reqs := requests(t, workload.Summarization, 300, 9)
 	cfg := sched.Config{Policy: sched.WAAM, BE: 4, BD: 128, Bm: 2, TP: sched.TPSpec{Degree: 1}}
-	res, err := e.Run(cfg, waaAlloc(t, e, 1, 3, sched.TPSpec{Degree: 1}), reqs)
+	alloc := waaAlloc(t, e, 1, 3, sched.TPSpec{Degree: 1})
+	res, err := e.Run(cfg, alloc, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Completed != len(reqs) {
 		t.Fatalf("completed %d of %d", res.Stats.Completed, len(reqs))
 	}
-	if res.EncStage.Count() == 0 || res.DecStage.Count() == 0 {
+	enc, dec, err := e.StageTimes(cfg, alloc, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc.Count() == 0 || dec.Count() == 0 {
 		t.Fatal("missing stage samples")
 	}
 }
@@ -233,23 +254,23 @@ func TestDynamicAdjustmentReducesVariance(t *testing.T) {
 	reqs := requests(t, workload.Translation, 500, 19)
 	cfg := rraConfig(64, 8)
 
-	run := func(adjust bool) *Result {
+	run := func(adjust bool) *metrics.Recorder {
 		e := engine(t, model.OPT13B, 4, hw.A40Cluster)
 		if !adjust {
 			e.Formation = fixedTake{}
 		}
-		res, err := e.Run(cfg, rraAlloc(t, e, sched.TPSpec{Degree: 1}), reqs)
+		_, dec, err := e.StageTimes(cfg, rraAlloc(t, e, sched.TPSpec{Degree: 1}), reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &res
+		return dec
 	}
 	with := run(true)
 	without := run(false)
 	// Relative decoder stage-time spread should not get worse with
 	// adjustment enabled.
-	relWith := with.DecStage.Std() / with.DecStage.Mean()
-	relWithout := without.DecStage.Std() / without.DecStage.Mean()
+	relWith := with.Std() / with.Mean()
+	relWithout := without.Std() / without.Mean()
 	if relWith > relWithout*1.1 {
 		t.Fatalf("adjustment increased variance: %.4f vs %.4f", relWith, relWithout)
 	}
@@ -259,11 +280,11 @@ func TestDynamicAdjustmentReducesVariance(t *testing.T) {
 func TestDecoderVarianceSmall(t *testing.T) {
 	e := engine(t, model.OPT13B, 4, hw.A40Cluster)
 	reqs := requests(t, workload.Summarization, 600, 23)
-	res, err := e.Run(rraConfig(96, 8), rraAlloc(t, e, sched.TPSpec{Degree: 1}), reqs)
+	_, dec, err := e.StageTimes(rraConfig(96, 8), rraAlloc(t, e, sched.TPSpec{Degree: 1}), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := res.DecStage.PctlRange(0.99) / res.DecStage.Mean()
+	rel := dec.PctlRange(0.99) / dec.Mean()
 	if rel > 0.25 {
 		t.Fatalf("decoder 99th pctl range %.1f%% of mean, want small", rel*100)
 	}
@@ -407,6 +428,31 @@ func TestReqFIFO(t *testing.T) {
 	}
 }
 
+// TestRunAllocs pins the batch engine's bookkeeping, the batch
+// counterpart of TestOpenServeSteadyStateAllocs: on BenchmarkEngineRun's
+// schedule, doubling the request stream adds at most the amortized
+// growth of the decoder heap and the KV tables (a slice that doubles
+// allocates once per doubling), never an allocation per completion.
+// Run's latency and end-time buffers are presized to the stream.
+func TestRunAllocs(t *testing.T) {
+	e := engine(t, model.OPT13B, 4, hw.A40Cluster)
+	alloc := rraAlloc(t, e, sched.TPSpec{Degree: 1})
+	cfg := rraConfig(2048, 8)
+	allocs := func(n int) float64 {
+		reqs := requests(t, workload.Summarization, n, 53)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := e.Run(cfg, alloc, reqs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n, growth = 1500, 4
+	if base, doubled := allocs(n), allocs(2*n); doubled-base > growth {
+		t.Fatalf("Run allocates %v objects on %d requests and %v on %d: doubling may add at most %d",
+			base, n, doubled, 2*n, growth)
+	}
+}
+
 // BenchmarkEngineRun pins the end-to-end engine cost on a KV-pressured
 // deployment: BD far above what memory admits, so every encoding phase
 // exercises the deferred-admission requeue path that used to copy the
@@ -416,6 +462,7 @@ func BenchmarkEngineRun(b *testing.B) {
 	reqs := requests(b, workload.Summarization, 1500, 53)
 	alloc := rraAlloc(b, e, sched.TPSpec{Degree: 1})
 	cfg := rraConfig(2048, 8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Run(cfg, alloc, reqs); err != nil {

@@ -27,10 +27,10 @@ import (
 // schedule pins "NS", and one that fails at runtime pins "failed"), plus the KV-pressured RRA
 // run of BenchmarkEngineRun (deferred admission and compaction on every
 // cycle). Each case pins Engine.Run's Result, and the completion
-// records and Table 7 stage times of the same execution with a recording
-// sink and the sampling on (recordedRun). Every float is pinned bit for
-// bit. Regenerate with
-// UPDATE_GOLDEN=1 after an intentional execution change.
+// records and Table 7 stage times of the same execution with a
+// recording sink and the sampling on (recordedRun). Every float is
+// pinned bit for bit. Regenerate with UPDATE_GOLDEN=1 after an
+// intentional execution change.
 const goldenRunPath = "testdata/golden_run.json"
 
 // goldenRun is one pinned execution. Floats are kept as shortest

@@ -415,9 +415,10 @@ const rraMicroBatches = 2
 // reqFIFO is an index-cursor FIFO of queued requests. Batches come out
 // as subslices (no copying) and a failed admission rewinds the cursor,
 // so deferred admission is O(1). at holds each pushed request's arrival
-// time, parallel to items; a queue built by newReqFIFO has none. Only
-// push writes to items, and a batch from Peek is read-only, because
-// newReqFIFO's items are the caller's slice.
+// time, parallel to items; a queue built by newReqFIFO has none.
+// newReqFIFO's items are the caller's slice, so nothing may write to
+// them: a batch from Peek is read-only, and push, the queue's one
+// writer, runs only on the queues open runs grow.
 type reqFIFO struct {
 	items []workload.Request
 	at    []float64

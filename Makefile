@@ -72,7 +72,7 @@ lint:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 
-# Compare the reference and Evaluator estimate paths plus the
+# Time cold and warm Evaluator estimates plus the fresh-per-probe,
 # sequential/parallel/multi-bound and warm/cold schedule search and the
 # RRA+WAA-C search of BenchmarkSchedulerBB, then time the three ways
 # to price a decode iteration, the event simulator's schedule/fire

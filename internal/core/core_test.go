@@ -60,7 +60,7 @@ func TestNewSimulatorValidates(t *testing.T) {
 func TestEstimateRRABasic(t *testing.T) {
 	sim := optSim(t, workload.Summarization)
 	cfg := sched.Config{Policy: sched.RRA, BD: 64, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 1}}
-	est, err := sim.Estimate(cfg)
+	est, err := NewEvaluator(sim).Estimate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestEstimateWAABasic(t *testing.T) {
 	// instead (§4.1). Use WAA-M here and cover the WAA-C OOM below.
 	sim := optSim(t, workload.Summarization)
 	cfg := sched.Config{Policy: sched.WAAM, BE: 4, BD: 1, Bm: 2, TP: sched.TPSpec{Degree: 1}}
-	est, err := sim.Estimate(cfg)
+	est, err := NewEvaluator(sim).Estimate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestEstimateWAABasic(t *testing.T) {
 
 func TestEstimateInvalidConfigIsInfeasible(t *testing.T) {
 	sim := optSim(t, workload.Summarization)
-	est, err := sim.Estimate(sched.Config{Policy: sched.RRA, BD: 0, BE: 1, ND: 1, TP: sched.TPSpec{Degree: 1}})
+	est, err := NewEvaluator(sim).Estimate(sched.Config{Policy: sched.RRA, BD: 0, BE: 1, ND: 1, TP: sched.TPSpec{Degree: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestEstimateInvalidConfigIsInfeasible(t *testing.T) {
 // Batch size trades throughput for latency (§4.2).
 func TestBatchTradeoffRRA(t *testing.T) {
 	sim := optSim(t, workload.Summarization)
-	small, _ := sim.Estimate(sched.Config{Policy: sched.RRA, BD: 8, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 1}})
-	large, _ := sim.Estimate(sched.Config{Policy: sched.RRA, BD: 256, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 1}})
+	small, _ := NewEvaluator(sim).Estimate(sched.Config{Policy: sched.RRA, BD: 8, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 1}})
+	large, _ := NewEvaluator(sim).Estimate(sched.Config{Policy: sched.RRA, BD: 256, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 1}})
 	if !small.Feasible || !large.Feasible {
 		t.Fatal("both should fit")
 	}
@@ -142,8 +142,8 @@ func TestBatchTradeoffRRA(t *testing.T) {
 // (§4.1).
 func TestEncodingFrequencyTradeoff(t *testing.T) {
 	sim := optSim(t, workload.Translation)
-	rare, _ := sim.Estimate(sched.Config{Policy: sched.RRA, BD: 128, BE: 1, ND: 32, TP: sched.TPSpec{Degree: 1}})
-	frequent, _ := sim.Estimate(sched.Config{Policy: sched.RRA, BD: 128, BE: 1, ND: 4, TP: sched.TPSpec{Degree: 1}})
+	rare, _ := NewEvaluator(sim).Estimate(sched.Config{Policy: sched.RRA, BD: 128, BE: 1, ND: 32, TP: sched.TPSpec{Degree: 1}})
+	frequent, _ := NewEvaluator(sim).Estimate(sched.Config{Policy: sched.RRA, BD: 128, BE: 1, ND: 4, TP: sched.TPSpec{Degree: 1}})
 	if !rare.Feasible || !frequent.Feasible {
 		t.Fatalf("both should fit: %s / %s", rare.Reason, frequent.Reason)
 	}
@@ -158,8 +158,8 @@ func TestEncodingFrequencyTradeoff(t *testing.T) {
 // More decoder micro-batches cut latency (§4.2, Figure 4(c)).
 func TestMicroBatchTradeoff(t *testing.T) {
 	sim := optSim(t, workload.Summarization)
-	one, _ := sim.Estimate(sched.Config{Policy: sched.WAAM, BE: 8, BD: 1, Bm: 1, TP: sched.TPSpec{Degree: 1}})
-	four, _ := sim.Estimate(sched.Config{Policy: sched.WAAM, BE: 8, BD: 1, Bm: 4, TP: sched.TPSpec{Degree: 1}})
+	one, _ := NewEvaluator(sim).Estimate(sched.Config{Policy: sched.WAAM, BE: 8, BD: 1, Bm: 1, TP: sched.TPSpec{Degree: 1}})
+	four, _ := NewEvaluator(sim).Estimate(sched.Config{Policy: sched.WAAM, BE: 8, BD: 1, Bm: 4, TP: sched.TPSpec{Degree: 1}})
 	if !one.Feasible || !four.Feasible {
 		t.Fatalf("both should fit: %s / %s", one.Reason, four.Reason)
 	}
@@ -171,8 +171,8 @@ func TestMicroBatchTradeoff(t *testing.T) {
 // Partial TP reduces latency at some throughput cost (§4.2, §5.1).
 func TestPartialTPTradeoff(t *testing.T) {
 	sim := newSim(t, model.GPT339B, 16, hw.A40Cluster, workload.Summarization)
-	noTP, _ := sim.Estimate(sched.Config{Policy: sched.RRA, BD: 64, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 1}})
-	fullTP, _ := sim.Estimate(sched.Config{Policy: sched.RRA, BD: 64, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 8, GPUs: 16}})
+	noTP, _ := NewEvaluator(sim).Estimate(sched.Config{Policy: sched.RRA, BD: 64, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 1}})
+	fullTP, _ := NewEvaluator(sim).Estimate(sched.Config{Policy: sched.RRA, BD: 64, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 8, GPUs: 16}})
 	if !noTP.Feasible || !fullTP.Feasible {
 		t.Fatalf("both should fit: %q %q", noTP.Reason, fullTP.Reason)
 	}
@@ -184,7 +184,7 @@ func TestPartialTPTradeoff(t *testing.T) {
 // WAA runs out of memory for very large decoder-only models (§7.4).
 func TestWAAOOMOnLargeModels(t *testing.T) {
 	sim := newSim(t, model.GPT3175B, 16, hw.A100Cluster, workload.CodeGeneration)
-	est, err := sim.Estimate(sched.Config{Policy: sched.WAAC, BE: 4, BD: 1, Bm: 2, TP: sched.TPSpec{Degree: 1}})
+	est, err := NewEvaluator(sim).Estimate(sched.Config{Policy: sched.WAAC, BE: 4, BD: 1, Bm: 2, TP: sched.TPSpec{Degree: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestWAAOOMOnLargeModels(t *testing.T) {
 		t.Fatal("WAA on 175B/16 A100 should OOM (two model copies)")
 	}
 	// RRA still fits.
-	rra, err := sim.Estimate(sched.Config{Policy: sched.RRA, BD: 16, BE: 1, ND: 16, TP: sched.TPSpec{Degree: 1}})
+	rra, err := NewEvaluator(sim).Estimate(sched.Config{Policy: sched.RRA, BD: 16, BE: 1, ND: 16, TP: sched.TPSpec{Degree: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestEvaluateMonotonicityUnknownVar(t *testing.T) {
 // declaring more would otherwise index past the arrays mid-search.
 func TestFamilyAxesFitBlock(t *testing.T) {
 	s := NewScheduler(optSim(t, workload.Summarization))
-	for _, f := range sched.Families() {
+	for _, f := range registeredFamilies() {
 		axes := s.axesFor(f.Policy)
 		if len(axes) == 0 || len(axes) > maxAxes {
 			t.Errorf("%s: %d axes, want 1..%d", f.Name, len(axes), maxAxes)
@@ -411,12 +411,14 @@ func TestFamilyAxesFitBlock(t *testing.T) {
 	}
 }
 
+// BenchmarkEstimateRRA times one RRA estimate on a fresh Evaluator: a
+// cold estimate, every lookup a direct one.
 func BenchmarkEstimateRRA(b *testing.B) {
 	sim := optSim(b, workload.Summarization)
 	cfg := sched.Config{Policy: sched.RRA, BD: 64, BE: 1, ND: 8, TP: sched.TPSpec{Degree: 1}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Estimate(cfg); err != nil {
+		if _, err := NewEvaluator(sim).Estimate(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -432,4 +434,17 @@ func BenchmarkSchedulerBB(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// registeredFamilies returns the families registered in sched, in
+// Policy order. Policy values are small consecutive integers, so a scan
+// of the first 64 finds every registration.
+func registeredFamilies() []sched.Family {
+	var fs []sched.Family
+	for p := sched.Policy(0); p < 64; p++ {
+		if f, ok := sched.FamilyOf(p); ok {
+			fs = append(fs, f)
+		}
+	}
+	return fs
 }

@@ -1,4 +1,6 @@
-// Evaluator: the allocation-free, memoized Estimate fast path.
+// Evaluator: the allocation-free, memoized estimate path. Every
+// estimate runs through one; each family's formula is an Evaluator
+// method in its family_<name>.go file.
 //
 // The branch-and-bound search of §5 evaluates thousands of schedules
 // against one immutable Simulator, and neighbouring probes share almost
@@ -6,24 +8,24 @@
 // batch axis reuses the completion distribution, and every decode
 // iteration is priced at the same mean attention context. An Evaluator
 // exploits that by memoizing every schedule-invariant intermediate —
-// completion distributions by ND, RRA allocations by TP, WAA
-// probes/splits/allocations by (policy, TP) — and, per allocation
+// completion distributions by ND, RRA allocations by TP, WAA splits and
+// dedicated-pool allocations by (policy, TP) — and, per allocation
 // entry, the encode-phase composites in small int-keyed maps by token
 // count.
 //
 // Stage times themselves are not memoized. Each allocation entry holds
 // its allocation's stage-cost kernel (profile.Stages), the same pricing
-// the reference path, the runner and the baselines use. The kernel
-// dedupes the profile lookups at construction — one layer lookup per
-// distinct (TP degree, collective link), one handover per distinct
-// link — so an encode composite miss makes those few lookups and fans
-// them out in stage order into the Evaluator's one reused buffer. The
+// the runner and the baselines use. The kernel dedupes the profile
+// lookups at construction — one layer lookup per distinct (TP degree,
+// collective link), one handover per distinct link — so an encode
+// composite miss makes those few lookups and fans them out in stage
+// order into the Evaluator's one reused buffer. The
 // decode side needs no memo: the entry builds the kernel's
 // fixed-context pricer (profile.ContextDecode) once, at the
 // Simulator's mean attention context, and a decode iteration at any
 // micro-batch size is then one batch locate and a pass over the stages,
-// with no allocation. Both sides add the same terms in the same order
-// as the reference path.
+// with no allocation, bit-identical to the kernel's Decode
+// (profile's TestDecodeAtMatchesDecode and fuzz test pin this).
 //
 // Whole results are memoized too, by Config, as pointers into an
 // append-only arena of fixed-capacity chunks. The search reads a probe
@@ -34,14 +36,13 @@
 // An Evaluator is NOT safe for concurrent use: it is per-goroutine
 // state over a shared, read-only Simulator. The scheduler keeps one per
 // worker (par.ForEachWorker); experiments and the CLI create one per
-// Deployment. Results are bit-identical to Simulator.Estimate, the
-// reference path — asserted by the golden, equivalence and fuzz tests.
+// Deployment. A fresh Evaluator's memos are empty, so every lookup it
+// makes is a direct one; a warm Evaluator returns bit-identical results
+// (the warm-versus-fresh tests and fuzz test assert this), and the
+// estimate goldens pin the values themselves.
 package core
 
 import (
-	"fmt"
-	"math"
-
 	"exegpt/internal/profile"
 	"exegpt/internal/sched"
 	"exegpt/internal/seqdist"
@@ -70,7 +71,7 @@ type allocEntry struct {
 	encPhaseByTokens map[int]float64 // PipelinePeriod of the encoding phase by microTokens
 	// dec prices a decode iteration at the Simulator's mean attention
 	// context; decErr is its build error, which the first decode
-	// iteration returns, as the reference path's Decode would.
+	// iteration returns, as the kernel's Decode would.
 	dec    profile.ContextDecode
 	decErr error
 }
@@ -81,8 +82,9 @@ type waaEnc struct {
 	peak              int64
 }
 
-// waaEntry memoizes one WAA split+allocation attempt for a (policy, TP)
-// pair, including the pre-split stage views, per-side weights, the
+// waaEntry memoizes one dedicated-pool allocation attempt for a
+// (policy, TP) pair — a WAA split+allocation or DISAGG's even split —
+// including the pre-split stage views, per-side weights, the
 // allocation's stage-cost kernel, the encoder composites derived from
 // it, and its decode pricer.
 type waaEntry struct {
@@ -102,17 +104,18 @@ type waaEntry struct {
 	decErr error
 }
 
-// waaKey identifies a WAA allocation: the CE/CD probe and memory
-// estimates that drive the split are schedule-invariant (fixed probe
-// batch, §4.1), so (policy, TP) fully determines the outcome.
+// waaKey identifies a dedicated-pool allocation: the CE/CD probe and
+// memory estimates that drive the WAA split are schedule-invariant
+// (fixed probe batch, §4.1) and DISAGG's split is fixed, so (policy,
+// TP) fully determines the outcome.
 type waaKey struct {
 	policy sched.Policy
 	tp     sched.TPSpec
 }
 
 // Evaluator is a per-goroutine evaluation context over one shared
-// Simulator. See the package comment above for the design; create one
-// with NewEvaluator and call Estimate exactly like Simulator.Estimate.
+// Simulator. See the comment at the top of this file for the design;
+// create one with NewEvaluator and call Estimate.
 type Evaluator struct {
 	sim *Simulator
 
@@ -127,10 +130,6 @@ type Evaluator struct {
 	// rather than a copy and map growth moves pointers only.
 	est   map[sched.Config]*Estimate
 	arena estArena
-
-	probe     waaProbe
-	probeErr  error
-	probeDone bool
 
 	// times is the stage-time buffer every encode fill reuses.
 	times []float64
@@ -148,13 +147,10 @@ func NewEvaluator(sim *Simulator) *Evaluator {
 	}
 }
 
-// Sim returns the underlying shared Simulator.
-func (e *Evaluator) Sim() *Simulator { return e.sim }
-
-// Estimate simulates the timeline of cfg, bit-identical to
-// Simulator.Estimate but memoized across calls. The returned Estimate
-// shares its Allocation with other results from this Evaluator; treat
-// it as read-only (Simulator.Estimate results already are).
+// Estimate simulates the timeline of cfg, dispatching through the
+// per-family estimator registry (family.go), memoized across calls. The
+// returned Estimate shares its Allocation with other results from this
+// Evaluator; treat it as read-only.
 func (e *Evaluator) Estimate(cfg sched.Config) (Estimate, error) {
 	est, err := e.estimatePtr(cfg)
 	if err != nil {
@@ -205,7 +201,7 @@ func (e *Evaluator) estimate(cfg sched.Config) (Estimate, error) {
 		return infeasible(cfg, err.Error()), nil
 	}
 	if fe, ok := familyEstimators[cfg.Policy]; ok {
-		return fe.fast(e, cfg)
+		return fe(e, cfg)
 	}
 	return infeasible(cfg, "unknown policy"), nil
 }
@@ -278,38 +274,34 @@ func stageWeights(s *Simulator, stages []sched.Stage) []int64 {
 	return w
 }
 
-// waaCostProbe memoizes Simulator.waaCostProbe: the probe batch is
-// fixed (§4.1), so the result never varies with the candidate schedule.
-func (e *Evaluator) waaCostProbe() (waaProbe, error) {
-	if e.probeDone {
-		return e.probe, e.probeErr
-	}
-	e.probe, e.probeErr = e.sim.waaCostProbe()
-	e.probeDone = true
-	return e.probe, e.probeErr
-}
-
 // waaAlloc returns the memoized WAA split+allocation for (policy, tp).
-func (e *Evaluator) waaAlloc(policy sched.Policy, tp sched.TPSpec, p waaProbe) *waaEntry {
+func (e *Evaluator) waaAlloc(policy sched.Policy, tp sched.TPSpec) *waaEntry {
 	k := waaKey{policy: policy, tp: tp}
 	if we, ok := e.waa[k]; ok {
 		return we
 	}
 	s := e.sim
-	we := &waaEntry{}
-	n := s.Cluster.TotalGPUs()
-	encGPUs, decGPUs, err := sched.WAASplit(n, policy, p.ce, p.cd,
+	p := &s.probe
+	var alloc sched.Allocation
+	encGPUs, decGPUs, err := sched.WAASplit(s.Cluster.TotalGPUs(), policy, p.ce, p.cd,
 		p.encCopy+p.encTransient, p.decCopy+p.kvTotal)
 	if err == nil {
-		we.alloc, err = sched.AllocateWAA(s.Model, s.Cluster, policy, encGPUs, decGPUs, tp)
+		alloc, err = sched.AllocateWAA(s.Model, s.Cluster, policy, encGPUs, decGPUs, tp)
 	}
-	we.err = err
+	return e.poolEntry(k, alloc, err)
+}
+
+// poolEntry memoizes a dedicated-pool allocation attempt under k,
+// deriving its stage views, weights, kernel and decode pricer.
+func (e *Evaluator) poolEntry(k waaKey, alloc sched.Allocation, err error) *waaEntry {
+	s := e.sim
+	we := &waaEntry{alloc: alloc, err: err}
 	if err == nil {
-		we.encStages = we.alloc.EncStages()
-		we.decStages = we.alloc.DecStages()
+		we.encStages = alloc.EncStages()
+		we.decStages = alloc.DecStages()
 		we.encWeights = stageWeights(s, we.encStages)
 		we.decWeights = stageWeights(s, we.decStages)
-		we.kern = profile.NewStages(s.Profile, s.Cluster, we.alloc.Stages)
+		we.kern = profile.NewStages(s.Profile, s.Cluster, alloc.Stages)
 		we.encByTokens = map[int]waaEnc{}
 		we.dec, we.decErr = we.kern.DecodeAt(s.ctxMean, 1)
 	}
@@ -339,180 +331,4 @@ func (e *Evaluator) waaEncSide(we *waaEntry, encTokens int) (waaEnc, error) {
 	}
 	we.encByTokens[encTokens] = v
 	return v, nil
-}
-
-// estimateRRA is Simulator.estimateRRA with memoized completion
-// distributions and allocations, a reused encode stage-time buffer, the
-// allocation's fixed-context decode pricer, and the decode loop grouped
-// by distinct micro-batch size: consecutive iterations whose rounded
-// active micro-batch repeats reuse the previous iteration time
-// (decTotal still accumulates term by term, so the float result is
-// unchanged).
-func (e *Evaluator) estimateRRA(cfg sched.Config) (Estimate, error) {
-	s := e.sim
-	ce, err := e.completion(cfg.ND)
-	if err != nil {
-		return Estimate{}, err
-	}
-	bd := cfg.BD
-	be := int(math.Round(float64(bd) * ce.frac))
-	if be < 1 {
-		be = 1
-	}
-	cfg.BE = be
-
-	ae := e.rraAlloc(cfg.TP)
-	if ae.err != nil {
-		return infeasible(cfg, ae.err.Error()), nil
-	}
-	alloc := ae.alloc
-
-	encTokens := be * s.inMeanRounded
-	microTokens := encTokens / rraMicroBatches
-	if microTokens < 1 {
-		microTokens = 1
-	}
-	encPhase, err := e.rraEncPhase(ae, microTokens)
-	if err != nil {
-		return Estimate{}, err
-	}
-
-	// Decoding iterations u = 1..ND with decaying active batches. The
-	// active fraction is nonincreasing in u, so distinct micro-batch
-	// values form runs; only the first iteration of a run prices its
-	// period. decTotal still accumulates term by term, keeping the float
-	// result identical to the reference.
-	var decTotal, firstIter, iter float64
-	lastMicro := 0
-	for u := 1; u <= cfg.ND; u++ {
-		active := int(math.Ceil(float64(bd) * ce.active[u]))
-		if active < 1 {
-			active = 1
-		}
-		micro := active / rraMicroBatches
-		if micro < 1 {
-			micro = 1
-		}
-		if micro != lastMicro {
-			iter, err = rraDecIter(ae, micro)
-			if err != nil {
-				return Estimate{}, err
-			}
-			lastMicro = micro
-		}
-		decTotal += iter
-		if u == 1 {
-			firstIter = iter
-		}
-	}
-	cycle := encPhase + decTotal
-
-	// Memory check on the most loaded stage: weights + steady KV for BD
-	// queries' share of layers.
-	kvTokens := s.steadyKV * float64(bd)
-	var peak int64
-	for i, st := range alloc.Stages {
-		mem := ae.weights[i] + s.kvBytes(kvTokens, st.DecLayers, st.TP)
-		if mem > peak {
-			peak = mem
-		}
-	}
-	if peak > s.capBytes {
-		est := infeasible(cfg, fmt.Sprintf("OOM: peak %d > capacity %d", peak, s.capBytes))
-		est.PeakDecMem = peak
-		return est, nil
-	}
-
-	tput := float64(be) / cycle
-	s99 := s.pctlLen()
-	avgIter := decTotal / float64(cfg.ND)
-	latency := encPhase*(1+s99/float64(cfg.ND)) + s99*avgIter
-
-	return Estimate{
-		Config: cfg, Alloc: alloc, Feasible: true,
-		Throughput: tput, Latency: latency,
-		EncTime: encPhase, DecIterTime: firstIter, CycleTime: cycle,
-		PeakEncMem: peak, PeakDecMem: peak,
-	}, nil
-}
-
-// estimateWAA is Simulator.estimateWAA with the CE/CD probe, split and
-// allocation memoized by (policy, TP), the encoder composites memoized
-// per allocation entry, and the decoder side priced by the entry's
-// fixed-context pricer.
-func (e *Evaluator) estimateWAA(cfg sched.Config) (Estimate, error) {
-	s := e.sim
-	be := cfg.BE
-	bd := int(math.Round(float64(be) * s.outMean))
-	if bd < 1 {
-		bd = 1
-	}
-	cfg.BD = bd
-
-	p, err := e.waaCostProbe()
-	if err != nil {
-		return Estimate{}, err
-	}
-	we := e.waaAlloc(cfg.Policy, cfg.TP, p)
-	if we.err != nil {
-		return infeasible(cfg, we.err.Error()), nil
-	}
-	alloc := we.alloc
-	encTokens := be * s.inMeanRounded
-
-	// Encoder pipeline: pipelined over successive batches.
-	enc, err := e.waaEncSide(we, encTokens)
-	if err != nil {
-		return Estimate{}, err
-	}
-
-	// Decoder pipeline with Bm micro-batches (clamped to the stage
-	// count, see Simulator.estimateWAA).
-	bm := cfg.Bm
-	if bm > len(we.decStages) {
-		bm = len(we.decStages)
-	}
-	micro := bd / bm
-	if micro < 1 {
-		micro = 1
-	}
-	if we.decErr != nil {
-		return Estimate{}, we.decErr
-	}
-	decTraversal, decSlowest := we.dec.Iter(micro)
-	decIter := profile.PeriodOf(decTraversal, decSlowest, bm)
-
-	// Steady-state period: the slower side gates; the staged KV
-	// handover binds only if slower than both.
-	kvXfer := s.Profile.KVTransfer(encTokens)
-	period := math.Max(decIter, enc.period)
-	period = math.Max(period, kvXfer)
-
-	// Memory feasibility per side.
-	peakEnc := enc.peak
-	var peakDec int64
-	for i, st := range we.decStages {
-		mem := we.decWeights[i] + s.kvBytes(s.steadyKV*float64(bd), st.DecLayers, st.TP)
-		if mem > peakDec {
-			peakDec = mem
-		}
-	}
-	if peakEnc > s.capBytes || peakDec > s.capBytes {
-		est := infeasible(cfg, fmt.Sprintf("OOM: enc %d / dec %d > capacity %d", peakEnc, peakDec, s.capBytes))
-		est.PeakEncMem, est.PeakDecMem = peakEnc, peakDec
-		return est, nil
-	}
-
-	tput := float64(be) / period
-
-	s99 := s.pctlLen()
-	latency := enc.traversal + kvXfer + (s99-1)*period + decTraversal
-	latency *= 1.05 // §6: buffer time for dynamic adjustments
-
-	return Estimate{
-		Config: cfg, Alloc: alloc, Feasible: true,
-		Throughput: tput, Latency: latency,
-		EncTime: enc.traversal, DecIterTime: decIter, CycleTime: period,
-		PeakEncMem: peakEnc, PeakDecMem: peakDec,
-	}, nil
 }

@@ -1,7 +1,7 @@
-// Differential fuzz of the Evaluator fast path against the reference
-// Simulator: any config on any Table 2 deployment and task must give
-// reflect.DeepEqual results (and identical errors) from Simulator.Estimate,
-// a fresh Evaluator and a long-lived warm one.
+// Differential fuzz of a warm Evaluator against a fresh one: any config
+// on any Table 2 deployment and task must give reflect.DeepEqual
+// results (and identical errors) from a fresh Evaluator, whose every
+// lookup is direct, and from a long-lived warm one.
 package core
 
 import (
@@ -59,11 +59,12 @@ func fuzzIndex(t testing.TB, g goldenDeployment) (dep, task int) {
 	return dep, task
 }
 
-// FuzzEvaluatorMatchesSimulator: the input picks a Table 2 deployment,
-// a task and a raw sched.Config. Out-of-range fields are kept as they
-// are, so invalid configs exercise both paths' validation too. The seed
-// corpus is every golden estimate config plus multi-node allocations
-// whose stages straddle a node boundary.
+// FuzzEvaluatorMatchesSimulator compares the warm Evaluator with a
+// fresh one over the same Simulator. The input picks a Table 2
+// deployment, a task and a raw sched.Config. Out-of-range fields are
+// kept as they are, so invalid configs exercise validation too. The
+// seed corpus is every golden estimate config plus multi-node
+// allocations whose stages straddle a node boundary.
 func FuzzEvaluatorMatchesSimulator(f *testing.F) {
 	index := map[string][2]int{}
 	for _, g := range goldenDeployments {
@@ -93,20 +94,13 @@ func FuzzEvaluatorMatchesSimulator(f *testing.F) {
 			BE:     int(be), BD: int(bd), Bm: int(bm), ND: int(nd),
 			TP: sched.TPSpec{Degree: int(tpDegree), GPUs: int(tpGPUs)},
 		}
-		ref, refErr := fd.sim.Estimate(cfg)
 		cold, coldErr := NewEvaluator(fd.sim).Estimate(cfg)
 		warm, warmErr := fd.warm.Estimate(cfg)
-		for _, got := range []struct {
-			path string
-			est  Estimate
-			err  error
-		}{{"cold", cold, coldErr}, {"warm", warm, warmErr}} {
-			if (got.err == nil) != (refErr == nil) || got.err != nil && got.err.Error() != refErr.Error() {
-				t.Fatalf("%+v: %s evaluator error %v, reference %v", cfg, got.path, got.err, refErr)
-			}
-			if !reflect.DeepEqual(got.est, ref) {
-				t.Fatalf("%+v: %s evaluator diverged\n ref %+v\n got %+v", cfg, got.path, ref, got.est)
-			}
+		if (warmErr == nil) != (coldErr == nil) || warmErr != nil && warmErr.Error() != coldErr.Error() {
+			t.Fatalf("%+v: warm evaluator error %v, fresh %v", cfg, warmErr, coldErr)
+		}
+		if !reflect.DeepEqual(warm, cold) {
+			t.Fatalf("%+v: warm evaluator diverged\n fresh %+v\n warm  %+v", cfg, cold, warm)
 		}
 	})
 }

@@ -1,6 +1,6 @@
-// Golden, equivalence and concurrency tests for the Evaluator fast
-// path. The golden data was generated from the pre-Evaluator simulator
-// (PR 1 state), so these tests pin the refactor bit-for-bit.
+// Golden, warm-versus-fresh and concurrency tests for the Evaluator.
+// The golden data predates the Evaluator, so these tests pin the
+// estimate's values bit for bit.
 package core
 
 import (
@@ -138,9 +138,10 @@ func checkGolden(t *testing.T, path string, g goldenCase, est Estimate) {
 	}
 }
 
-// TestGoldenEstimates pins both the reference Simulator path and the
-// memoized Evaluator path to the pre-refactor simulator's output,
-// bit for bit, across all three policies and four deployments.
+// TestGoldenEstimates pins the estimate to the committed golden rows,
+// bit for bit, across all three policies and four deployments, on a
+// fresh Evaluator per config (every lookup direct) and on one warm
+// Evaluator per deployment (memo hits).
 func TestGoldenEstimates(t *testing.T) {
 	sims := goldenSims(t)
 	evs := map[string]*Evaluator{}
@@ -152,25 +153,24 @@ func TestGoldenEstimates(t *testing.T) {
 		if sim == nil {
 			t.Fatalf("unknown golden deployment %q", g.Deployment)
 		}
-		ref, err := sim.Estimate(g.config())
+		cold, err := NewEvaluator(sim).Estimate(g.config())
 		if err != nil {
 			t.Fatalf("%s %+v: %v", g.Deployment, g.config(), err)
 		}
-		checkGolden(t, "reference", g, ref)
-		fast, err := evs[g.Deployment].Estimate(g.config())
+		checkGolden(t, "fresh", g, cold)
+		warm, err := evs[g.Deployment].Estimate(g.config())
 		if err != nil {
 			t.Fatalf("%s %+v: %v", g.Deployment, g.config(), err)
 		}
-		checkGolden(t, "evaluator", g, fast)
+		checkGolden(t, "warm", g, warm)
 	}
 }
 
 // TestEvaluatorMatchesSlowPathExactly asserts reflect.DeepEqual between
-// the memoized Evaluator and the reference Simulator on every golden
-// config, including the full Allocation, plus the GPT3-39B WAA-C TP 4x8
-// configs whose decode pool has a TP group spanning both nodes (the
-// golden has no TP 4x8 WAA rows). A fresh Evaluator per call must match
-// too (memo state must never leak into results).
+// a warm Evaluator and a fresh one per config on every golden config,
+// including the full Allocation, plus the GPT3-39B WAA-C TP 4x8 configs
+// whose decode pool has a TP group spanning both nodes (the golden has
+// no TP 4x8 WAA rows): memo state must never leak into results.
 func TestEvaluatorMatchesSlowPathExactly(t *testing.T) {
 	sims := goldenSims(t)
 	cases := loadGolden(t)
@@ -185,7 +185,7 @@ func TestEvaluatorMatchesSlowPathExactly(t *testing.T) {
 				continue
 			}
 			cfg := g.config()
-			ref, err := sim.Estimate(cfg)
+			cold, err := NewEvaluator(sim).Estimate(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,15 +193,8 @@ func TestEvaluatorMatchesSlowPathExactly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(ref, warm) {
-				t.Fatalf("%s %+v: warm evaluator diverged\n ref %+v\n got %+v", name, cfg, ref, warm)
-			}
-			cold, err := NewEvaluator(sim).Estimate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ref, cold) {
-				t.Fatalf("%s %+v: cold evaluator diverged", name, cfg)
+			if !reflect.DeepEqual(cold, warm) {
+				t.Fatalf("%s %+v: warm evaluator diverged\n fresh %+v\n warm  %+v", name, cfg, cold, warm)
 			}
 		}
 	}
@@ -209,7 +202,7 @@ func TestEvaluatorMatchesSlowPathExactly(t *testing.T) {
 
 // TestFindBestMemoMatchesReference: the whole search must return an
 // identical Result (including Evals) whether probes run through the
-// per-worker Evaluators or the reference Simulator.
+// warm per-worker Evaluators or a fresh Evaluator per probe.
 func TestFindBestMemoMatchesReference(t *testing.T) {
 	for _, bound := range []float64{5, 20, math.Inf(1)} {
 		fast := detScheduler(t, 2)
@@ -224,7 +217,7 @@ func TestFindBestMemoMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fres, rres) {
-			t.Fatalf("bound %v: memoized search diverged from reference\n fast %+v\n ref  %+v", bound, fres, rres)
+			t.Fatalf("bound %v: memoized search diverged from fresh-per-probe search\n fast %+v\n ref  %+v", bound, fres, rres)
 		}
 	}
 }
@@ -242,7 +235,7 @@ func TestEvaluatorsShareSimulatorRace(t *testing.T) {
 	}
 	var want []Estimate
 	for _, cfg := range cfgs {
-		est, err := sim.Estimate(cfg)
+		est, err := NewEvaluator(sim).Estimate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,13 +366,8 @@ func benchEstimate(b *testing.B, est func(sched.Config) (Estimate, error)) {
 	}
 }
 
-// BenchmarkEstimateReference / BenchmarkEstimateEvaluator compare the
-// slow and memoized single-evaluation paths on a config mix.
-func BenchmarkEstimateReference(b *testing.B) {
-	sim := optSim(b, workload.Summarization)
-	benchEstimate(b, sim.Estimate)
-}
-
+// BenchmarkEstimateEvaluator times warm single estimates on a config
+// mix.
 func BenchmarkEstimateEvaluator(b *testing.B) {
 	sim := optSim(b, workload.Summarization)
 	ev := NewEvaluator(sim)
@@ -387,10 +375,10 @@ func BenchmarkEstimateEvaluator(b *testing.B) {
 }
 
 // BenchmarkFindBestReference / BenchmarkFindBestEvaluator /
-// BenchmarkFindBestEvaluatorCold compare the full Workers=1 search on
-// the reference path, on warm per-worker Evaluators (memos persist
-// across searches, as in a sweep), and on Evaluators dropped before
-// every search (one from-scratch search).
+// BenchmarkFindBestEvaluatorCold compare the full Workers=1 search with
+// a fresh Evaluator per probe, on warm per-worker Evaluators (memos
+// persist across searches, as in a sweep), and on Evaluators dropped
+// before every search (one from-scratch search).
 func benchFindBestPath(b *testing.B, disableMemo, cold bool) {
 	s := detScheduler(b, 1)
 	s.disableMemo = disableMemo
@@ -412,11 +400,11 @@ func BenchmarkFindBestEvaluator(b *testing.B) { benchFindBestPath(b, false, fals
 func BenchmarkFindBestEvaluatorCold(b *testing.B) { benchFindBestPath(b, false, true) }
 
 // TestEvaluatorErrorsMatchSimulator: on a table that lacks a TP degree
-// the configs use, the Evaluator fails with the reference path's error,
-// not with an infeasible estimate, and it still matches the reference
-// on the profiled degree. WAA applies TP to its decode pool only, so a
-// WAA config at the missing degree fails first in the decode pricer's
-// build.
+// the configs use, a warm Evaluator fails with a fresh Evaluator's
+// error, not with an infeasible estimate, and it still matches the
+// fresh one on the profiled degree. WAA applies TP to its decode pool
+// only, so a WAA config at the missing degree fails first in the decode
+// pricer's build.
 func TestEvaluatorErrorsMatchSimulator(t *testing.T) {
 	full := optSim(t, workload.Summarization)
 	tab := *full.Profile
@@ -436,17 +424,17 @@ func TestEvaluatorErrorsMatchSimulator(t *testing.T) {
 			{Policy: sched.WAAC, BE: 8, BD: 1, Bm: 2, TP: tp},
 			{Policy: sched.WAAM, BE: 32, BD: 1, Bm: 4, TP: tp},
 		} {
-			want, werr := sim.Estimate(cfg)
+			want, werr := NewEvaluator(sim).Estimate(cfg)
 			got, err := ev.Estimate(cfg)
 			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
-				t.Fatalf("%v: Evaluator error %v, Simulator error %v", cfg, err, werr)
+				t.Fatalf("%v: warm Evaluator error %v, fresh Evaluator error %v", cfg, err, werr)
 			}
 			if err != nil {
 				failed++
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: Evaluator %+v, Simulator %+v", cfg, got, want)
+				t.Fatalf("%v: warm Evaluator %+v, fresh Evaluator %+v", cfg, got, want)
 			}
 		}
 	}

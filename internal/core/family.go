@@ -1,11 +1,10 @@
 // Per-family estimator registry: the core half of the execution-policy
-// seam. Each sched.Family registers its reference (Simulator) and fast
-// (Evaluator) estimate implementations here — in a family_<name>.go
-// file, which calls the family's sched allocation builder — and both
-// Estimate entry points dispatch through the registry. Adding a family
-// never grows a switch in this package; the sched/familytest
-// conformance suite pins the two paths bit-identical for every
-// registration.
+// seam. Each sched.Family registers its estimate here, an Evaluator
+// method written once in a family_<name>.go file that calls the
+// family's sched allocation builder, and Evaluator.Estimate dispatches
+// through the registry. Adding a family never grows a switch in this
+// package; the sched/familytest conformance suite checks every
+// registration, warm Evaluator against fresh.
 package core
 
 import (
@@ -14,25 +13,16 @@ import (
 	"exegpt/internal/sched"
 )
 
-// familyEstimator couples one family's two estimate paths. ref is the
-// reference timeline construction; fast is the memoized hot-loop
-// variant, required bit-identical to ref (the golden and equivalence
-// tests enforce this for the built-ins, familytest for any family).
-type familyEstimator struct {
-	ref  func(*Simulator, sched.Config) (Estimate, error)
-	fast func(*Evaluator, sched.Config) (Estimate, error)
-}
+// familyEstimator is one family's estimate: the timeline construction
+// of §6 for that family's schedules, read through the Evaluator's memos.
+type familyEstimator func(*Evaluator, sched.Config) (Estimate, error)
 
 var familyEstimators = map[sched.Policy]familyEstimator{}
 
-// registerEstimator wires a family's estimate paths into Simulator and
-// Evaluator dispatch; both paths are mandatory by construction.
+// registerEstimator wires a family's estimate into Evaluator dispatch.
 func registerEstimator(p sched.Policy, fe familyEstimator) {
 	if _, dup := familyEstimators[p]; dup {
 		panic(fmt.Sprintf("core: duplicate estimator for policy %v", p))
-	}
-	if fe.ref == nil || fe.fast == nil {
-		panic(fmt.Sprintf("core: estimator for policy %v must implement both paths", p))
 	}
 	familyEstimators[p] = fe
 }

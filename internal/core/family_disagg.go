@@ -1,11 +1,11 @@
-// Disaggregated prefill/decode family registration and estimators. The
+// Disaggregated prefill/decode family registration and estimate. The
 // family is skeletal — it exists to prove the policy seam end to end —
 // but it is a real model: WAA-shaped dedicated pools with a fixed even
 // GPU split and the KV handover on the critical path (pool-to-pool
 // pull, no host-staging overlap), which is the defining cost of
-// disaggregated serving. Golden rows live in
-// testdata/golden_disagg.json; the familytest suite pins the two paths
-// bit-identical like every other family.
+// disaggregated serving. It reuses WAA's per-(policy, TP) allocation
+// entry, so only its allocation, period and latency lines differ from
+// estimateWAA. Golden rows live in testdata/golden_disagg.json.
 package core
 
 import (
@@ -17,16 +17,25 @@ import (
 )
 
 func init() {
-	registerEstimator(sched.Disagg, familyEstimator{
-		ref:  (*Simulator).estimateDisagg,
-		fast: (*Evaluator).estimateDisagg,
-	})
+	registerEstimator(sched.Disagg, (*Evaluator).estimateDisagg)
+}
+
+// disaggAlloc returns the memoized disaggregated allocation for
+// (policy, tp).
+func (e *Evaluator) disaggAlloc(policy sched.Policy, tp sched.TPSpec) *waaEntry {
+	k := waaKey{policy: policy, tp: tp}
+	if we, ok := e.waa[k]; ok {
+		return we
+	}
+	alloc, err := sched.AllocateDisagg(e.sim.Model, e.sim.Cluster, tp)
+	return e.poolEntry(k, alloc, err)
 }
 
 // estimateDisagg simulates the disaggregated schedule: a prefill pool
 // and a decode pool on an even GPU split, coupled by a serialized KV
 // transfer.
-func (s *Simulator) estimateDisagg(cfg sched.Config) (Estimate, error) {
+func (e *Evaluator) estimateDisagg(cfg sched.Config) (Estimate, error) {
+	s := e.sim
 	be := cfg.BE
 	bd := int(math.Round(float64(be) * s.outMean))
 	if bd < 1 {
@@ -34,66 +43,53 @@ func (s *Simulator) estimateDisagg(cfg sched.Config) (Estimate, error) {
 	}
 	cfg.BD = bd
 
-	alloc, err := sched.AllocateDisagg(s.Model, s.Cluster, cfg.TP)
-	if err != nil {
-		return infeasible(cfg, err.Error()), nil
+	we := e.disaggAlloc(cfg.Policy, cfg.TP)
+	if we.err != nil {
+		return infeasible(cfg, we.err.Error()), nil
 	}
 	encTokens := be * s.inMeanRounded
-	ctx := s.meanCtx()
 
 	// Prefill pool: pipelined over successive batches.
-	kern := profile.NewStages(s.Profile, s.Cluster, alloc.Stages)
-	encTimes, err := kern.Encode(nil, encTokens, s.inMean, 1)
+	enc, err := e.waaEncSide(we, encTokens)
 	if err != nil {
 		return Estimate{}, err
 	}
-	encTraversal := profile.Traversal(encTimes)
-	encPeriod := profile.Slowest(encTimes)
 
 	// Decode pool with Bm micro-batches, clamped like WAA's.
-	decStages := alloc.DecStages()
 	bm := cfg.Bm
-	if bm > len(decStages) {
-		bm = len(decStages)
+	if bm > len(we.decStages) {
+		bm = len(we.decStages)
 	}
 	micro := bd / bm
 	if micro < 1 {
 		micro = 1
 	}
-	decTimes, err := kern.Decode(nil, micro, ctx, 1)
-	if err != nil {
-		return Estimate{}, err
+	if we.decErr != nil {
+		return Estimate{}, we.decErr
 	}
-	decIter := profile.PipelinePeriod(decTimes, bm)
-	decTraversal := profile.Traversal(decTimes)
+	decTraversal, decSlowest := we.dec.Iter(micro)
+	decIter := profile.PeriodOf(decTraversal, decSlowest, bm)
 
 	// Steady-state period: the disaggregated cache handover is a direct
 	// pool-to-pool pull with no host staging, so it serializes with the
 	// prefill side — the prefill pool cannot admit the next batch until
 	// the previous batch's cache has left.
 	kvXfer := s.Profile.KVTransfer(encTokens)
-	period := math.Max(decIter, encPeriod+kvXfer)
+	period := math.Max(decIter, enc.period+kvXfer)
 
 	// Memory feasibility per pool, same accounting as WAA's.
-	var peakEnc, peakDec int64
-	for _, st := range alloc.EncStages() {
-		mem := sched.WeightBytesPerGPU(s.Model, st) +
-			int64(2*encTokens)*s.Model.KVBytesPerTokenLayer()*int64(max(st.EncLayers, 1))
-		if mem > peakEnc {
-			peakEnc = mem
-		}
-	}
-	kvPerQuery := s.steadyKVTokensPerQuery()
-	for _, st := range decStages {
-		mem := sched.WeightBytesPerGPU(s.Model, st) + s.kvBytes(kvPerQuery*float64(bd), st.DecLayers, st.TP)
+	peakEnc := enc.peak
+	var peakDec int64
+	for i, st := range we.decStages {
+		mem := we.decWeights[i] + s.kvBytes(s.steadyKV*float64(bd), st.DecLayers, st.TP)
 		if mem > peakDec {
 			peakDec = mem
 		}
 	}
-	if peakEnc > s.capacity() || peakDec > s.capacity() {
-		e := infeasible(cfg, fmt.Sprintf("OOM: enc %d / dec %d > capacity %d", peakEnc, peakDec, s.capacity()))
-		e.PeakEncMem, e.PeakDecMem = peakEnc, peakDec
-		return e, nil
+	if peakEnc > s.capBytes || peakDec > s.capBytes {
+		est := infeasible(cfg, fmt.Sprintf("OOM: enc %d / dec %d > capacity %d", peakEnc, peakDec, s.capBytes))
+		est.PeakEncMem, est.PeakDecMem = peakEnc, peakDec
+		return est, nil
 	}
 
 	tput := float64(be) / period
@@ -101,21 +97,12 @@ func (s *Simulator) estimateDisagg(cfg sched.Config) (Estimate, error) {
 	// Latency: prefill traversal, the serialized handover, then S99
 	// decode iterations. No dynamic-adjustment buffer — the pools never
 	// rebalance, that is the point of the fixed split.
-	s99 := s.pctlLen()
-	latency := encTraversal + kvXfer + (s99-1)*period + decTraversal
+	latency := enc.traversal + kvXfer + (float64(s.s99)-1)*period + decTraversal
 
 	return Estimate{
-		Config: cfg, Alloc: alloc, Feasible: true,
+		Config: cfg, Alloc: we.alloc, Feasible: true,
 		Throughput: tput, Latency: latency,
-		EncTime: encTraversal, DecIterTime: decIter, CycleTime: period,
+		EncTime: enc.traversal, DecIterTime: decIter, CycleTime: period,
 		PeakEncMem: peakEnc, PeakDecMem: peakDec,
 	}, nil
-}
-
-// estimateDisagg is the family's Evaluator path. The skeletal family
-// defers to the reference implementation — bit-equality by construction
-// — and leans on the Evaluator's whole-result memo for the warm-path
-// speedup; a production family would add per-side memos like WAA's.
-func (e *Evaluator) estimateDisagg(cfg sched.Config) (Estimate, error) {
-	return e.sim.estimateDisagg(cfg)
 }

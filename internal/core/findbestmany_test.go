@@ -175,8 +175,9 @@ func TestFindBestManyEdgeCases(t *testing.T) {
 	}
 }
 
-// TestFindBestManyDisableMemo: the reference Simulator path must select
-// the same schedules as the memoized Evaluator path.
+// TestFindBestManyDisableMemo: a fresh Evaluator per probe must select
+// the same schedules, with the same Evals, as the warm per-worker
+// Evaluators.
 func TestFindBestManyDisableMemo(t *testing.T) {
 	bounds := []float64{8, 20, math.Inf(1)}
 	fast := detScheduler(t, 2)
@@ -191,7 +192,7 @@ func TestFindBestManyDisableMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fastRes, refRes) {
-		t.Fatalf("memoized and reference paths diverged\n fast %+v\n ref %+v", fastRes, refRes)
+		t.Fatalf("warm and fresh-per-probe searches diverged\n fast %+v\n ref %+v", fastRes, refRes)
 	}
 }
 

@@ -63,9 +63,10 @@ func loadGoldenDisagg(t testing.TB) []goldenCase {
 	return cases
 }
 
-// TestGoldenDisagg pins the disagg family's Simulator and Evaluator
-// paths to the committed rows. With UPDATE_GOLDEN=1 it rewrites the
-// rows from the current Simulator instead.
+// TestGoldenDisagg pins the disagg family's estimate to the committed
+// rows, on a fresh Evaluator per config and on one warm Evaluator per
+// deployment. With UPDATE_GOLDEN=1 it first rewrites the rows through
+// fresh Evaluators.
 func TestGoldenDisagg(t *testing.T) {
 	sims := goldenSims(t)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
@@ -80,21 +81,21 @@ func TestGoldenDisagg(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown golden deployment %q", g.Deployment)
 		}
-		ref, err := sim.Estimate(g.config())
+		cold, err := NewEvaluator(sim).Estimate(g.config())
 		if err != nil {
-			t.Fatalf("%s %+v: simulator: %v", g.Deployment, g.config(), err)
+			t.Fatalf("%s %+v: fresh evaluator: %v", g.Deployment, g.config(), err)
 		}
-		checkGolden(t, "simulator", g, ref)
-		fast, err := evs[g.Deployment].Estimate(g.config())
+		checkGolden(t, "fresh", g, cold)
+		warm, err := evs[g.Deployment].Estimate(g.config())
 		if err != nil {
-			t.Fatalf("%s %+v: evaluator: %v", g.Deployment, g.config(), err)
+			t.Fatalf("%s %+v: warm evaluator: %v", g.Deployment, g.config(), err)
 		}
-		checkGolden(t, "evaluator", g, fast)
+		checkGolden(t, "warm", g, warm)
 	}
 }
 
-// writeGoldenDisagg regenerates the committed rows from the reference
-// Simulator.
+// writeGoldenDisagg regenerates the committed rows through a fresh
+// Evaluator per config.
 func writeGoldenDisagg(t *testing.T, sims map[string]*Simulator) {
 	t.Helper()
 	var names []string
@@ -106,7 +107,7 @@ func writeGoldenDisagg(t *testing.T, sims map[string]*Simulator) {
 	for _, name := range names {
 		sim := sims[name]
 		for _, cfg := range disaggGoldenGrid()[name] {
-			est, err := sim.Estimate(cfg)
+			est, err := NewEvaluator(sim).Estimate(cfg)
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, cfg, err)
 			}

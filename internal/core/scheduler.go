@@ -83,11 +83,10 @@ func bmAxis(max int) Axis {
 }
 
 // perf is the (latency, throughput) of one grid point, Algorithm 1's
-// perf(). est points at the probe's full Estimate: into the worker
-// Evaluator's append-only arena, or at a heap copy on the reference
-// path. It is shared and read-only, so copying a perf moves three words
-// and the search copies an Estimate only when it becomes an incumbent
-// or joins a frontier.
+// perf(). est points at the probe's full Estimate, in the append-only
+// arena of the Evaluator that made it. It is shared and read-only, so
+// copying a perf moves three words and the search copies an Estimate
+// only when it becomes an incumbent or joins a frontier.
 type perf struct {
 	lat, tput float64
 	est       *Estimate
@@ -121,11 +120,10 @@ type Scheduler struct {
 	// The sweep folds it into its per-deployment frontiers.
 	Frontier Frontier
 
-	// disableMemo routes every probe through the reference
-	// Simulator.Estimate instead of the per-worker memoized Evaluators,
-	// heap-allocating one Estimate per probe. The selected schedule is
-	// identical either way; only the equivalence tests and benchmarks
-	// that compare the paths set it.
+	// disableMemo gives every probe a fresh Evaluator instead of the
+	// per-worker warm one, so each probe's lookups are direct ones. The
+	// Result is identical either way; only the warm-versus-fresh tests
+	// and benchmark set it.
 	disableMemo bool
 
 	// evs are the per-worker Evaluators, sized by ensureEvals at the
@@ -157,28 +155,25 @@ func (s *Scheduler) workers() int {
 // ensureEvals sizes the per-worker Evaluator slice for a search. Called
 // from the single-goroutine entry points before any worker runs.
 func (s *Scheduler) ensureEvals() {
-	if s.disableMemo {
-		return
-	}
 	n := s.workers()
 	for len(s.evs) < n {
 		s.evs = append(s.evs, NewEvaluator(s.Sim))
 	}
 }
 
-// eval returns worker w's estimate path: its memoized Evaluator, or the
-// reference Simulator when disableMemo is set.
+// eval returns the Evaluator for one probe by worker w: the worker's
+// memoized Evaluator, or a fresh one when disableMemo is set.
 func (s *Scheduler) eval(w int) *Evaluator {
 	if s.disableMemo {
-		return nil
+		return NewEvaluator(s.Sim)
 	}
 	return s.evs[w]
 }
 
-// point evaluates the grid point idx (one index per axis) on ev (nil
-// means the reference Simulator path), counting the evaluation into the
-// caller's branch-local counter.
-func (s *Scheduler) point(ev *Evaluator, policy sched.Policy, tp sched.TPSpec, axes []Axis, idx *[maxAxes]int, evals *int) (perf, error) {
+// point evaluates the grid point idx (one index per axis) on worker w's
+// Evaluator, counting the evaluation into the caller's branch-local
+// counter.
+func (s *Scheduler) point(w int, policy sched.Policy, tp sched.TPSpec, axes []Axis, idx *[maxAxes]int, evals *int) (perf, error) {
 	cfg := sched.Config{Policy: policy, TP: tp, BE: 1, BD: 1, Bm: 1, ND: 1}
 	for d, a := range axes {
 		v := a.Values[idx[d]]
@@ -196,15 +191,7 @@ func (s *Scheduler) point(ev *Evaluator, policy sched.Policy, tp sched.TPSpec, a
 		}
 	}
 	*evals++
-	var est *Estimate
-	var err error
-	if ev != nil {
-		est, err = ev.estimatePtr(cfg)
-	} else {
-		var ref Estimate
-		ref, err = s.Sim.Estimate(cfg)
-		est = &ref
-	}
+	est, err := s.eval(w).estimatePtr(cfg)
 	if err != nil {
 		return perf{}, err
 	}
@@ -372,17 +359,17 @@ type branchState struct {
 
 // newBranchState probes branch j's root block corners (phase 1) and
 // roots its resumable state at the full grid block.
-func (s *Scheduler) newBranchState(ev *Evaluator, j branch, evals *int) (branchState, error) {
+func (s *Scheduler) newBranchState(w int, j branch, evals *int) (branchState, error) {
 	var st branchState
 	root := block{n: len(j.axes)}
 	for d, a := range j.axes {
 		root.hi[d] = a.Size() - 1
 	}
 	var err error
-	if st.top, err = s.point(ev, j.policy, j.tp, j.axes, &root.hi, evals); err != nil {
+	if st.top, err = s.point(w, j.policy, j.tp, j.axes, &root.hi, evals); err != nil {
 		return st, err
 	}
-	if st.bottom, err = s.point(ev, j.policy, j.tp, j.axes, &root.lo, evals); err != nil {
+	if st.bottom, err = s.point(w, j.policy, j.tp, j.axes, &root.lo, evals); err != nil {
 		return st, err
 	}
 	st.frontier.Add(st.top.est)
@@ -445,7 +432,7 @@ func (s *Scheduler) epsLat(lbound float64) float64 {
 // are exactly the blocks a looser bound must revisit, so they go to
 // st.deferred for resumption instead of being re-split from the root.
 // The drained queue's backing array goes back to st.queue for reuse.
-func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound float64, inc *incumbent, queue []block, evals *int) error {
+func (s *Scheduler) bbLoop(w int, j branch, st *branchState, lbound float64, inc *incumbent, queue []block, evals *int) error {
 	policy, tp, axes := j.policy, j.tp, j.axes
 	epsL := s.epsLat(lbound)
 
@@ -488,11 +475,11 @@ func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound floa
 		if d2 := b.secondWidest(dim); d2 >= 0 {
 			tl := b.cornerSwap(dim) // low in dim, high elsewhere
 			br := b.cornerSwap(d2)  // low in d2, high elsewhere
-			ptl, err := s.point(ev, policy, tp, axes, &tl, evals)
+			ptl, err := s.point(w, policy, tp, axes, &tl, evals)
 			if err != nil {
 				return err
 			}
-			pbr, err := s.point(ev, policy, tp, axes, &br, evals)
+			pbr, err := s.point(w, policy, tp, axes, &br, evals)
 			if err != nil {
 				return err
 			}
@@ -510,11 +497,11 @@ func (s *Scheduler) bbLoop(ev *Evaluator, j branch, st *branchState, lbound floa
 		halves := b.splitAt(dim, mid)
 		for h := range halves {
 			half := &halves[h]
-			upp, err := s.point(ev, policy, tp, axes, &half.hi, evals)
+			upp, err := s.point(w, policy, tp, axes, &half.hi, evals)
 			if err != nil {
 				return err
 			}
-			lowr, err := s.point(ev, policy, tp, axes, &half.lo, evals)
+			lowr, err := s.point(w, policy, tp, axes, &half.lo, evals)
 			if err != nil {
 				return err
 			}
@@ -617,7 +604,7 @@ func (s *Scheduler) FindBest(policies []sched.Policy, lbound float64) (Result, e
 // frontier's best bound-satisfying point and the cross-bound seed;
 // enumeration restarts only from the deferred blocks the new bound
 // unlocks.
-func (s *Scheduler) resumeSearch(ev *Evaluator, j branch, lbound, seed float64, st *branchState, evals *int) (Estimate, bool, error) {
+func (s *Scheduler) resumeSearch(w int, j branch, lbound, seed float64, st *branchState, evals *int) (Estimate, bool, error) {
 	// Lines 1-3: a feasible top corner that satisfies the bound is the
 	// branch optimum under the monotone-corner assumption.
 	if st.top.lat < lbound && st.top.est.Feasible {
@@ -644,7 +631,7 @@ func (s *Scheduler) resumeSearch(ev *Evaluator, j branch, lbound, seed float64, 
 		}
 	}
 	st.deferred = keep
-	if err := s.bbLoop(ev, j, st, lbound, &inc, queue, evals); err != nil {
+	if err := s.bbLoop(w, j, st, lbound, &inc, queue, evals); err != nil {
 		return Estimate{}, false, err
 	}
 	return inc.best, inc.found, nil
@@ -718,7 +705,7 @@ func (s *Scheduler) FindBestMany(policies []sched.Policy, bounds []float64) ([]R
 	cornerEvals := make([]int, len(jobs))
 	errs := make([]error, len(jobs))
 	s.forEachBranch(len(jobs), func(w, i int) {
-		states[i], errs[i] = s.newBranchState(s.eval(w), jobs[i], &cornerEvals[i])
+		states[i], errs[i] = s.newBranchState(w, jobs[i], &cornerEvals[i])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -746,7 +733,7 @@ func (s *Scheduler) FindBestMany(policies []sched.Policy, bounds []float64) ([]R
 			if bi == 0 {
 				o.evals = cornerEvals[i]
 			}
-			o.est, o.found, o.err = s.resumeSearch(s.eval(w), jobs[i], lbound, seed, &states[i], &o.evals)
+			o.est, o.found, o.err = s.resumeSearch(w, jobs[i], lbound, seed, &states[i], &o.evals)
 		})
 		res, err := s.reduce(outs)
 		if err != nil {
@@ -794,11 +781,11 @@ func (s *Scheduler) reduce(outs []branchOutcome) (Result, error) {
 }
 
 // scanGrid walks a branch's full grid, invoking visit on every point.
-func (s *Scheduler) scanGrid(ev *Evaluator, j branch, evals *int, visit func(perf)) error {
+func (s *Scheduler) scanGrid(w int, j branch, evals *int, visit func(perf)) error {
 	axes := j.axes
 	var idx [maxAxes]int
 	for {
-		p, err := s.point(ev, j.policy, j.tp, axes, &idx, evals)
+		p, err := s.point(w, j.policy, j.tp, axes, &idx, evals)
 		if err != nil {
 			return err
 		}
@@ -836,7 +823,7 @@ func (s *Scheduler) MinLatency(policies []sched.Policy) (float64, error) {
 	s.forEachBranch(len(jobs), func(w, i int) {
 		o := &outs[i]
 		o.min = math.Inf(1)
-		o.err = s.scanGrid(s.eval(w), jobs[i], &o.evals, func(p perf) {
+		o.err = s.scanGrid(w, jobs[i], &o.evals, func(p perf) {
 			if p.est.Feasible && p.lat < o.min {
 				o.min = p.lat
 			}
@@ -870,7 +857,7 @@ func (s *Scheduler) Exhaustive(policies []sched.Policy, lbound float64) (Result,
 	outs := make([]branchOutcome, len(jobs))
 	s.forEachBranch(len(jobs), func(w, i int) {
 		o := &outs[i]
-		o.err = s.scanGrid(s.eval(w), jobs[i], &o.evals, func(p perf) {
+		o.err = s.scanGrid(w, jobs[i], &o.evals, func(p perf) {
 			if p.est.Feasible && p.lat < lbound && (!o.found || better(p.est, &o.est)) {
 				o.est = *p.est
 				o.found = true

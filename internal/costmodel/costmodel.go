@@ -124,18 +124,6 @@ func (e *Engine) EncodeAttnTime(totalTokens int, meanSeqLen float64, tp int) flo
 	return t + e.launch(2)
 }
 
-// EncodeLayerTime returns the full single-layer encoding time including
-// tensor-parallel synchronization over the given link (two all-reduces
-// of the activation tensor per encoder layer).
-func (e *Engine) EncodeLayerTime(totalTokens int, meanSeqLen float64, tp int, link hw.Link) float64 {
-	if totalTokens <= 0 {
-		return 0
-	}
-	t := e.EncodeRestTime(totalTokens, tp) + e.EncodeAttnTime(totalTokens, meanSeqLen, tp)
-	t += 2 * hw.AllReduceTime(link, tp, e.actBytes(totalTokens)/ActBytesPerTokenFactor)
-	return t
-}
-
 // DecodeRestTime returns the non-attention time of one decoder layer for
 // one decoding iteration of the given batch, sharded over tp GPUs.
 func (e *Engine) DecodeRestTime(batch, tp int) float64 {
@@ -169,31 +157,4 @@ func (e *Engine) DecodeAttnTime(batch int, ctxLen, meanInputLen float64, tp int)
 		t = compute
 	}
 	return t + e.launch(2)
-}
-
-// DecodeLayerTime returns the full single-layer decode-iteration time
-// including tensor-parallel synchronization (three all-reduces per
-// decoder layer).
-func (e *Engine) DecodeLayerTime(batch int, ctxLen, meanInputLen float64, tp int, link hw.Link) float64 {
-	if batch <= 0 {
-		return 0
-	}
-	t := e.DecodeRestTime(batch, tp) + e.DecodeAttnTime(batch, ctxLen, meanInputLen, tp)
-	t += 3 * hw.AllReduceTime(link, tp, e.actBytes(batch)/ActBytesPerTokenFactor)
-	return t
-}
-
-// PPSendTime returns the time to hand a micro-batch's activations
-// (totalTokens tokens) to the next pipeline stage over link.
-func (e *Engine) PPSendTime(totalTokens int, link hw.Link) float64 {
-	return hw.P2PTime(link, e.actBytes(totalTokens)/ActBytesPerTokenFactor)
-}
-
-// KVTransferTime returns the time to move the KV-cache entries of
-// queries (tokens prompt tokens in total) from an encoding GPU to a
-// decoding GPU via host memory, as XRunner does for WAA scheduling (§3):
-// device-to-host followed by host-to-device over the host-DMA link.
-func (e *Engine) KVTransferTime(tokens int) float64 {
-	bytes := int64(tokens) * e.Model.KVBytesPerToken()
-	return 2 * hw.P2PTime(hw.HostDMA, bytes)
 }

@@ -31,8 +31,8 @@ func TestZeroWorkIsFree(t *testing.T) {
 	e := engine(t, model.OPT13B)
 	if e.EncodeRestTime(0, 1) != 0 || e.EncodeAttnTime(0, 0, 1) != 0 ||
 		e.DecodeRestTime(0, 1) != 0 || e.DecodeAttnTime(0, 0, 0, 1) != 0 ||
-		e.EncodeLayerTime(0, 0, 1, hw.PCIe4x16) != 0 ||
-		e.DecodeLayerTime(0, 0, 0, 1, hw.PCIe4x16) != 0 {
+		e.encodeLayerTime(0, 0, 1, hw.PCIe4x16) != 0 ||
+		e.decodeLayerTime(0, 0, 0, 1, hw.PCIe4x16) != 0 {
 		t.Fatal("zero work should take zero time")
 	}
 }
@@ -43,8 +43,8 @@ func TestZeroWorkIsFree(t *testing.T) {
 func TestEncodeDominatesDecodeIteration(t *testing.T) {
 	e := engine(t, model.OPT13B)
 	batch, seq := 16, 256.0
-	enc := e.EncodeLayerTime(batch*int(seq), seq, 1, hw.PCIe4x16)
-	dec := e.DecodeLayerTime(batch, seq, 0, 1, hw.PCIe4x16)
+	enc := e.encodeLayerTime(batch*int(seq), seq, 1, hw.PCIe4x16)
+	dec := e.decodeLayerTime(batch, seq, 0, 1, hw.PCIe4x16)
 	if enc < 20*dec {
 		t.Fatalf("encode %.3g not >> decode %.3g", enc, dec)
 	}
@@ -71,9 +71,9 @@ func TestSmallBatchInefficiency(t *testing.T) {
 func TestTPSpeedupSublinear(t *testing.T) {
 	e := engine(t, model.GPT3175B)
 	link := hw.NVLink3
-	t1 := e.DecodeLayerTime(64, 300, 0, 1, link)
-	t2 := e.DecodeLayerTime(64, 300, 0, 2, link)
-	t8 := e.DecodeLayerTime(64, 300, 0, 8, link)
+	t1 := e.decodeLayerTime(64, 300, 0, 1, link)
+	t2 := e.decodeLayerTime(64, 300, 0, 2, link)
+	t8 := e.decodeLayerTime(64, 300, 0, 8, link)
 	if t2 >= t1 {
 		t.Fatalf("TP=2 (%.3g) should beat TP=1 (%.3g)", t2, t1)
 	}
@@ -90,8 +90,8 @@ func TestTPSpeedupSublinear(t *testing.T) {
 func TestTPOverSlowLinkCanHurt(t *testing.T) {
 	e := engine(t, model.OPT13B)
 	slow := hw.Link{Name: "slow", Latency: 50e-6, Bandwidth: 2e9}
-	t1 := e.DecodeLayerTime(1, 64, 0, 1, slow)
-	t8 := e.DecodeLayerTime(1, 64, 0, 8, slow)
+	t1 := e.decodeLayerTime(1, 64, 0, 1, slow)
+	t8 := e.decodeLayerTime(1, 64, 0, 8, slow)
 	if t8 <= t1 {
 		t.Fatalf("TP=8 over slow link (%.3g) should lose to TP=1 (%.3g) at batch 1", t8, t1)
 	}
@@ -117,16 +117,16 @@ func TestCrossAttentionCost(t *testing.T) {
 
 func TestPPSendAndKVTransfer(t *testing.T) {
 	e := engine(t, model.OPT13B)
-	if e.PPSendTime(0, hw.PCIe4x16) != 0 {
+	if e.ppSendTime(0, hw.PCIe4x16) != 0 {
 		t.Fatal("empty send should be free")
 	}
-	s1 := e.PPSendTime(256, hw.PCIe4x16)
-	s2 := e.PPSendTime(512, hw.PCIe4x16)
+	s1 := e.ppSendTime(256, hw.PCIe4x16)
+	s2 := e.ppSendTime(512, hw.PCIe4x16)
 	if s2 <= s1 {
 		t.Fatal("send time should grow with tokens")
 	}
 	// KV transfer goes through host memory: two DMA hops.
-	k := e.KVTransferTime(256)
+	k := e.kvTransferTime(256)
 	direct := hw.P2PTime(hw.HostDMA, int64(256)*e.Model.KVBytesPerToken())
 	if k < 2*direct*0.99 {
 		t.Fatalf("KV transfer %.3g should be ~2x one hop %.3g", k, direct)
@@ -144,7 +144,7 @@ func TestA100FasterThanA40(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a100.EncodeLayerTime(4096, 256, 1, hw.NVLink3) >= a40.EncodeLayerTime(4096, 256, 1, hw.PCIe4x16) {
+	if a100.encodeLayerTime(4096, 256, 1, hw.NVLink3) >= a40.encodeLayerTime(4096, 256, 1, hw.PCIe4x16) {
 		t.Fatal("A100 should be faster")
 	}
 }
@@ -158,11 +158,11 @@ func TestQuickMonotoneInBatch(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		c := float64(ctx%2048) + 1
-		dl, dh := e.DecodeLayerTime(lo, c, 0, 1, hw.PCIe4x16), e.DecodeLayerTime(hi, c, 0, 1, hw.PCIe4x16)
+		dl, dh := e.decodeLayerTime(lo, c, 0, 1, hw.PCIe4x16), e.decodeLayerTime(hi, c, 0, 1, hw.PCIe4x16)
 		if dl < 0 || dh < 0 || dl > dh+1e-12 {
 			return false
 		}
-		el, eh := e.EncodeLayerTime(lo, c, 1, hw.PCIe4x16), e.EncodeLayerTime(hi, c, 1, hw.PCIe4x16)
+		el, eh := e.encodeLayerTime(lo, c, 1, hw.PCIe4x16), e.encodeLayerTime(hi, c, 1, hw.PCIe4x16)
 		return el >= 0 && eh >= 0 && el <= eh+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(6))}); err != nil {
@@ -179,7 +179,7 @@ func TestQuickTPMonotoneLargeWork(t *testing.T) {
 		batch := int(x)%64 + 64 // large batch
 		prev := 1e18
 		for _, tp := range tps {
-			cur := e.DecodeLayerTime(batch, 512, 0, tp, hw.NVLink3)
+			cur := e.decodeLayerTime(batch, 512, 0, tp, hw.NVLink3)
 			if cur > prev {
 				return false
 			}
@@ -195,6 +195,49 @@ func TestQuickTPMonotoneLargeWork(t *testing.T) {
 func BenchmarkDecodeLayerTime(b *testing.B) {
 	e, _ := New(model.GPT3175B, hw.A100)
 	for i := 0; i < b.N; i++ {
-		_ = e.DecodeLayerTime(64, 300, 0, 8, hw.NVLink3)
+		_ = e.decodeLayerTime(64, 300, 0, 8, hw.NVLink3)
 	}
+}
+
+// The full-layer composites below are the shape tests' view of the
+// kernel times; production code prices layers through profile.Table,
+// which is built from the same kernel times.
+
+// encodeLayerTime returns the full single-layer encoding time including
+// tensor-parallel synchronization over the given link (two all-reduces
+// of the activation tensor per encoder layer).
+func (e *Engine) encodeLayerTime(totalTokens int, meanSeqLen float64, tp int, link hw.Link) float64 {
+	if totalTokens <= 0 {
+		return 0
+	}
+	t := e.EncodeRestTime(totalTokens, tp) + e.EncodeAttnTime(totalTokens, meanSeqLen, tp)
+	t += 2 * hw.AllReduceTime(link, tp, e.actBytes(totalTokens)/ActBytesPerTokenFactor)
+	return t
+}
+
+// decodeLayerTime returns the full single-layer decode-iteration time
+// including tensor-parallel synchronization (three all-reduces per
+// decoder layer).
+func (e *Engine) decodeLayerTime(batch int, ctxLen, meanInputLen float64, tp int, link hw.Link) float64 {
+	if batch <= 0 {
+		return 0
+	}
+	t := e.DecodeRestTime(batch, tp) + e.DecodeAttnTime(batch, ctxLen, meanInputLen, tp)
+	t += 3 * hw.AllReduceTime(link, tp, e.actBytes(batch)/ActBytesPerTokenFactor)
+	return t
+}
+
+// ppSendTime returns the time to hand a micro-batch's activations
+// (totalTokens tokens) to the next pipeline stage over link.
+func (e *Engine) ppSendTime(totalTokens int, link hw.Link) float64 {
+	return hw.P2PTime(link, e.actBytes(totalTokens)/ActBytesPerTokenFactor)
+}
+
+// kvTransferTime returns the time to move the KV-cache entries of
+// queries (tokens prompt tokens in total) from an encoding GPU to a
+// decoding GPU via host memory, as XRunner does for WAA scheduling (§3):
+// device-to-host followed by host-to-device over the host-DMA link.
+func (e *Engine) kvTransferTime(tokens int) float64 {
+	bytes := int64(tokens) * e.Model.KVBytesPerToken()
+	return 2 * hw.P2PTime(hw.HostDMA, bytes)
 }

@@ -159,26 +159,6 @@ func (m Model) KVBytesPerToken() int64 {
 	return m.KVBytesPerTokenLayer() * int64(m.DecLayers)
 }
 
-// CrossKVBytesPerInputToken returns the cross-attention cache bytes one
-// input token occupies across decoder layers (encoder-decoder models
-// memoize encoder outputs once per input token; zero for decoder-only).
-func (m Model) CrossKVBytesPerInputToken() int64 {
-	if m.DecoderOnly() {
-		return 0
-	}
-	return m.KVBytesPerTokenLayer() * int64(m.DecLayers)
-}
-
-// QueryKVBytes returns the total KV-cache footprint of a single query
-// with the given input and output lengths, at the point all output
-// tokens are generated.
-func (m Model) QueryKVBytes(inputLen, outputLen int) int64 {
-	if m.DecoderOnly() {
-		return int64(inputLen+outputLen) * m.KVBytesPerToken()
-	}
-	return int64(outputLen)*m.KVBytesPerToken() + int64(inputLen)*m.CrossKVBytesPerInputToken()
-}
-
 // ContextLen returns the self-attention context length seen while
 // decoding output position pos (0-based) for a query with the given
 // input length: decoder-only models attend over prompt + generated
@@ -189,22 +169,6 @@ func (m Model) ContextLen(inputLen, pos int) int {
 		return inputLen + pos + 1
 	}
 	return pos + 1
-}
-
-// EncodeLayerFLOPs returns the FLOPs for one encoding (prefill) layer
-// pass over a batch with the given total token count and mean sequence
-// length: 2 FLOPs per parameter per token for the GEMMs plus the
-// quadratic attention term 4 * tokens * seqLen * AttnDim.
-func (m Model) EncodeLayerFLOPs(tokens int, meanSeqLen float64) float64 {
-	var params int64
-	if m.DecoderOnly() {
-		params = m.DecLayerParams()
-	} else {
-		params = m.EncLayerParams()
-	}
-	gemm := 2 * float64(params) * float64(tokens)
-	attn := 4 * float64(tokens) * meanSeqLen * float64(m.AttnDim)
-	return gemm + attn
 }
 
 // DecodeLayerFLOPs returns the FLOPs for one decoder layer processing a

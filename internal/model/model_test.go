@@ -103,22 +103,22 @@ func TestKVSizes(t *testing.T) {
 	if got, want := OPT13B.KVBytesPerToken(), int64(40)*OPT13B.KVBytesPerTokenLayer(); got != want {
 		t.Fatalf("KV per token = %d, want %d", got, want)
 	}
-	if OPT13B.CrossKVBytesPerInputToken() != 0 {
+	if OPT13B.crossKVBytesPerInputToken() != 0 {
 		t.Fatal("decoder-only has no cross KV")
 	}
-	if T511B.CrossKVBytesPerInputToken() == 0 {
+	if T511B.crossKVBytesPerInputToken() == 0 {
 		t.Fatal("T5 must memoize cross KV")
 	}
 }
 
 func TestQueryKVBytes(t *testing.T) {
 	// Decoder-only counts prompt tokens too.
-	optKV := OPT13B.QueryKVBytes(100, 50)
+	optKV := OPT13B.queryKVBytes(100, 50)
 	if optKV != 150*OPT13B.KVBytesPerToken() {
 		t.Fatalf("OPT query KV = %d", optKV)
 	}
-	t5KV := T511B.QueryKVBytes(100, 50)
-	want := 50*T511B.KVBytesPerToken() + 100*T511B.CrossKVBytesPerInputToken()
+	t5KV := T511B.queryKVBytes(100, 50)
+	want := 50*T511B.KVBytesPerToken() + 100*T511B.crossKVBytesPerInputToken()
 	if t5KV != want {
 		t.Fatalf("T5 query KV = %d, want %d", t5KV, want)
 	}
@@ -139,14 +139,14 @@ func TestContextLen(t *testing.T) {
 func TestFLOPsScaling(t *testing.T) {
 	m := GPT339B
 	// Prefill FLOPs scale ~linearly in tokens at fixed seq len.
-	f1 := m.EncodeLayerFLOPs(128, 256)
-	f2 := m.EncodeLayerFLOPs(256, 256)
+	f1 := m.encodeLayerFLOPs(128, 256)
+	f2 := m.encodeLayerFLOPs(256, 256)
 	if ratio := f2 / f1; ratio < 1.9 || ratio > 2.1 {
 		t.Fatalf("prefill scaling ratio = %v, want ~2", ratio)
 	}
 	// Decode FLOPs per iteration are far below prefill of the same batch of
 	// queries (each query contributes one token, not seqLen tokens).
-	prefill := m.EncodeLayerFLOPs(128*256, 256)
+	prefill := m.encodeLayerFLOPs(128*256, 256)
 	dec := m.DecodeLayerFLOPs(128, 256, 0)
 	if dec*50 >= prefill {
 		t.Fatalf("decode iter FLOPs %v should be << prefill %v", dec, prefill)
@@ -190,7 +190,7 @@ func TestQuickMonotone(t *testing.T) {
 		if m.DecodeAttnBytes(lb, lc, 0) > m.DecodeAttnBytes(hb, hc, 0) {
 			return false
 		}
-		return m.EncodeLayerFLOPs(lb, lc) <= m.EncodeLayerFLOPs(hb, hc)+1
+		return m.encodeLayerFLOPs(lb, lc) <= m.encodeLayerFLOPs(hb, hc)+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)
@@ -202,4 +202,40 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// queryKVBytes returns the total KV-cache footprint of a single query
+// with the given input and output lengths, at the point all output
+// tokens are generated.
+func (m Model) queryKVBytes(inputLen, outputLen int) int64 {
+	if m.DecoderOnly() {
+		return int64(inputLen+outputLen) * m.KVBytesPerToken()
+	}
+	return int64(outputLen)*m.KVBytesPerToken() + int64(inputLen)*m.crossKVBytesPerInputToken()
+}
+
+// encodeLayerFLOPs returns the FLOPs for one encoding (prefill) layer
+// pass over a batch with the given total token count and mean sequence
+// length: 2 FLOPs per parameter per token for the GEMMs plus the
+// quadratic attention term 4 * tokens * seqLen * AttnDim.
+func (m Model) encodeLayerFLOPs(tokens int, meanSeqLen float64) float64 {
+	var params int64
+	if m.DecoderOnly() {
+		params = m.DecLayerParams()
+	} else {
+		params = m.EncLayerParams()
+	}
+	gemm := 2 * float64(params) * float64(tokens)
+	attn := 4 * float64(tokens) * meanSeqLen * float64(m.AttnDim)
+	return gemm + attn
+}
+
+// crossKVBytesPerInputToken returns the cross-attention cache bytes one
+// input token occupies across decoder layers (encoder-decoder models
+// memoize encoder outputs once per input token; zero for decoder-only).
+func (m Model) crossKVBytesPerInputToken() int64 {
+	if m.DecoderOnly() {
+		return 0
+	}
+	return m.KVBytesPerTokenLayer() * int64(m.DecLayers)
 }

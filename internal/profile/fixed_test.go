@@ -89,7 +89,7 @@ func deploymentCases(t *testing.T) []fixedCase {
 	tables := map[string]*Table{}
 	var out []fixedCase
 	for _, d := range sched.DefaultDeployments {
-		c, err := d.SubCluster()
+		c, err := d.Cluster.Sub(d.GPUs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ func TestDecodeAtErrors(t *testing.T) {
 func fuzzFixedCases(f *testing.F) []fixedCase {
 	var out []fixedCase
 	for _, d := range []sched.Deployment{sched.DefaultDeployments[1], sched.DefaultDeployments[2]} {
-		c, err := d.SubCluster()
+		c, err := d.Cluster.Sub(d.GPUs)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -420,7 +420,7 @@ func FuzzDecodeFixedMatchesDecode(f *testing.F) {
 // fixed-context pricer's Iter and PeriodOf (walking the batch).
 func BenchmarkDecodePricers(b *testing.B) {
 	d := sched.DefaultDeployments[2]
-	c, err := d.SubCluster()
+	c, err := d.Cluster.Sub(d.GPUs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -141,7 +141,7 @@ func checkBitEqual(t *testing.T, name string, tab *Table, c hw.Cluster, stages [
 func TestStagesMatchPerStageFormula(t *testing.T) {
 	tables := map[string]*Table{}
 	for _, d := range sched.DefaultDeployments {
-		c, err := d.SubCluster()
+		c, err := d.Cluster.Sub(d.GPUs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -298,7 +298,7 @@ func TestOpenMatchesBatchThroughput(t *testing.T) {
 			t.Fatal(err)
 		}
 		reqs := requests(t, task, 200, 13)
-		for _, f := range sched.Families() {
+		for _, f := range registeredFamilies() {
 			band, ok := bands[f.Name]
 			if !ok {
 				t.Fatalf("family %s has no throughput band", f.Name)

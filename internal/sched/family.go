@@ -1,17 +1,16 @@
 // Execution-policy family registry: the single seam through which the
-// runner, the simulator/evaluator estimate paths, and the B&B schedule
-// search learn about a policy. A family registers its name, capability
+// runner, the core estimator, and the B&B schedule search learn about
+// a policy. A family registers its name, capability
 // flags, search axes, config validation and TP branch admission here;
 // the other layers ask the registry instead of switching on Policy
 // values. Its allocation builder (AllocateRRA, AllocateWAA,
-// AllocateDisagg) is called by the family's own estimators in core.
-// Adding a policy means registering a Family (plus per-family
-// estimators in core) — no switch in core or runner grows a new arm.
+// AllocateDisagg) is called by the family's own estimate in core.
+// Adding a policy means registering a Family (plus its estimate in
+// core) — no switch in core or runner grows a new arm.
 package sched
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -90,16 +89,6 @@ func Register(f Family) {
 func FamilyOf(p Policy) (Family, bool) {
 	f, ok := families[p]
 	return f, ok
-}
-
-// Families returns every registered family in canonical Policy order.
-func Families() []Family {
-	out := make([]Family, 0, len(families))
-	for _, f := range families {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Policy < out[j].Policy })
-	return out
 }
 
 // MarshalJSON encodes the policy as its family name, so JSON artifacts

@@ -9,7 +9,7 @@ import (
 // TestPolicyJSON pins the JSON encoding: a policy, alone or embedded
 // in a Config, encodes as its family name.
 func TestPolicyJSON(t *testing.T) {
-	for _, f := range Families() {
+	for _, f := range families {
 		data, err := json.Marshal(f.Policy)
 		if err != nil {
 			t.Fatal(err)

@@ -1,13 +1,13 @@
 // Package familytest is the conformance suite every execution-policy
 // family must pass: identity (String and the JSON name encoding),
 // allocation shape against the family's capability flags, bit-identical
-// Simulator and Evaluator estimates (cold and warm, feasible and
-// infeasible), worker-count-independent B&B search, and deterministic
-// batch and open-loop runner execution. A new family earns its place by
-// appearing in sched.Families() — the suite test enumerates the
-// registry — so a family that registers in sched but wires only one of
-// the estimate paths, or drifts between them, fails here by scenario
-// name instead of as a silent artifact diff.
+// warm and fresh Evaluator estimates (feasible and infeasible),
+// worker-count-independent B&B search, and deterministic batch and
+// open-loop runner execution. A new family earns its place by
+// registering in sched — the suite test enumerates the registry — so a
+// family that registers in sched but wires no estimate, or whose memos
+// leak into its results, fails here by scenario name instead of as a
+// silent artifact diff.
 package familytest
 
 import (
@@ -93,12 +93,13 @@ func grid(f sched.Family, totalGPUs int) []sched.Config {
 }
 
 // feasible returns a pinned feasible schedule for the runner scenarios:
-// the family's first grid point estimated through the Simulator (which
-// derives the dependent batch variable and the allocation).
+// the family's first feasible grid point, estimated through an Evaluator
+// (which derives the dependent batch variable and the allocation).
 func feasible(t *testing.T, fx *fixture, f sched.Family) core.Estimate {
 	t.Helper()
+	ev := core.NewEvaluator(fx.sim)
 	for _, cfg := range grid(f, fx.cluster.TotalGPUs()) {
-		est, err := fx.sim.Estimate(cfg)
+		est, err := ev.Estimate(cfg)
 		if err != nil {
 			t.Fatalf("estimate %+v: %v", cfg, err)
 		}
@@ -159,9 +160,10 @@ func testAllocate(t *testing.T, f sched.Family) {
 	}
 }
 
-// testEstimatorBitEquality pins the Evaluator fast path to the
-// Simulator reference bit for bit over the family grid — cold, then
-// warm (memo hits) — including the infeasible point's Reason.
+// testEstimatorBitEquality pins a warm Evaluator to a fresh one per
+// config, bit for bit, over the family grid in two passes — the first
+// fills the warm memos, the second hits them — including the
+// infeasible point's Reason.
 func testEstimatorBitEquality(t *testing.T, f sched.Family) {
 	fx := newFixture(t)
 	ev := core.NewEvaluator(fx.sim)
@@ -169,18 +171,18 @@ func testEstimatorBitEquality(t *testing.T, f sched.Family) {
 	sawInfeasible := false
 	for pass := 0; pass < 2; pass++ {
 		for _, cfg := range cfgs {
-			ref, rerr := fx.sim.Estimate(cfg)
-			fast, ferr := ev.Estimate(cfg)
-			if (rerr == nil) != (ferr == nil) {
-				t.Fatalf("pass %d %+v: simulator err %v, evaluator err %v", pass, cfg, rerr, ferr)
+			cold, cerr := core.NewEvaluator(fx.sim).Estimate(cfg)
+			warm, werr := ev.Estimate(cfg)
+			if (cerr == nil) != (werr == nil) {
+				t.Fatalf("pass %d %+v: fresh err %v, warm err %v", pass, cfg, cerr, werr)
 			}
-			if rerr != nil {
+			if cerr != nil {
 				continue
 			}
-			if !reflect.DeepEqual(ref, fast) {
-				t.Fatalf("pass %d %+v: evaluator diverged\nref:  %+v\nfast: %+v", pass, cfg, ref, fast)
+			if !reflect.DeepEqual(cold, warm) {
+				t.Fatalf("pass %d %+v: warm evaluator diverged\nfresh: %+v\nwarm:  %+v", pass, cfg, cold, warm)
 			}
-			if !ref.Feasible {
+			if !cold.Feasible {
 				sawInfeasible = true
 			}
 		}

@@ -386,8 +386,3 @@ func DeploymentFor(name string) (Deployment, error) {
 	}
 	return Deployment{}, fmt.Errorf("sched: no default deployment for model %q", name)
 }
-
-// SubCluster returns the deployment's logical sub-cluster.
-func (d Deployment) SubCluster() (hw.Cluster, error) {
-	return d.Cluster.Sub(d.GPUs)
-}

@@ -349,7 +349,7 @@ func TestDeployments(t *testing.T) {
 	if _, err := DeploymentFor("nope"); err == nil {
 		t.Fatal("unknown model should fail")
 	}
-	c, err := d.SubCluster()
+	c, err := d.Cluster.Sub(d.GPUs)
 	if err != nil || c.TotalGPUs() != 4 {
 		t.Fatalf("sub-cluster: %+v err=%v", c, err)
 	}

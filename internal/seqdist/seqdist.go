@@ -93,20 +93,6 @@ func (d *Dist) Var() float64 {
 // Std returns the standard deviation.
 func (d *Dist) Std() float64 { return math.Sqrt(d.Var()) }
 
-// Skewness returns the standardized third moment.
-func (d *Dist) Skewness() float64 {
-	m, sd := d.Mean(), d.Std()
-	if sd == 0 {
-		return 0
-	}
-	sk := 0.0
-	for s := 1; s < len(d.p); s++ {
-		z := (float64(s) - m) / sd
-		sk += z * z * z * d.p[s]
-	}
-	return sk
-}
-
 // Percentile returns the smallest length s with CDF(s) >= q, q in (0,1].
 func (d *Dist) Percentile(q float64) int {
 	if q <= 0 {
@@ -133,15 +119,6 @@ func (d *Dist) Sample(r *rand.Rand) int {
 		i = 1
 	}
 	return i
-}
-
-// SampleN draws n lengths.
-func (d *Dist) SampleN(r *rand.Rand, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.Sample(r)
-	}
-	return out
 }
 
 // SurvivalMass returns Σ_{s>=a} P(S=s) for a >= 1.
@@ -269,30 +246,6 @@ func NewEmpirical(name string, samples []int) (*Dist, error) {
 	return New(name, w)
 }
 
-// Scale returns a copy with lengths multiplied by factor (rounded,
-// clamped to 1..round(Max*factor)); used for the ±avg sweeps of §7.6.
-func (d *Dist) Scale(factor float64) (*Dist, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("seqdist: scale factor %v must be positive", factor)
-	}
-	newMax := int(math.Ceil(float64(d.Max()) * factor))
-	if newMax < 1 {
-		newMax = 1
-	}
-	w := make([]float64, newMax+1)
-	for s := 1; s <= d.Max(); s++ {
-		ns := int(math.Round(float64(s) * factor))
-		if ns < 1 {
-			ns = 1
-		}
-		if ns > newMax {
-			ns = newMax
-		}
-		w[ns] += d.p[s]
-	}
-	return New(fmt.Sprintf("%s*%.2f", d.name, factor), w)
-}
-
 // CompletionDist is P_D(U) of §6: entry U (1-based, U <= ND) is the
 // probability that a query completes decoding at the U'th iteration
 // after the most recent encoding phase.
@@ -350,30 +303,12 @@ func (c *CompletionDist) ConsistentDecodeBatch(be int) float64 {
 	return float64(be) / f
 }
 
-// ExpectedActiveFraction returns, for iteration u in 1..ND of a decoding
+// ActiveFractions returns, for every iteration u in 1..ND of a decoding
 // phase, the expected fraction of the phase-start batch still active
 // when iteration u executes (queries completing at U=u are counted as
-// active during iteration u and inactive afterwards).
-func (c *CompletionDist) ExpectedActiveFraction(u int) float64 {
-	if u < 1 {
-		return 1
-	}
-	done := 0.0
-	for v := 1; v < u && v <= c.ND; v++ {
-		done += c.PU[v]
-	}
-	f := 1 - done
-	if f < 0 {
-		return 0
-	}
-	return f
-}
-
-// ActiveFractions returns ExpectedActiveFraction(u) for every u in
-// 1..ND as one slice (index u; entry 0 unused). The running sum adds
-// PU[v] in the same ascending order as the per-u method, so every entry
-// is bit-identical to calling ExpectedActiveFraction(u) directly while
-// costing O(ND) total instead of O(ND^2).
+// active during iteration u and inactive afterwards), as one slice
+// (index u; entry 0 unused). One running sum over PU costs O(ND) in
+// total.
 func (c *CompletionDist) ActiveFractions() []float64 {
 	out := make([]float64, c.ND+1)
 	done := 0.0
@@ -413,26 +348,4 @@ func clampQ(q float64) float64 {
 		return 1 - 1e-9
 	}
 	return q
-}
-
-// Corr estimates the Pearson correlation of n sampled pairs.
-func (b Bivariate) Corr(r *rand.Rand, n int) float64 {
-	var sx, sy, sxx, syy, sxy float64
-	for i := 0; i < n; i++ {
-		x, y := b.Sample(r)
-		fx, fy := float64(x), float64(y)
-		sx += fx
-		sy += fy
-		sxx += fx * fx
-		syy += fy * fy
-		sxy += fx * fy
-	}
-	fn := float64(n)
-	cov := sxy/fn - sx/fn*sy/fn
-	vx := sxx/fn - sx/fn*sx/fn
-	vy := syy/fn - sy/fn*sy/fn
-	if vx <= 0 || vy <= 0 {
-		return 0
-	}
-	return cov / math.Sqrt(vx*vy)
 }

@@ -1,6 +1,7 @@
 package seqdist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -54,8 +55,8 @@ func TestTruncNormalMoments(t *testing.T) {
 	if math.Abs(d.Std()-30) > 2 {
 		t.Fatalf("std = %v, want ~30", d.Std())
 	}
-	if math.Abs(d.Skewness()) > 0.05 {
-		t.Fatalf("skewness = %v, want ~0", d.Skewness())
+	if math.Abs(d.skewness()) > 0.05 {
+		t.Fatalf("skewness = %v, want ~0", d.skewness())
 	}
 }
 
@@ -104,7 +105,7 @@ func TestSampleWithinSupportAndMoments(t *testing.T) {
 	if got := sum / float64(n); math.Abs(got-d.Mean()) > 1.0 {
 		t.Fatalf("sample mean %v vs dist mean %v", got, d.Mean())
 	}
-	if got := len(d.SampleN(r, 7)); got != 7 {
+	if got := len(d.sampleN(r, 7)); got != 7 {
 		t.Fatalf("SampleN returned %d", got)
 	}
 }
@@ -123,8 +124,8 @@ func TestSkewNormalMoments(t *testing.T) {
 		if math.Abs(d.Std()-40) > 4 {
 			t.Errorf("skew=%v: std = %v, want ~40", skew, d.Std())
 		}
-		if math.Abs(d.Skewness()-skew) > 0.08 {
-			t.Errorf("skew=%v: skewness = %v", skew, d.Skewness())
+		if math.Abs(d.skewness()-skew) > 0.08 {
+			t.Errorf("skew=%v: skewness = %v", skew, d.skewness())
 		}
 	}
 	if _, err := NewSkewNormalMoments(100, 10, 1.5, 200); err == nil {
@@ -143,8 +144,8 @@ func TestLogNormalLongTail(t *testing.T) {
 		t.Fatalf("lognormal p99 %d should exceed truncnorm p99 %d",
 			ln.Percentile(0.99), tn.Percentile(0.99))
 	}
-	if ln.Skewness() <= 0.3 {
-		t.Fatalf("lognormal skewness = %v, want strongly positive", ln.Skewness())
+	if ln.skewness() <= 0.3 {
+		t.Fatalf("lognormal skewness = %v, want strongly positive", ln.skewness())
 	}
 }
 
@@ -166,21 +167,21 @@ func TestEmpirical(t *testing.T) {
 
 func TestScale(t *testing.T) {
 	d := truncNorm(t, 100, 20, 300)
-	up, err := d.Scale(1.3)
+	up, err := d.scale(1.3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(up.Mean()/d.Mean()-1.3) > 0.02 {
 		t.Fatalf("scaled mean ratio = %v", up.Mean()/d.Mean())
 	}
-	down, err := d.Scale(0.7)
+	down, err := d.scale(0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(down.Mean()/d.Mean()-0.7) > 0.02 {
 		t.Fatalf("scaled-down mean ratio = %v", down.Mean()/d.Mean())
 	}
-	if _, err := d.Scale(0); err == nil {
+	if _, err := d.scale(0); err == nil {
 		t.Fatal("zero scale should fail")
 	}
 }
@@ -294,20 +295,20 @@ func TestExpectedActiveFraction(t *testing.T) {
 	w[1], w[4] = 0.5, 0.5
 	d, _ := New("m", w)
 	c, _ := NewCompletionDist(d, 4)
-	if got := c.ExpectedActiveFraction(1); got != 1 {
+	if got := c.expectedActiveFraction(1); got != 1 {
 		t.Fatalf("active(1) = %v", got)
 	}
 	// After iteration 1, the S=1 half completed.
-	if got := c.ExpectedActiveFraction(2); math.Abs(got-0.5) > 1e-12 {
+	if got := c.expectedActiveFraction(2); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("active(2) = %v, want 0.5", got)
 	}
-	if got := c.ExpectedActiveFraction(0); got != 1 {
+	if got := c.expectedActiveFraction(0); got != 1 {
 		t.Fatalf("active(0) = %v", got)
 	}
 }
 
-// ActiveFractions is the Evaluator fast path for the per-u method; the
-// two must agree bit for bit.
+// ActiveFractions must agree bit for bit with the per-u reference
+// expectedActiveFraction, which adds PU[v] in the same ascending order.
 func TestActiveFractionsMatchPerU(t *testing.T) {
 	d := truncNorm(t, 32, 13, 80)
 	for _, nd := range []int{1, 2, 7, 13, 32, 100} {
@@ -320,7 +321,7 @@ func TestActiveFractionsMatchPerU(t *testing.T) {
 			t.Fatalf("ND=%d: len = %d, want %d", nd, len(af), nd+1)
 		}
 		for u := 1; u <= nd; u++ {
-			if want := c.ExpectedActiveFraction(u); af[u] != want {
+			if want := c.expectedActiveFraction(u); af[u] != want {
 				t.Fatalf("ND=%d u=%d: %v != %v (bits %x vs %x)",
 					nd, u, af[u], want,
 					math.Float64bits(af[u]), math.Float64bits(want))
@@ -393,8 +394,8 @@ func TestBivariateCorrelation(t *testing.T) {
 	in := truncNorm(t, 128, 81, 256)
 	out := truncNorm(t, 128, 68, 320)
 	r := rand.New(rand.NewSource(7))
-	high := Bivariate{In: in, Out: out, Rho: 0.9}.Corr(rand.New(rand.NewSource(7)), 8000)
-	low := Bivariate{In: in, Out: out, Rho: 0.1}.Corr(r, 8000)
+	high := Bivariate{In: in, Out: out, Rho: 0.9}.corr(rand.New(rand.NewSource(7)), 8000)
+	low := Bivariate{In: in, Out: out, Rho: 0.1}.corr(r, 8000)
 	if high < 0.7 {
 		t.Fatalf("rho=0.9 sample corr = %v, want high", high)
 	}
@@ -414,4 +415,92 @@ func TestBivariateSamplesInSupport(t *testing.T) {
 			t.Fatalf("sample (%d,%d) out of support", x, y)
 		}
 	}
+}
+
+// skewness returns the standardized third moment.
+func (d *Dist) skewness() float64 {
+	m, sd := d.Mean(), d.Std()
+	if sd == 0 {
+		return 0
+	}
+	sk := 0.0
+	for s := 1; s < len(d.p); s++ {
+		z := (float64(s) - m) / sd
+		sk += z * z * z * d.p[s]
+	}
+	return sk
+}
+
+// sampleN draws n lengths.
+func (d *Dist) sampleN(r *rand.Rand, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = d.Sample(r)
+	}
+	return out
+}
+
+// scale returns a copy with lengths multiplied by factor (rounded,
+// clamped to 1..round(Max*factor)).
+func (d *Dist) scale(factor float64) (*Dist, error) {
+	if factor <= 0 {
+		return nil, fmt.Errorf("seqdist: scale factor %v must be positive", factor)
+	}
+	newMax := int(math.Ceil(float64(d.Max()) * factor))
+	if newMax < 1 {
+		newMax = 1
+	}
+	w := make([]float64, newMax+1)
+	for s := 1; s <= d.Max(); s++ {
+		ns := int(math.Round(float64(s) * factor))
+		if ns < 1 {
+			ns = 1
+		}
+		if ns > newMax {
+			ns = newMax
+		}
+		w[ns] += d.p[s]
+	}
+	return New(fmt.Sprintf("%s*%.2f", d.name, factor), w)
+}
+
+// corr estimates the Pearson correlation of n sampled pairs.
+func (b Bivariate) corr(r *rand.Rand, n int) float64 {
+	var sx, sy, sxx, syy, sxy float64
+	for i := 0; i < n; i++ {
+		x, y := b.Sample(r)
+		fx, fy := float64(x), float64(y)
+		sx += fx
+		sy += fy
+		sxx += fx * fx
+		syy += fy * fy
+		sxy += fx * fy
+	}
+	fn := float64(n)
+	cov := sxy/fn - sx/fn*sy/fn
+	vx := sxx/fn - sx/fn*sx/fn
+	vy := syy/fn - sy/fn*sy/fn
+	if vx <= 0 || vy <= 0 {
+		return 0
+	}
+	return cov / math.Sqrt(vx*vy)
+}
+
+// expectedActiveFraction returns, for iteration u in 1..ND of a decoding
+// phase, the expected fraction of the phase-start batch still active
+// when iteration u executes (queries completing at U=u are counted as
+// active during iteration u and inactive afterwards).
+func (c *CompletionDist) expectedActiveFraction(u int) float64 {
+	if u < 1 {
+		return 1
+	}
+	done := 0.0
+	for v := 1; v < u && v <= c.ND; v++ {
+		done += c.PU[v]
+	}
+	f := 1 - done
+	if f < 0 {
+		return 0
+	}
+	return f
 }

@@ -142,12 +142,6 @@ func NewGenerator(task Task, seed int64) (*Generator, error) {
 // Task returns the generator's task.
 func (g *Generator) Task() Task { return g.task }
 
-// InDist and OutDist expose the marginals.
-func (g *Generator) InDist() *seqdist.Dist { return g.biv.In }
-
-// OutDist returns the output-length marginal.
-func (g *Generator) OutDist() *seqdist.Dist { return g.biv.Out }
-
 // Next produces the next request.
 func (g *Generator) Next() Request {
 	var in, out int
